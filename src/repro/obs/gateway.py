@@ -38,6 +38,7 @@ import asyncio
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ProtocolError
 from repro.obs.http import (
     HttpError,
     HttpRequest,
@@ -335,26 +336,18 @@ class HttpGateway:
         self, request: HttpRequest, session: str
     ) -> HttpResponse:
         body = _require_object(request.json())
-        pcs = _require_int_list(body, "pcs")
-        counts = _require_int_list(body, "counts")
-        if len(pcs) != len(counts):
-            raise HttpError(
-                400,
-                f"'pcs' and 'counts' must be the same length "
-                f"({len(pcs)} != {len(counts)})",
-            )
-        cpi = body.get("cpi", 1.0)
-        if not isinstance(cpi, (int, float)) or isinstance(cpi, bool):
-            raise HttpError(400, "'cpi' must be a number")
+        # The NDJSON surface's own validator, so both refuse the same
+        # bodies.
+        try:
+            observe = protocol.observe_request(0, session, body)
+        except ProtocolError as error:
+            raise HttpError(400, str(error)) from None
         # Observes join the service's coalescing rounds (when enabled)
         # so the gateway's ingest shares the fused pool pass with the
         # NDJSON wire path.
-        result, reports = self._unwrap(await self.service.execute_observe(
-            protocol.ObserveRequest(
-                id=0, session=session, pcs=pcs, counts=counts,
-                cpi=float(cpi),
-            )
-        ))
+        result, reports = self._unwrap(
+            await self.service.execute_observe(observe)
+        )
         payload = dict(result)
         payload["reports"] = reports
         return HttpResponse.json(payload)
@@ -543,13 +536,3 @@ def _require_object(body: object) -> dict:
     if not isinstance(body, dict):
         raise HttpError(400, "request body must be a JSON object")
     return body
-
-
-def _require_int_list(body: dict, key: str) -> List[int]:
-    values = body.get(key)
-    if not isinstance(values, list) or any(
-        not isinstance(value, int) or isinstance(value, bool)
-        for value in values
-    ):
-        raise HttpError(400, f"'{key}' must be a list of integers")
-    return values

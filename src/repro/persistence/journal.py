@@ -4,9 +4,29 @@ The write-ahead half of the durable session tier. Every session
 lifecycle change and every observed branch batch becomes one framed
 record appended to the active segment file::
 
-    [length: u32 LE] [crc32(payload): u32 LE] [payload: UTF-8 JSON]
+    [length: u32 LE] [crc32(payload): u32 LE] [payload]
 
-The payload always carries a ``seq`` field — one global, strictly
+A payload takes one of two forms, told apart by its first byte:
+
+- a **JSON record** — the record as one UTF-8 JSON object, so its
+  first byte is ``{``. Every record without array columns (open,
+  close), and every observe written before binary records existed;
+- a **binary record** — a record with int64 array columns (observe's
+  ``pcs`` and ``counts``)::
+
+      [0x00] [header length: u32 LE] [header: UTF-8 JSON] [tail]
+
+  The header holds the record's other fields plus ``"arrays"``, an
+  ordered ``{name: element count}`` map. The tail is those columns'
+  raw int64 little-endian bytes, back to back, so it is exactly
+  8 bytes per declared element; replay hands each column back as a
+  read-only int64 array under its name. A frame whose tail disagrees
+  with its header is torn, the same as a CRC mismatch. An observe of
+  n records costs 16n bytes here (as JSON text, the benchmark's
+  ``stream`` traffic took about 11.7n), but is written without
+  converting or re-encoding a single element.
+
+The record always carries a ``seq`` field — one global, strictly
 increasing sequence number per record — which is what checkpoints
 reference ("this snapshot covers everything up to seq N") and what
 compaction reasons about. Segments are named after the first sequence
@@ -26,10 +46,10 @@ Durability is a dial (:data:`SYNC_MODES`):
 
 Reading is torn-tail tolerant: :func:`replay_journal` walks the
 segments in order and, on the first frame that is short, CRC-corrupt,
-or out of sequence, truncates the file back to the last good record
-and stops — a counted, non-fatal event (exactly what a ``kill -9``
-mid-append leaves behind). Segments after a truncation point are
-causally unusable and are discarded.
+undecodable, or out of sequence, truncates the file back to the last
+good record and stops — a counted, non-fatal event (exactly what a
+``kill -9`` mid-append leaves behind). Segments after a truncation
+point are causally unusable and are discarded.
 """
 
 from __future__ import annotations
@@ -41,7 +61,11 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, TYPE_CHECKING, Union
+from typing import (
+    Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING, Union,
+)
+
+import numpy as np
 
 from repro.errors import PersistenceError
 
@@ -53,6 +77,13 @@ SYNC_MODES = ("none", "batch", "always")
 
 #: Frame header: payload length then crc32 of the payload bytes.
 _HEADER = struct.Struct("<II")
+
+#: A binary record's payload prefix: the 0x00 marker, then the length
+#: of its JSON header.
+_BINARY = struct.Struct("<BI")
+
+#: The dtype of a binary record's array columns.
+_COLUMN = np.dtype("<i8")
 
 #: Upper bound on one record's payload. A frame whose declared length
 #: exceeds this is treated as corruption, not as a huge record —
@@ -95,6 +126,52 @@ def list_segments(root: Union[str, Path]) -> List[Path]:
 def encode_record(payload: bytes) -> bytes:
     """Frame one payload: length + crc32 header, then the bytes."""
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_payload(
+    record: dict, arrays: Optional[Dict[str, object]] = None
+) -> bytes:
+    """One record's payload: a JSON record, or with ``arrays`` (name
+    -> 1-D integer sequence) a binary record carrying them as int64
+    columns."""
+    if not arrays:
+        return json.dumps(record, separators=(",", ":")).encode("utf-8")
+    columns = [
+        np.ascontiguousarray(values, dtype=_COLUMN)
+        for values in arrays.values()
+    ]
+    header = json.dumps(
+        dict(record, arrays={
+            name: column.size for name, column in zip(arrays, columns)
+        }),
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return b"".join([_BINARY.pack(0, len(header)), header, *columns])
+
+
+def decode_payload(payload: bytes) -> dict:
+    """The record a payload holds, a binary record's columns as
+    read-only int64 arrays. Raises :class:`ValueError` on a payload
+    that is neither valid JSON nor a binary record whose tail matches
+    its header."""
+    if payload[:1] != b"\x00":
+        return json.loads(payload.decode("utf-8"))
+    if len(payload) < _BINARY.size:
+        raise ValueError("binary record shorter than its prefix")
+    _, length = _BINARY.unpack_from(payload)
+    offset = _BINARY.size + length
+    record = json.loads(payload[_BINARY.size:offset].decode("utf-8"))
+    sizes = record.pop("arrays", None) if isinstance(record, dict) else None
+    if not isinstance(sizes, dict) or any(
+        not isinstance(size, int) or size < 0 for size in sizes.values()
+    ) or len(payload) - offset != _COLUMN.itemsize * sum(sizes.values()):
+        raise ValueError("binary record tail disagrees with its header")
+    for name, size in sizes.items():
+        record[name] = np.frombuffer(
+            payload, dtype=_COLUMN, count=size, offset=offset
+        )
+        offset += _COLUMN.itemsize * size
+    return record
 
 
 @dataclass
@@ -177,7 +254,7 @@ def replay_journal(
         try:
             for offset, payload in _read_frames(segment):
                 try:
-                    record = json.loads(payload.decode("utf-8"))
+                    record = decode_payload(payload)
                     seq = record["seq"]
                 except (UnicodeDecodeError, ValueError, KeyError, TypeError):
                     raise _TornFrame(offset) from None
@@ -309,11 +386,16 @@ class Journal:
         """Durability lag: appended records not yet fsynced."""
         return self._unsynced
 
-    def append(self, record: dict) -> int:
+    def append(
+        self, record: dict, arrays: Optional[Dict[str, object]] = None
+    ) -> int:
         """Frame and append ``record``; returns its sequence number.
 
-        The record must be JSON-safe; ``seq`` is stamped in here. The
-        write is flushed/fsynced per the journal's sync mode before
+        The record must be JSON-safe; ``seq`` is stamped in here.
+        ``arrays`` (name -> 1-D integer sequence, typically an int64
+        array) makes it a binary record: the columns are written as
+        raw int64 bytes and come back from replay under their names.
+        The write is flushed/fsynced per the journal's sync mode before
         this returns, so a caller that acknowledges afterwards gets the
         mode's durability guarantee.
 
@@ -325,9 +407,7 @@ class Journal:
         if self._file is None:
             raise PersistenceError("journal is closed")
         seq = self._next_seq
-        payload = json.dumps(
-            dict(record, seq=seq), separators=(",", ":")
-        ).encode("utf-8")
+        payload = encode_payload(dict(record, seq=seq), arrays)
         if len(payload) > MAX_RECORD_BYTES:
             raise PersistenceError(
                 f"journal record of {len(payload)} bytes exceeds the "

@@ -29,7 +29,8 @@ registry exposes, plus the logging calls the server makes:
 The layout under ``data_dir``::
 
     data_dir/
-      journal/      seg-<first seq, hex>.jnl   (CRC-framed records)
+      journal/      seg-<first seq, hex>.jnl   (CRC-framed records;
+                                                observes binary)
       checkpoints/  <sha256(session)>.ckpt     (atomic JSON snapshots)
 """
 
@@ -218,14 +219,13 @@ class PersistenceManager:
         return seq
 
     def log_observe(self, name: str, pcs, counts, cpi: float = 1.0) -> int:
-        """Journal one applied observe batch; returns the record's seq."""
-        seq = self.journal.append({
-            "kind": "observe",
-            "session": name,
-            "pcs": [int(pc) for pc in pcs],
-            "counts": [int(count) for count in counts],
-            "cpi": float(cpi),
-        })
+        """Journal one applied observe batch as a binary record, its
+        ``pcs`` and ``counts`` as int64 columns; returns the record's
+        seq."""
+        seq = self.journal.append(
+            {"kind": "observe", "session": name, "cpi": float(cpi)},
+            arrays={"pcs": pcs, "counts": counts},
+        )
         self._session_seqs[name] = seq
         return seq
 

@@ -12,8 +12,11 @@ directory, tolerating everything a ``kill -9`` leaves behind:
    - an ``observe`` record is applied through the tracker's own
      ``observe_batch`` (the vectorized ingest path the live service
      uses, so replayed state is byte-identical to never-crashed
-     state). A session whose first uncovered record is an observe is
-     materialized from its checkpoint on demand;
+     state). Its ``pcs`` and ``counts`` arrive as int64 arrays from a
+     binary record, or as JSON lists from one written before binary
+     records existed; both replay identically. A session whose first
+     uncovered record is an observe is materialized from its
+     checkpoint on demand;
    - a ``close`` record drops the session and schedules its checkpoint
      for deletion.
 

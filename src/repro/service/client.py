@@ -35,7 +35,7 @@ from __future__ import annotations
 import errno
 import socket
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError, ServiceTransportError
 from repro.service import protocol
@@ -277,14 +277,15 @@ class PhaseServiceClient:
     def observe(
         self,
         session: str,
-        pcs: List[int],
-        counts: List[int],
+        pcs: Sequence[int],
+        counts: Sequence[int],
         cpi: float = 1.0,
     ) -> List[dict]:
         """Ingest a batch of (pc, instructions) pairs; returns the
         interval reports (``TrackerReport.to_dict()`` payloads) for
         every boundary the batch crossed, plus any reports buffered
-        from earlier requests.
+        from earlier requests. ``pcs`` and ``counts`` may be any
+        integer sequences, numpy arrays included.
 
         Never retried on transport failure: the server may or may not
         have ingested the batch, and replaying it would double-count.
@@ -292,8 +293,8 @@ class PhaseServiceClient:
         request = protocol.ObserveRequest(
             id=self._new_id(),
             session=session,
-            pcs=list(pcs),
-            counts=list(counts),
+            pcs=pcs,
+            counts=counts,
             cpi=cpi,
         )
         self._request(protocol.request_payload(request))

@@ -18,6 +18,11 @@ Requests::
     {"op":"close","id":7,"session":"s1"}
     {"op":"cluster","id":8,"action":"status","params":{}}
 
+An observe's ``pcs`` and ``counts`` are equal-length lists of JSON
+integers in ``[0, 2**63)`` and its ``cpi`` a finite positive number;
+:func:`observe_request` decodes them once into int64 arrays, for both
+this protocol and the HTTP gateway's observe-batch body.
+
 Responses::
 
     {"id":4,"ok":true,"result":{"intervals":2,"branches":1000}}
@@ -39,8 +44,12 @@ refusal as a typed exception distinct from any transport failure.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, Optional, Type, Union
+
+import numpy as np
 
 from repro.errors import (
     ClusterError,
@@ -152,15 +161,23 @@ class ObserveRequest:
     """Ingest a batch of committed branches into a session.
 
     ``pcs`` and ``counts`` are parallel arrays of branch PCs and
-    instruction counts. ``cpi`` is attributed to any interval boundary
-    the batch completes (the client-side measured CPI; defaults to 1.0
-    for callers without a cycle counter).
+    instruction counts. A parsed request (:func:`parse_request`,
+    :func:`observe_request`) holds them as validated, non-negative,
+    equal-length 1-D ``int64`` numpy arrays, and they stay arrays
+    through the tracker and the journal; test them with ``len()``,
+    never for truth. A request built for sending may hold any integer
+    sequence, since :func:`request_payload` turns it into plain ints.
+    ``cpi`` is attributed to any interval boundary the batch completes
+    (the client-side measured CPI, a finite positive number; defaults
+    to 1.0 for callers without a cycle counter).
     """
 
     id: int
     session: str
-    pcs: List[int] = field(default_factory=list)
-    counts: List[int] = field(default_factory=list)
+    pcs: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, np.int64)
+    )
     cpi: float = 1.0
     op = "observe"
 
@@ -294,8 +311,8 @@ def request_payload(request: Request) -> dict:
             payload["snapshot"] = request.snapshot
     elif isinstance(request, ObserveRequest):
         payload["session"] = request.session
-        payload["pcs"] = request.pcs
-        payload["counts"] = request.counts
+        payload["pcs"] = _json_ints(request.pcs)
+        payload["counts"] = _json_ints(request.counts)
         payload["cpi"] = request.cpi
     elif isinstance(
         request, (CloseRequest, PredictRequest, SnapshotRequest)
@@ -306,6 +323,16 @@ def request_payload(request: Request) -> dict:
         if request.params:
             payload["params"] = request.params
     return payload
+
+
+def _json_ints(values) -> list:
+    """An integer sequence as a list ``json.dumps`` accepts: numpy
+    integers become plain ints; anything else is passed through as
+    given, for the server to validate."""
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    return [int(value) if isinstance(value, np.integer) else value
+            for value in values]
 
 
 # -- decoding -----------------------------------------------------------------
@@ -340,24 +367,74 @@ def _require_session(payload: dict) -> str:
     return session
 
 
-def _int_list(
-    payload: dict, name: str, minimum: Optional[int] = None
-) -> List[int]:
+def _int64_array(payload: dict, name: str) -> np.ndarray:
+    """Decode one observe column into a non-negative ``int64`` array.
+
+    The contract is the per-element one (JSON integers only: no bools,
+    floats or strings; every value >= 0; and each must fit int64),
+    checked in whole-list passes in C. ``array("q", ...)`` refuses
+    every non-integer and every value outside int64, but takes a bool
+    as 0 or 1, so an exact type pass runs only when the minimum is
+    <= 1 — the only case in which a bool could be hiding.
+    """
     values = payload.get(name)
     if not isinstance(values, list):
         raise ProtocolError(f"observe '{name}' must be a list of integers")
-    out = []
-    for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
+    try:
+        column = np.frombuffer(array("q", values), dtype=np.int64)
+    except TypeError:
+        raise ProtocolError(
+            f"observe '{name}' must be a list of integers"
+        ) from None
+    except OverflowError:
+        raise ProtocolError(
+            f"observe '{name}' values must be in [0, 2**63)"
+        ) from None
+    if column.size:
+        low = column.min()
+        if low < 0:
+            raise ProtocolError(
+                f"observe '{name}' values must be in [0, 2**63)"
+            )
+        if low <= 1 and bool in set(map(type, values)):
             raise ProtocolError(
                 f"observe '{name}' must be a list of integers"
             )
-        if minimum is not None and value < minimum:
-            raise ProtocolError(
-                f"observe '{name}' values must be >= {minimum}"
-            )
-        out.append(value)
-    return out
+    return column
+
+
+def observe_request(
+    request_id: int, session: str, payload: dict
+) -> ObserveRequest:
+    """Validate an observe's ``pcs``/``counts``/``cpi`` fields, taken
+    from a decoded JSON object, into an :class:`ObserveRequest`.
+
+    The one observe validator behind both wire surfaces: NDJSON lines
+    (:func:`parse_request`) and the HTTP gateway's observe-batch body.
+    Raises :class:`~repro.errors.ProtocolError` on any refusal.
+    """
+    pcs = _int64_array(payload, "pcs")
+    counts = _int64_array(payload, "counts")
+    if len(pcs) != len(counts):
+        raise ProtocolError(
+            f"observe 'pcs' and 'counts' must be parallel arrays: "
+            f"{len(pcs)} vs {len(counts)}"
+        )
+    cpi = payload.get("cpi", 1.0)
+    # json.loads also yields NaN, Infinity and integers past the float
+    # range; none of them is a measured CPI (a NaN would poison an
+    # adaptive session's CPI mean).
+    if (
+        not isinstance(cpi, (int, float)) or isinstance(cpi, bool)
+        or not 0 < cpi <= sys.float_info.max
+    ):
+        raise ProtocolError(
+            "observe 'cpi' must be a finite positive number"
+        )
+    return ObserveRequest(
+        id=request_id, session=session, pcs=pcs, counts=counts,
+        cpi=float(cpi),
+    )
 
 
 def parse_request(line: Union[str, bytes]) -> Request:
@@ -416,24 +493,8 @@ def parse_request(line: Union[str, bytes]) -> Request:
             snapshot=snapshot,
         )
     if op == "observe":
-        pcs = _int_list(payload, "pcs", minimum=0)
-        counts = _int_list(payload, "counts", minimum=0)
-        if len(pcs) != len(counts):
-            raise ProtocolError(
-                f"observe 'pcs' and 'counts' must be parallel arrays: "
-                f"{len(pcs)} vs {len(counts)}"
-            )
-        cpi = payload.get("cpi", 1.0)
-        if not isinstance(cpi, (int, float)) or isinstance(cpi, bool) or (
-            cpi <= 0
-        ):
-            raise ProtocolError("observe 'cpi' must be a positive number")
-        return ObserveRequest(
-            id=request_id,
-            session=_require_session(payload),
-            pcs=pcs,
-            counts=counts,
-            cpi=float(cpi),
+        return observe_request(
+            request_id, _require_session(payload), payload
         )
     if op == "cluster":
         action = payload.get("action")

@@ -916,7 +916,7 @@ class PhaseService:
             request.pcs, request.counts, cpi=request.cpi
         )
         elapsed = time.perf_counter() - started
-        if self._telemetry is not None and request.pcs:
+        if self._telemetry is not None and len(request.pcs):
             self._h_ingest.observe(elapsed / len(request.pcs))
         return self._finish_observe(session, request, reports)
 
@@ -933,7 +933,7 @@ class PhaseService:
         two produce byte-identical streams by construction."""
         session.branches_ingested += len(request.pcs)
         session.intervals_pushed += len(reports)
-        if self._persistence is not None and request.pcs:
+        if self._persistence is not None and len(request.pcs):
             # Journaled (and flushed per the sync mode) before the ack
             # below is written: an acknowledged batch is as durable as
             # the sync mode promises. In a coalesced round every

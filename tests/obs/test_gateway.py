@@ -197,6 +197,64 @@ class TestSessionRoutes:
         assert status == 400
 
 
+#: Observe bodies both wire surfaces must refuse, with code ``protocol``
+#: over NDJSON and status 400 over HTTP. Each replaces fields of a good
+#: one-record observe.
+BAD_OBSERVES = [
+    {"pcs": [-4]},                        # negative pc
+    {"counts": [-1]},                     # negative count
+    {"cpi": 0},                           # non-positive cpi
+    {"cpi": -1.5},
+    {"cpi": float("nan")},                # json.loads accepts NaN ...
+    {"cpi": float("inf")},                # ... and +-Infinity
+    {"cpi": float("-inf")},
+    {"cpi": True},
+    {"cpi": "x"},
+    {"pcs": [2 ** 63]},                   # past int64
+    {"counts": [2 ** 64 + 5]},
+    {"pcs": [1.5]},
+    {"pcs": [True]},
+    {"counts": ["5"]},
+    {"pcs": [None]},
+    {"pcs": [[4]]},
+    {"pcs": "nope"},
+    {"pcs": [4, 8]},                      # length mismatch
+]
+
+
+class TestOneObserveValidator:
+    """HTTP observe-batch bodies go through the NDJSON observe
+    validator, so the two surfaces refuse exactly the same observes.
+    Values the decoder cannot represent (past int64, NaN or infinite
+    cpi) are typed refusals on both, never ``internal`` or an ack."""
+
+    @pytest.mark.parametrize("mutation", BAD_OBSERVES, ids=str)
+    def test_both_surfaces_refuse(self, service, base, mutation):
+        call(base, "POST", "/v1/sessions", {"session": "v"})
+        body = dict({"pcs": [4096], "counts": [40], "cpi": 1.0},
+                    **mutation)
+        status, answer = call(
+            base, "POST", "/v1/sessions/v/observe-batch", body
+        )
+        assert status == 400, answer
+        assert answer["error"]["message"]
+
+        payload = dict(body, op="observe", id=7, session="v")
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10
+        ) as sock:
+            sock.sendall(json.dumps(payload).encode() + b"\n")
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["id"] == 7 and reply["ok"] is False
+        assert reply["error"]["code"] == "protocol", reply
+
+        # Neither refusal touched the session.
+        with PhaseServiceClient(port=service.port) as client:
+            assert client.predict("v")["intervals"] == 0
+        status, answer = call(base, "GET", "/v1/sessions")
+        assert [s["branches"] for s in answer["sessions"]] == [0]
+
+
 class TestMetrics:
     def test_metrics_round_trip_with_request_counters(self, base):
         call(base, "GET", "/healthz")

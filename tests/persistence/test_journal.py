@@ -4,6 +4,7 @@ torn-tail truncation that makes ``kill -9`` a recoverable event."""
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import PersistenceError
@@ -14,6 +15,7 @@ from repro.persistence import (
 )
 from repro.persistence.journal import (
     MAX_RECORD_BYTES,
+    encode_payload,
     encode_record,
     segment_first_seq,
     segment_name,
@@ -23,6 +25,31 @@ from repro.persistence.journal import (
 def append_n(journal, n, start=0):
     for index in range(start, start + n):
         journal.append({"kind": "observe", "session": "s", "index": index})
+
+
+def columns(index, size=50):
+    """A binary observe record's ``pcs`` and ``counts``."""
+    pcs = 0x400000 + 4 * np.arange(index, index + size, dtype=np.int64)
+    return {"pcs": pcs, "counts": np.full(size, 40 + index)}
+
+
+def append_binary(journal, n, start=0, size=50):
+    for index in range(start, start + n):
+        journal.append(
+            {"kind": "observe", "session": "s", "index": index},
+            arrays=columns(index, size),
+        )
+
+
+def frame_payloads(segment):
+    """Every frame's payload in one segment file, in order."""
+    data, offset, payloads = segment.read_bytes(), 0, []
+    while offset < len(data):
+        length, _ = struct.unpack_from("<II", data, offset)
+        offset += 8
+        payloads.append(data[offset:offset + length])
+        offset += length
+    return payloads
 
 
 class TestFraming:
@@ -50,6 +77,32 @@ class TestFraming:
         replay = replay_journal(tmp_path)
         assert [r["seq"] for r in replay.records] == [1, 2, 3, 4, 5]
         assert [r["index"] for r in replay.records] == list(range(5))
+
+    def test_binary_records_round_trip(self, tmp_path):
+        with Journal(tmp_path) as journal:
+            append_n(journal, 2)
+            append_binary(journal, 3, start=2)
+            append_binary(journal, 1, start=5, size=0)
+            append_n(journal, 1, start=6)
+        replay = replay_journal(tmp_path)
+        assert [r["seq"] for r in replay.records] == list(range(1, 8))
+        assert [r["index"] for r in replay.records] == list(range(7))
+        for record in replay.records[2:6]:
+            expected = columns(record["index"], 0 if record["seq"] == 6
+                               else 50)
+            assert "arrays" not in record
+            for name in ("pcs", "counts"):
+                assert record[name].dtype == np.int64
+                assert not record[name].flags.writeable
+                assert record[name].tolist() == expected[name].tolist()
+        assert "pcs" not in replay.records[0]
+        # JSON records start with "{", binary ones with the 0x00 marker.
+        payloads = frame_payloads(list_segments(tmp_path)[0])
+        assert [p[:1] for p in payloads] == (
+            [b"{"] * 2 + [b"\x00"] * 4 + [b"{"]
+        )
+        # 16 bytes a record: two int64 columns of 50, plus the header.
+        assert len(payloads[2]) - 800 < 120
 
     def test_empty_directory_replays_empty(self, tmp_path):
         replay = replay_journal(tmp_path / "missing")
@@ -129,6 +182,70 @@ class TestTornTails:
         assert remaining[-1] == segments[1]
         # Every surviving record predates the tear.
         assert replay.records[-1]["seq"] < segment_first_seq(segments[2])
+
+    @pytest.mark.parametrize("cut", [1, 8, 100, 799])
+    def test_binary_frame_cut_mid_tail_is_truncated(self, tmp_path, cut):
+        with Journal(tmp_path) as journal:
+            append_n(journal, 2)
+            append_binary(journal, 3, start=2)
+        segment = self.corrupt_tail(tmp_path, cut=cut)
+        size = segment.stat().st_size
+        replay = replay_journal(tmp_path)
+        assert replay.stats.records == 4
+        assert replay.stats.torn_tails == 1
+        assert replay.stats.truncated_bytes == size - replay.stats.bytes_read
+        assert replay.records[-1]["pcs"].tolist() == (
+            columns(3)["pcs"].tolist()
+        )
+        again = replay_journal(tmp_path)
+        assert again.stats.records == 4 and again.stats.torn_tails == 0
+
+    @pytest.mark.parametrize("damage", [
+        "tail_short", "tail_long", "negative_count", "no_arrays",
+        "prefix_only",
+    ])
+    def test_binary_tail_disagreeing_with_header_is_torn(
+        self, tmp_path, damage
+    ):
+        """A CRC-valid binary frame whose tail does not match its
+        header is a torn frame: truncated, counted, and the segments
+        after it discarded — never raised."""
+        with Journal(tmp_path, segment_bytes=256) as journal:
+            append_binary(journal, 4)
+        segments = list_segments(tmp_path)
+        # One record a segment, then the empty active one.
+        assert [len(frame_payloads(path)) for path in segments] == (
+            [1, 1, 1, 1, 0]
+        )
+        payload = encode_payload(
+            {"kind": "observe", "session": "s", "seq": 2},
+            columns(1),
+        )
+        header_length = struct.unpack_from("<I", payload, 1)[0]
+        header = json.loads(payload[5:5 + header_length])
+        if damage == "tail_short":
+            payload = payload[:-8]
+        elif damage == "tail_long":
+            payload += bytes(8)
+        elif damage == "negative_count":
+            header["arrays"] = {"pcs": -50, "counts": 150}
+        elif damage == "no_arrays":
+            del header["arrays"]
+        else:
+            payload = payload[:3]
+        if damage in ("negative_count", "no_arrays"):
+            text = json.dumps(header).encode()
+            payload = (b"\x00" + struct.pack("<I", len(text)) + text
+                       + payload[5 + header_length:])
+        segments[1].write_bytes(encode_record(payload))
+
+        replay = replay_journal(tmp_path)
+        assert replay.stats.records == 1
+        assert replay.stats.torn_tails == 1
+        assert replay.stats.segments_discarded == 3
+        assert list_segments(tmp_path) == segments[:2]
+        assert segments[1].stat().st_size == 0
+        assert replay_journal(tmp_path).stats.torn_tails == 0
 
     def test_truncate_false_leaves_damage_in_place(self, tmp_path):
         with Journal(tmp_path) as journal:

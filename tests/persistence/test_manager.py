@@ -2,12 +2,14 @@
 evict-to-disk, hydrate-on-demand byte-identity, in-process crash
 recovery, checkpoint sweeps, and compaction."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core import PhaseTracker
 from repro.errors import SessionExistsError, SessionNotFoundError
-from repro.persistence import PersistenceManager, list_segments
+from repro.persistence import Journal, PersistenceManager, list_segments
 from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
@@ -24,6 +26,16 @@ def branch_batches(seed, batches, batch_size=200):
         counts = rng.integers(10, 60, size=batch_size).tolist()
         out.append((pcs, counts))
     return out
+
+
+def frame_payloads(segment):
+    """Every frame's payload in one journal segment, in order."""
+    data, offset, payloads = segment.read_bytes(), 0, []
+    while offset < len(data):
+        length, _ = struct.unpack_from("<II", data, offset)
+        payloads.append(data[offset + 8:offset + 8 + length])
+        offset += 8 + length
+    return payloads
 
 
 def durable_registry(tmp_path, max_sessions=4, **kwargs):
@@ -194,6 +206,53 @@ class TestCrashRecovery:
         after = dumps(snapshot_tracker(registry2.get("a").tracker))
         assert after == before
         assert manager2.stats()["replayed_records"] == 1 + len(batches)
+
+    def test_json_observe_records_upgrade_byte_identical(self, tmp_path):
+        """A data dir whose observes are JSON records (the shape every
+        observe had before binary records) recovers byte-identically,
+        keeps serving with binary records after them, and the mixed
+        journal recovers byte-identically again."""
+        batches = branch_batches(seed=14, batches=8)
+        reference = PhaseTracker(
+            interval_instructions=INTERVAL_INSTRUCTIONS
+        )
+        with Journal(tmp_path / "data" / "journal") as journal:
+            journal.append({
+                "kind": "open", "session": "a", "config": None,
+                "interval_instructions": INTERVAL_INSTRUCTIONS,
+                "snapshot": None,
+            })
+            for pcs, counts in batches[:4]:
+                reference.observe_batch(pcs, counts, cpi=1.1)
+                journal.append({
+                    "kind": "observe", "session": "a",
+                    "pcs": [int(pc) for pc in pcs],
+                    "counts": [int(count) for count in counts],
+                    "cpi": 1.1,
+                })
+
+        manager, registry, installed = durable_registry(tmp_path)
+        assert installed == 1
+        session = registry.get("a")
+        assert dumps(snapshot_tracker(session.tracker)) == (
+            dumps(snapshot_tracker(reference))
+        )
+        drive(manager, session, batches[4:])
+        for pcs, counts in batches[4:]:
+            reference.observe_batch(pcs, counts, cpi=1.1)
+        del manager, registry, session  # kill -9: no checkpoint
+
+        (segment,) = list_segments(tmp_path / "data" / "journal")
+        assert [payload[:1] for payload in frame_payloads(segment)] == (
+            [b"{"] * 5 + [b"\x00"] * 4
+        )
+        manager2, registry2, _ = durable_registry(tmp_path)
+        assert manager2.stats()["replayed_records"] == 9
+        recovered = registry2.get("a")
+        assert dumps(snapshot_tracker(recovered.tracker)) == (
+            dumps(snapshot_tracker(reference))
+        )
+        assert recovered.branches_ingested == 8 * 200
 
     def test_checkpoint_bounds_the_replay_tail(self, tmp_path):
         manager, registry, _ = durable_registry(tmp_path)

@@ -3,16 +3,19 @@ retry policy, push buffering."""
 
 import socket
 
+import numpy as np
 import pytest
 
 from repro.errors import (
     ConfigurationError,
+    ProtocolError,
     ServiceError,
     ServiceTransportError,
     SessionExistsError,
     SessionNotFoundError,
 )
 from repro.service import PhaseServiceClient, start_in_thread
+from repro.workloads.trace import Interval
 
 
 @pytest.fixture()
@@ -149,6 +152,38 @@ class TestPushBuffering:
             ]
             assert client.drain_reports(a) == [{"interval_index": 9}]
             assert client.drain_reports() == [{"interval_index": 1}]
+
+
+class TestNumpyInput:
+    """Numpy arrays (what :class:`~repro.workloads.trace.Interval`
+    holds) are observe input as good as lists."""
+
+    def test_arrays_report_like_lists(self, service):
+        rng = np.random.default_rng(3)
+        pcs = 0x400000 + rng.integers(0, 48, size=600) * 4
+        counts = rng.integers(10, 60, size=600)
+        interval = Interval(branch_pcs=pcs, instr_counts=counts, cpi=1.3)
+        with PhaseServiceClient(port=service.port) as client:
+            a = client.open_session(interval_instructions=3_000)
+            b = client.open_session(interval_instructions=3_000)
+            from_arrays = client.observe(
+                a, interval.branch_pcs, interval.instr_counts,
+                cpi=interval.cpi,
+            )
+            from_lists = client.observe(
+                b, pcs.tolist(), counts.tolist(), cpi=interval.cpi
+            )
+            # Other integer dtypes, and numpy scalars in a list, too.
+            client.observe(a, pcs.astype(np.uint32), counts.astype(np.int16))
+            client.observe(b, list(pcs), list(counts))
+            assert client.predict(a) == dict(client.predict(b), session=a)
+        assert from_arrays and from_arrays == from_lists
+
+    def test_float_arrays_are_still_refused(self, service):
+        with PhaseServiceClient(port=service.port) as client:
+            name = client.open_session()
+            with pytest.raises(ProtocolError):
+                client.observe(name, np.array([4096.5]), np.array([40]))
 
 
 class TestConstruction:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -58,9 +59,18 @@ class TestParseRequest:
             "pcs": [4096, 4100], "counts": [10, 20], "cpi": 1.5,
         }))
         assert isinstance(request, protocol.ObserveRequest)
-        assert request.pcs == [4096, 4100]
-        assert request.counts == [10, 20]
+        assert request.pcs.dtype == request.counts.dtype == np.int64
+        assert request.pcs.tolist() == [4096, 4100]
+        assert request.counts.tolist() == [10, 20]
         assert request.cpi == 1.5
+
+    def test_observe_accepts_the_int64_extremes(self):
+        request = protocol.parse_request(encode_line({
+            "op": "observe", "id": 4, "session": "s1",
+            "pcs": [0, 2 ** 63 - 1], "counts": [1, 0],
+        }))
+        assert request.pcs.tolist() == [0, 2 ** 63 - 1]
+        assert request.counts.tolist() == [1, 0]
 
     def test_observe_defaults_cpi_to_one(self):
         request = protocol.parse_request(encode_line({
@@ -78,6 +88,11 @@ class TestParseRequest:
         {"pcs": "xs", "counts": [3]},            # not a list
         {"pcs": [4], "counts": [3], "cpi": 0},   # non-positive cpi
         {"pcs": [4], "counts": [3], "cpi": True},
+        {"pcs": [2 ** 63], "counts": [3]},       # past int64
+        {"pcs": [4], "counts": [-2 ** 63 - 1]},
+        {"pcs": [4], "counts": [3], "cpi": float("nan")},
+        {"pcs": [4], "counts": [3], "cpi": float("inf")},
+        {"pcs": [4], "counts": [3], "cpi": 10 ** 400},  # past float
     ])
     def test_observe_validation(self, mutation):
         payload = {"op": "observe", "id": 6, "session": "s1",
@@ -127,6 +142,28 @@ class TestRequestPayload:
         for request in requests:
             line = protocol.encode(protocol.request_payload(request))
             assert protocol.parse_request(line) == request
+
+    def test_observe_columns_become_plain_ints(self):
+        for pcs in ([8, 12], (8, 12), np.array([8, 12]),
+                    np.array([8, 12], dtype=np.uint32),
+                    [np.int64(8), np.int32(12)]):
+            payload = protocol.request_payload(protocol.ObserveRequest(
+                id=1, session="a", pcs=pcs, counts=np.array([1, 2]),
+            ))
+            assert json.loads(protocol.encode(payload)) == dict(
+                payload, pcs=[8, 12], counts=[1, 2]
+            )
+            assert [type(v) for v in payload["pcs"]] == [int, int]
+
+    def test_parsed_observe_re_encodes(self):
+        """The cluster dispatcher's fallback for lines its fast router
+        cannot take: parse, then re-encode canonically."""
+        line = encode_line({"op": "observe", "id": 3, "session": "a\tb",
+                            "pcs": [8, 12], "counts": [1, 2],
+                            "cpi": 1.5})
+        request = protocol.parse_request(line)
+        raw = protocol.encode(protocol.request_payload(request))
+        assert json.loads(raw) == json.loads(line)
 
 
 class TestEncode:
