@@ -24,7 +24,7 @@ def _curve(scale):
                 confidence_bits=bits, confidence_threshold=threshold
             )
             ids = run.phase_ids
-            predictor.observe(int(ids[0]))
+            predictor.advance(int(ids[0]))
             for actual in ids[1:]:
                 prediction = predictor.predict()
                 total += 1
@@ -33,7 +33,7 @@ def _curve(scale):
                     correct_confident += (
                         prediction.phase_id == int(actual)
                     )
-                predictor.observe(int(actual))
+                predictor.advance(int(actual))
         coverage = confident / total
         accuracy = correct_confident / max(confident, 1)
         points[(bits, threshold)] = (accuracy, coverage)

@@ -23,9 +23,7 @@ worker processes on one core only add dispatch overhead), and
 generator standalone for TRAJECTORY.md numbers.
 """
 
-import json
 import os
-import socket
 import tempfile
 import threading
 import time
@@ -238,163 +236,6 @@ def test_backpressure_queue_does_not_deadlock():
     assert intervals == summary["intervals"] > 0
 
 
-COALESCE_SESSIONS = 1_024     # >= 1k concurrent sessions (the target)
-COALESCE_CONNECTIONS = 8      # pipelined NDJSON loader connections
-COALESCE_OBSERVES = 6         # observes per session
-COALESCE_RECORDS = 40         # records per observe
-COALESCE_INTERVAL = 4_000     # ~1 boundary per observe: classify-bound
-COALESCE_FLOOR = 2.0          # acceptance: fused rounds >= 2x
-
-
-def _coalesce_plan(connection_index, names):
-    """One loader connection's pipelined request bytes: open every
-    session, then observes round-robin across them (so consecutive
-    requests hit different sessions — the coalescing-friendly *and*
-    per-session-path-worst interleave a real fleet produces), then
-    close. Returns ``(payload, request_count)``."""
-    rng = np.random.default_rng(100 + connection_index)
-    lines = []
-    next_id = 1
-    for name in names:
-        lines.append(json.dumps({
-            "op": "open", "id": next_id, "session": name,
-            "interval_instructions": COALESCE_INTERVAL,
-        }))
-        next_id += 1
-    for _ in range(COALESCE_OBSERVES):
-        for name in names:
-            pcs = (
-                0x400000
-                + rng.integers(0, 64, size=COALESCE_RECORDS) * 4
-            ).tolist()
-            counts = rng.integers(50, 150, size=COALESCE_RECORDS).tolist()
-            lines.append(json.dumps({
-                "op": "observe", "id": next_id, "session": name,
-                "pcs": pcs, "counts": counts, "cpi": 1.2,
-            }))
-            next_id += 1
-    for name in names:
-        lines.append(json.dumps({
-            "op": "close", "id": next_id, "session": name,
-        }))
-        next_id += 1
-    return ("\n".join(lines) + "\n").encode(), next_id - 1
-
-
-def _ndjson_rate(coalesce, sessions=COALESCE_SESSIONS,
-                 connections=COALESCE_CONNECTIONS):
-    """Single-process NDJSON ingest records/s at ``sessions``
-    concurrent sessions, pool-backed, coalescing on or off. Writer
-    threads keep every connection's pipeline full while the main
-    thread drains responses."""
-    per_connection = sessions // connections
-    plans = [
-        _coalesce_plan(index, [
-            f"c{index}-s{slot}" for slot in range(per_connection)
-        ])
-        for index in range(connections)
-    ]
-    records = (
-        connections * per_connection
-        * COALESCE_OBSERVES * COALESCE_RECORDS
-    )
-    with start_in_thread(
-        max_sessions=sessions + 8, pool_slots=sessions + 8,
-        max_connections=connections + 8, coalesce=coalesce,
-    ) as handle:
-        socks = [
-            socket.create_connection(
-                ("127.0.0.1", handle.port), timeout=600
-            )
-            for _ in plans
-        ]
-        start = time.perf_counter()
-        writers = [
-            threading.Thread(target=sock.sendall, args=(payload,))
-            for sock, (payload, _) in zip(socks, plans)
-        ]
-        for writer in writers:
-            writer.start()
-        for sock, (_, expected) in zip(socks, plans):
-            reader = sock.makefile("rb")
-            answered = 0
-            while answered < expected:
-                line = reader.readline()
-                assert line, "connection closed mid-benchmark"
-                # Acks serialize as {"id":...}; pushes as {"push":...}.
-                if line.startswith(b'{"id"'):
-                    answered += 1
-            reader.close()
-        elapsed = time.perf_counter() - start
-        for writer in writers:
-            writer.join()
-        for sock in socks:
-            sock.close()
-    return records / elapsed
-
-
-def test_coalesced_ingest_is_2x_per_session_path():
-    """The tentpole acceptance bench: at >= 1k concurrent pool-backed
-    sessions, fused cross-session rounds must at least double the
-    per-session NDJSON ingest rate."""
-    per_session = _ndjson_rate(coalesce=False)
-    coalesced = _ndjson_rate(coalesce=True)
-    speedup = coalesced / per_session
-    print(
-        f"\n{COALESCE_SESSIONS} sessions: per-session "
-        f"{per_session / 1e3:.0f} krec/s, coalesced "
-        f"{coalesced / 1e3:.0f} krec/s, speedup {speedup:.1f}x"
-    )
-    assert speedup >= COALESCE_FLOOR, (
-        f"coalesced ingest only {speedup:.1f}x the per-session path; "
-        f"the acceptance floor is {COALESCE_FLOOR}x"
-    )
-
-
-def _coalesce_main():
-    """``--coalesce``: measure coalesced vs per-session single-process
-    NDJSON ingest and append the row to benchmarks/TRAJECTORY.md."""
-    best = {"per-session": 0.0, "coalesced": 0.0}
-    for _ in range(3):
-        best["per-session"] = max(
-            best["per-session"], _ndjson_rate(coalesce=False)
-        )
-        best["coalesced"] = max(
-            best["coalesced"], _ndjson_rate(coalesce=True)
-        )
-    speedup = best["coalesced"] / best["per-session"]
-    line = (
-        f"| {COALESCE_SESSIONS:,} | {COALESCE_CONNECTIONS} "
-        f"| {best['coalesced']:,.0f} | {best['per-session']:,.0f} "
-        f"| {speedup:.1f}x |"
-    )
-    print(
-        f"{COALESCE_SESSIONS} sessions over {COALESCE_CONNECTIONS} "
-        f"connections: coalesced {best['coalesced'] / 1e3:.0f} krec/s, "
-        f"per-session {best['per-session'] / 1e3:.0f} krec/s "
-        f"({speedup:.1f}x)"
-    )
-    trajectory = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "TRAJECTORY.md"
-    )
-    header = (
-        "\n## bench_service_throughput: coalesced ingest "
-        "(single-process NDJSON rec/s, best of 3, pool-backed, "
-        f"{COALESCE_OBSERVES} observes x {COALESCE_RECORDS} records "
-        "per session)\n\n"
-        "| sessions | connections | coalesced rec/s | "
-        "per-session rec/s | speedup |\n"
-        "|---|---|---|---|---|\n"
-    )
-    with open(trajectory, "r+", encoding="utf-8") as handle:
-        content = handle.read()
-        if header.strip().splitlines()[0] not in content:
-            handle.write(header)
-        handle.write(line + "\n")
-    print(f"appended to {trajectory}")
-    return 0
-
-
 def main(argv=None):
     """Standalone cluster load generator:
     ``python benchmarks/bench_service_throughput.py --workers 4``."""
@@ -414,13 +255,7 @@ def main(argv=None):
     parser.add_argument("--branches", type=int, default=CLUSTER_BRANCHES,
                         help="branches per session (default "
                         f"{CLUSTER_BRANCHES})")
-    parser.add_argument("--coalesce", action="store_true",
-                        help="run the coalesced-vs-per-session ingest "
-                        "comparison instead and append it to "
-                        "benchmarks/TRAJECTORY.md")
     args = parser.parse_args(argv)
-    if args.coalesce:
-        return _coalesce_main()
     rate = _cluster_rate(
         workers=args.workers, sessions=args.sessions,
         branches=args.branches,

@@ -8,8 +8,8 @@ stack would touch — with nothing but ``urllib``:
 2. open a session and stream a synthetic two-phase workload through
    ``POST /v1/sessions/{id}/observe-batch``, printing the interval
    reports that come back in the JSON response,
-3. read ``/v1/diagnostics`` (phase occupancy, predictor accuracy, pool
-   utilization, backpressure),
+3. read ``/v1/diagnostics`` (phase occupancy, predictor accuracy, live
+   sessions, backpressure),
 4. scrape ``/metrics`` and re-parse it with
    :func:`repro.telemetry.parse_prometheus_text`,
 5. subscribe to ``/v1/events`` and show the live SSE interval events,
@@ -77,9 +77,7 @@ def sse_events(host, port, limit, timeout=10.0):
 
 def main():
     rng = np.random.default_rng(11)
-    handle = start_in_thread(
-        max_sessions=8, pool_slots=8, http_port=0
-    )
+    handle = start_in_thread(max_sessions=8, http_port=0)
     service = handle.service
     base = f"http://{service.http_host}:{service.http_port}"
     print(f"gateway + dashboard at {base}/")
@@ -114,8 +112,7 @@ def main():
     _, diag = call(base, "GET", "/v1/diagnostics")
     print(f"diagnostics: occupancy={diag['phase_occupancy']} "
           f"accuracy={diag['prediction']['accuracy']} "
-          f"pool={diag['pool']['active_slots']}/"
-          f"{diag['pool']['capacity']} "
+          f"live={diag['registry']['live']} "
           f"queue_depth={diag['ingest_queue_depth']}")
 
     with urllib.request.urlopen(base + "/metrics", timeout=10) as response:

@@ -254,9 +254,6 @@ class ClusterDispatcher:
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
         worker_max_sessions: int = 1024,
-        pool_slots: Optional[int] = None,
-        coalesce: bool = False,
-        coalesce_window: float = 0.0,
         sync: str = "batch",
         checkpoint_interval: float = 30.0,
         idle_ttl: Optional[float] = None,
@@ -295,9 +292,6 @@ class ClusterDispatcher:
             sync=sync,
             checkpoint_interval=checkpoint_interval,
             max_sessions=worker_max_sessions,
-            pool_slots=pool_slots,
-            coalesce=coalesce,
-            coalesce_window=coalesce_window,
             idle_ttl=idle_ttl,
             queue_size=queue_size,
             max_connections=max_connections + 8,
@@ -1066,8 +1060,6 @@ class ClusterDispatcher:
             "scored": 0, "correct": 0,
             "confident_scored": 0, "confident_correct": 0,
         }
-        pool_capacity = pool_active = 0
-        pool_present = False
         queue_depth = self.ingest_queue_depth()
         requests = errors = 0
         for diag in per_worker.values():
@@ -1080,11 +1072,6 @@ class ClusterDispatcher:
                 prediction[key] += (
                     (diag.get("prediction") or {}).get(key, 0) or 0
                 )
-            pool = diag.get("pool")
-            if pool:
-                pool_present = True
-                pool_capacity += pool.get("capacity", 0) or 0
-                pool_active += pool.get("active_slots", 0) or 0
             queue_depth += diag.get("ingest_queue_depth", 0) or 0
             requests += diag.get("requests", 0) or 0
             errors += diag.get("errors", 0) or 0
@@ -1119,17 +1106,6 @@ class ClusterDispatcher:
             "phase_occupancy": occupancy,
             "prediction": prediction_out,
             "registry": registry,
-            "pool": (
-                {
-                    "capacity": pool_capacity,
-                    "active_slots": pool_active,
-                    "utilization": (
-                        pool_active / pool_capacity
-                        if pool_capacity else None
-                    ),
-                }
-                if pool_present else None
-            ),
             "persistence": None,
             "cluster": status,
         }

@@ -54,9 +54,6 @@ class WorkerSpec:
     sync: str = "batch"
     checkpoint_interval: float = 30.0
     max_sessions: int = 1024
-    pool_slots: Optional[int] = None
-    coalesce: bool = False
-    coalesce_window: float = 0.0
     queue_size: int = 32
     max_connections: int = 1024
     idle_ttl: Optional[float] = None
@@ -77,13 +74,6 @@ class WorkerSpec:
         ]
         if self.data_dir is not None:
             argv += ["--data-dir", self.data_dir]
-        if self.pool_slots is not None:
-            argv += ["--pool-slots", str(self.pool_slots)]
-        if self.coalesce:
-            argv += [
-                "--coalesce",
-                "--coalesce-window", str(self.coalesce_window),
-            ]
         if self.idle_ttl is not None:
             argv += ["--idle-ttl", str(self.idle_ttl)]
         return argv
@@ -166,9 +156,6 @@ class ClusterSupervisor:
         sync: str = "batch",
         checkpoint_interval: float = 30.0,
         max_sessions: int = 1024,
-        pool_slots: Optional[int] = None,
-        coalesce: bool = False,
-        coalesce_window: float = 0.0,
         queue_size: int = 32,
         max_connections: int = 1024,
         idle_ttl: Optional[float] = None,
@@ -184,9 +171,6 @@ class ClusterSupervisor:
         self.sync = sync
         self.checkpoint_interval = checkpoint_interval
         self.max_sessions = max_sessions
-        self.pool_slots = pool_slots
-        self.coalesce = coalesce
-        self.coalesce_window = coalesce_window
         self.queue_size = queue_size
         self.max_connections = max_connections
         self.idle_ttl = idle_ttl
@@ -212,9 +196,6 @@ class ClusterSupervisor:
             sync=self.sync,
             checkpoint_interval=self.checkpoint_interval,
             max_sessions=self.max_sessions,
-            pool_slots=self.pool_slots,
-            coalesce=self.coalesce,
-            coalesce_window=self.coalesce_window,
             queue_size=self.queue_size,
             max_connections=self.max_connections,
             idle_ttl=self.idle_ttl,

@@ -1,7 +1,7 @@
 """Cluster worker entry point: ``python -m repro.cluster.worker``.
 
 A worker is a complete :class:`~repro.service.server.PhaseService`
-(pool-backed, persistence-capable) listening on a Unix domain socket
+(persistence-capable) listening on a Unix domain socket
 instead of TCP. The dispatcher is its only client, so the socket lives
 in the cluster's private runtime directory and ``max_connections`` is
 sized for the dispatcher's per-client channels, not the public
@@ -58,12 +58,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="seconds between checkpoint sweeps")
     parser.add_argument("--max-sessions", type=int, default=1024,
                         help="session table capacity")
-    parser.add_argument("--pool-slots", type=int, default=None,
-                        help="SoA tracker pool capacity (default scalar)")
-    parser.add_argument("--coalesce", action="store_true",
-                        help="micro-batch observes into fused pool rounds")
-    parser.add_argument("--coalesce-window", type=float, default=0.0,
-                        help="round gather delay in seconds (with --coalesce)")
     parser.add_argument("--queue-size", type=int, default=32,
                         help="per-connection ingest queue depth")
     parser.add_argument("--max-connections", type=int, default=1024,
@@ -88,9 +82,6 @@ def build_service(args: argparse.Namespace) -> PhaseService:
         data_dir=args.data_dir,
         checkpoint_interval=args.checkpoint_interval,
         sync=args.sync,
-        pool_slots=args.pool_slots,
-        coalesce=args.coalesce,
-        coalesce_window=args.coalesce_window,
     )
 
 

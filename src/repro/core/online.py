@@ -69,20 +69,14 @@ class TrackerReport:
     prediction_confident: bool
     predicted_length_class: Optional[int]
 
-    def to_dict(self, legacy: bool = False) -> dict:
+    def to_dict(self) -> dict:
         """The report's wire format: plain JSON-safe field/value pairs.
 
         This is the single serializer every consumer shares — telemetry
         ``interval`` events and the service protocol's interval pushes
-        both carry exactly these keys. ``legacy=True`` additionally
-        emits the deprecated ``"interval"`` alias of
-        ``"interval_index"`` for consumers that predate the rename;
-        the alias is off by default and slated for removal.
+        both carry exactly these keys.
         """
-        payload = asdict(self)
-        if legacy:
-            payload["interval"] = payload["interval_index"]
-        return payload
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrackerReport":

@@ -22,9 +22,9 @@ in shared numpy arrays instead:
   :meth:`TrackerPool.observe_batch` ingests branch records for many
   sessions per call with a segmented scatter-add.
 - :class:`PooledTracker` — a per-slot facade quacking like
-  :class:`~repro.core.online.PhaseTracker`, so registry sessions and
-  snapshot/persistence code can hold a pool slot where they previously
-  held a scalar tracker.
+  :class:`~repro.core.online.PhaseTracker`, so library code written
+  against one tracker (observe, predict, snapshot) can drive a pool
+  slot unchanged.
 - :func:`classify_traces_batched` — the experiment engine's opt-in
   fast path: classify many whole traces in lockstep interval rounds.
 
@@ -834,9 +834,9 @@ class TrackerPool:
         each segment's boundaries were crossed — byte-identical to
         running the segments one at a time in order.
 
-        This is the service's cross-session ingest coalescing entry
-        point: many connections' queued observes become one batched
-        pool pass, with the reports fanned back per request.
+        This is the batch API for callers that hold many sessions'
+        record slices at once (offline replay, bulk ingest): one pool
+        pass, with the reports fanned back per slice.
         """
         if not segments:
             return []
@@ -1182,8 +1182,9 @@ class PooledTracker:
     Holds the pool and a slot handle; every method checks the handle is
     still current (a released slot's facade raises
     :class:`~repro.errors.PoolError` instead of silently reading
-    recycled state). Code written against the scalar tracker — the
-    session registry, snapshotting, persistence — runs unchanged.
+    recycled state). Code written against the scalar tracker —
+    :func:`~repro.service.snapshot.snapshot_tracker` included — runs
+    unchanged.
     """
 
     __slots__ = ("pool", "slot", "_generation", "_final")
@@ -1207,9 +1208,8 @@ class PooledTracker:
         """Return the slot to the pool; the facade becomes unusable.
 
         Read-only summary stats (``intervals_observed``,
-        ``current_phase``) keep answering with their final values —
-        a scalar tracker object also stays readable after its session
-        closes, and the service reports those stats in close events.
+        ``current_phase``) keep answering with their final values,
+        as a scalar tracker object stays readable after its last use.
         """
         self._check()
         self._final = {

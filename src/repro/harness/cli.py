@@ -310,24 +310,6 @@ def _serve_main(argv: List[str]) -> int:
         help="refuse opens when full instead of evicting the LRU session",
     )
     parser.add_argument(
-        "--pool-slots", type=int, default=None, metavar="N",
-        help="back default-config sessions with an N-slot SoA tracker "
-        "pool (repro.core.pool); sessions with custom configs fall "
-        "back to scalar trackers (default: no pool)",
-    )
-    parser.add_argument(
-        "--coalesce", action=argparse.BooleanOptionalAction,
-        default=False,
-        help="micro-batch queued observes across connections into "
-        "fused SoA pool rounds (most effective with --pool-slots); "
-        "--no-coalesce is the explicit per-session reference path",
-    )
-    parser.add_argument(
-        "--coalesce-window", type=float, default=0.0, metavar="SECONDS",
-        help="extra gather delay per coalescing round (default 0: "
-        "batch only what is already queued, adding no latency)",
-    )
-    parser.add_argument(
         "--max-connections", type=int, default=64,
         help="concurrent client-connection cap (default 64)",
     )
@@ -413,9 +395,6 @@ def _serve_main(argv: List[str]) -> int:
         host=args.host,
         port=args.port,
         max_sessions=args.max_sessions,
-        pool_slots=args.pool_slots,
-        coalesce=args.coalesce,
-        coalesce_window=args.coalesce_window,
         idle_ttl=args.idle_ttl,
         evict_lru=not args.no_evict,
         max_connections=args.max_connections,
@@ -512,9 +491,6 @@ def _serve_cluster(args) -> int:
         http_host=args.http_host,
         http_port=args.http_port,
         worker_max_sessions=args.max_sessions,
-        pool_slots=args.pool_slots,
-        coalesce=args.coalesce,
-        coalesce_window=args.coalesce_window,
         sync=args.sync,
         checkpoint_interval=args.checkpoint_interval,
         idle_ttl=args.idle_ttl,

@@ -5,8 +5,8 @@ fonts, no frameworks): inline CSS + vanilla JS + SVG. It polls
 ``/v1/diagnostics`` (2s) and ``/metrics`` (5s), subscribes to
 ``/v1/events`` over SSE, and renders:
 
-- stat tiles (sessions, request rate, ingest queue depth, pool
-  utilization, predictor accuracy),
+- stat tiles (sessions, request rate, ingest queue depth, predictor
+  accuracy, dropped SSE events),
 - a per-phase occupancy bar chart,
 - predictor-accuracy and ingest-backpressure time-series built from a
   client-side ring buffer of samples,
@@ -150,9 +150,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
     <div class="tile"><div class="k">Ingest queue</div>
       <div class="v" id="t-queue">—</div>
       <div class="s">buffered requests</div></div>
-    <div class="tile"><div class="k">Pool slots</div>
-      <div class="v" id="t-pool">—</div>
-      <div class="s" id="t-pool-s"></div></div>
     <div class="tile"><div class="k">Prediction accuracy</div>
       <div class="v" id="t-acc">—</div>
       <div class="s" id="t-acc-s"></div></div>
@@ -329,14 +326,6 @@ async function poll() {
       fmt(diag.registry.opened) + " opened · " +
       fmt(diag.registry.evicted) + " evicted";
     $("t-queue").textContent = fmt(diag.ingest_queue_depth);
-    if (diag.pool) {
-      $("t-pool").textContent =
-        fmt(diag.pool.active_slots) + "/" + fmt(diag.pool.capacity);
-      $("t-pool-s").textContent = pct(diag.pool.utilization) + " utilized";
-    } else {
-      $("t-pool").textContent = "—";
-      $("t-pool-s").textContent = "scalar trackers";
-    }
     $("t-acc").textContent = pct(diag.prediction.accuracy);
     $("t-acc-s").textContent = fmt(diag.prediction.scored) + " scored · "
       + pct(diag.prediction.confident_accuracy) + " confident";

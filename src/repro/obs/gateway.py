@@ -221,11 +221,7 @@ class HttpGateway:
         """Run a protocol request through the service; returns
         ``(result, interval_reports)``. Error responses raise
         :class:`HttpError` with the mapped status."""
-        return self._unwrap(self.service._execute(request))
-
-    def _unwrap(
-        self, payloads: List[dict]
-    ) -> Tuple[dict, List[dict]]:
+        payloads = self.service._execute(request)
         response = payloads[-1]
         reports = [
             payload["report"] for payload in payloads[:-1]
@@ -342,12 +338,7 @@ class HttpGateway:
             observe = protocol.observe_request(0, session, body)
         except ProtocolError as error:
             raise HttpError(400, str(error)) from None
-        # Observes join the service's coalescing rounds (when enabled)
-        # so the gateway's ingest shares the fused pool pass with the
-        # NDJSON wire path.
-        result, reports = self._unwrap(
-            await self.service.execute_observe(observe)
-        )
+        result, reports = self._execute(observe)
         payload = dict(result)
         payload["reports"] = reports
         return HttpResponse.json(payload)

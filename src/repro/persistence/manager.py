@@ -110,9 +110,6 @@ class PersistenceManager:
         for name in self.recovery.closed:
             self.checkpoints.delete(name)
 
-        #: The registry's tracker pool, captured by :meth:`install_into`
-        #: so hydrated sessions land back on pool slots.
-        self.pool = None
         #: Cold sessions on disk: name -> the seq their checkpoint covers.
         self._cold: Dict[str, int] = dict(self.recovery.cold)
         #: Live sessions' last journaled seq.
@@ -154,7 +151,6 @@ class PersistenceManager:
         registry.on_evict = self.save_session
         registry.resolver = self.resolve
         registry.name_reserved = self.contains_cold
-        self.pool = getattr(registry, "pool", None)
         installed = 0
         recovered = sorted(
             self.recovery.live.values(), key=lambda entry: entry.last_seq
@@ -282,7 +278,7 @@ class PersistenceManager:
         try:
             session = Session(
                 name,
-                restore_tracker(document["snapshot"], pool=self.pool),
+                restore_tracker(document["snapshot"]),
                 self._clock(),
                 recyclable=False,
             )

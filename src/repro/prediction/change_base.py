@@ -24,7 +24,7 @@ from typing import Hashable, List, Optional, Tuple
 from repro.errors import ConfigurationError, PredictionError
 from repro.prediction.assoc_table import AssociativeTable, tuple_key
 from repro.prediction.counters import ConfidenceCounter
-from repro.prediction.protocol import PhaseObservation, _deprecated_observe
+from repro.prediction.protocol import PhaseObservation
 
 ENTRY_KINDS = ("single", "last4", "top1", "top4")
 
@@ -231,15 +231,6 @@ class ChangePredictorBase:
         return PhaseObservation(
             phase_id=phase_id, phase_changed=True, completed_run=completed
         )
-
-    def observe(self, phase_id: int) -> Optional[Tuple[int, int]]:
-        """Deprecated legacy spelling of :meth:`advance`.
-
-        Returns the completed (phase, run length) pair on a phase
-        change, else ``None`` — the old contract. Use :meth:`advance`.
-        """
-        _deprecated_observe(type(self).__name__)
-        return self.advance(phase_id).completed_run
 
     # -- prediction -----------------------------------------------------------
 

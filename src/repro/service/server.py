@@ -117,23 +117,6 @@ class PhaseService:
         Journal durability mode (``none`` / ``batch`` / ``always``);
         see :mod:`repro.persistence.journal`. Only meaningful with a
         ``data_dir``.
-    pool_slots:
-        When set, back default-configured sessions with a shared
-        :class:`~repro.core.pool.TrackerPool` of this initial capacity
-        (the structure-of-arrays fast path; the pool grows on demand).
-        Sessions opened with non-default configuration overrides fall
-        back to scalar trackers transparently.
-    coalesce, coalesce_window:
-        Enable cross-session ingest coalescing: queued observe requests
-        across all connections (and the HTTP gateway) are drained per
-        scheduling round and the pool-backed sessions' records run
-        through one fused :meth:`TrackerPool.observe_fanin` pass, with
-        reports and acks fanned back per connection in exact protocol
-        order (see :mod:`repro.service.coalesce` and DESIGN.md §11).
-        ``coalesce_window`` adds a fixed gather delay per round; the
-        default 0 coalesces only already-runnable work. Most effective
-        together with ``pool_slots``; non-pool sessions inside a round
-        fall back to the per-session path.
     uds_path:
         When given, listen on this Unix domain socket instead of the
         TCP ``host``/``port`` pair. This is the cluster worker mode:
@@ -167,17 +150,10 @@ class PhaseService:
         data_dir: Optional[str] = None,
         checkpoint_interval: float = 30.0,
         sync: str = "batch",
-        pool_slots: Optional[int] = None,
-        coalesce: bool = False,
-        coalesce_window: float = 0.0,
         uds_path: Optional[str] = None,
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
     ) -> None:
-        if coalesce_window < 0:
-            raise ConfigurationError(
-                f"coalesce_window must be >= 0, got {coalesce_window}"
-            )
         if max_connections <= 0:
             raise ConfigurationError(
                 f"max_connections must be positive, got {max_connections}"
@@ -211,30 +187,11 @@ class PhaseService:
         self.queue_size = queue_size
         self.sweep_interval = sweep_interval
         self.drain_timeout = drain_timeout
-        self.coalesce = coalesce
-        self.coalesce_window = coalesce_window
-        self._coalescer = None
-        pool = None
-        if pool_slots is not None:
-            if pool_slots <= 0:
-                raise ConfigurationError(
-                    f"pool_slots must be positive, got {pool_slots}"
-                )
-            # Imported lazily: the service protocol surface should not
-            # pay the numpy pool import unless the fast path is on.
-            from repro.core.pool import TrackerPool
-            from repro.service.session import build_config
-
-            pool = TrackerPool(
-                capacity=pool_slots, config=build_config(None),
-                telemetry=telemetry,
-            )
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
             idle_ttl=idle_ttl,
             evict_lru=evict_lru,
             telemetry=telemetry,
-            pool=pool,
         )
         self.checkpoint_interval = checkpoint_interval
         self._persistence = None
@@ -333,26 +290,6 @@ class PhaseService:
                 "repro_service_checkpoint_failures_total",
                 "Periodic checkpoint sweeps that raised",
             )
-            if coalesce:
-                self._m_coalesce_rounds = telemetry.counter(
-                    "repro_service_coalesce_rounds_total",
-                    "Coalesced ingest scheduling rounds executed",
-                )
-                self._m_coalesce_fallbacks = telemetry.counter(
-                    "repro_service_coalesce_fallbacks_total",
-                    "Observes in a round executed on the per-session "
-                    "path (non-pool sessions)",
-                )
-                self._h_round_size = telemetry.histogram(
-                    "repro_service_coalesce_round_size",
-                    "Observe requests fused per scheduling round",
-                    start=1.0, factor=2.0, count=16,
-                )
-                self._g_coalesced_sessions = telemetry.gauge(
-                    "repro_service_coalesced_sessions",
-                    "Distinct pool-backed sessions in the last "
-                    "coalesced round",
-                )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -381,15 +318,6 @@ class PhaseService:
             sockets = self._server.sockets or []
             if sockets:
                 self.port = sockets[0].getsockname()[1]
-        if self.coalesce:
-            # Imported lazily alongside its numpy dependency chain: the
-            # scheduler only exists when coalescing was asked for.
-            from repro.service.coalesce import IngestCoalescer
-
-            self._coalescer = IngestCoalescer(
-                self._coalesce_round, window=self.coalesce_window
-            )
-            self._coalescer.start()
         if self.idle_ttl_enabled:
             self._sweeper = asyncio.ensure_future(self._sweep_idle())
         if self._persistence is not None:
@@ -538,12 +466,6 @@ class PhaseService:
                         )
                     except (asyncio.CancelledError, Exception):
                         pass
-        if self._coalescer is not None:
-            # After the workers: every queued observe has been rounded
-            # and acked (the drain guarantee); stopping earlier would
-            # strand workers awaiting their round.
-            coalescer, self._coalescer = self._coalescer, None
-            await coalescer.stop()
         for connection in connections:
             for task in connection.tasks:
                 task.cancel()
@@ -693,15 +615,10 @@ class PhaseService:
         """Execute queued requests; the only writer on this socket.
 
         Each cycle drains everything immediately available from the
-        queue. With coalescing enabled, observe requests are submitted
-        to the ingest scheduler (joining the cross-connection round)
-        and any other request acts as an ordering barrier: earlier
-        observes' results are collected first, so responses always
-        leave in request order and a close never overtakes its
-        session's in-flight observe. All of a cycle's payloads are
-        serialized into one buffer and written with a single
-        ``writer.write`` — one syscall per cycle instead of one per
-        line, which also benefits the uncoalesced path.
+        queue and executes it in request order. All of a cycle's
+        payloads are serialized into one buffer and written with a
+        single ``writer.write`` — one syscall per cycle instead of one
+        per line.
         """
         while True:
             item = await connection.queue.get()
@@ -718,47 +635,11 @@ class PhaseService:
                     break
             stop = False
             chunks: List[bytes] = []
-            # (future, request, submit time) triples for coalesced
-            # observes whose results have not been collected yet, in
-            # request order.
-            pending: List[tuple] = []
-
-            async def _collect_pending() -> None:
-                for future, request, submitted in pending:
-                    try:
-                        payloads = await future
-                    except Exception as error:
-                        # A scheduler fault must answer the request,
-                        # not strand the connection.
-                        payloads = self._error_payloads(
-                            request.id, error
-                        )
-                    for payload in payloads:
-                        chunks.append(protocol.encode(payload))
-                    self.requests_served += 1
-                    if self._telemetry is not None:
-                        self._m_requests.inc()
-                        self._h_request.observe(
-                            time.perf_counter() - submitted
-                        )
-                pending.clear()
-
             for item in batch:
                 if item is None:
                     stop = True
                     break
                 started = time.perf_counter()
-                if (
-                    item[0] == "request"
-                    and self._coalescer is not None
-                    and self._coalescer.running
-                    and isinstance(item[1], protocol.ObserveRequest)
-                ):
-                    pending.append(
-                        (self._coalescer.submit(item[1]), item[1], started)
-                    )
-                    continue
-                await _collect_pending()  # the ordering barrier
                 if item[0] == "bad":
                     _, request_id, error = item
                     payloads = [protocol.error_response(
@@ -777,7 +658,6 @@ class PhaseService:
                 if self._telemetry is not None:
                     self._m_requests.inc()
                     self._h_request.observe(time.perf_counter() - started)
-            await _collect_pending()
             if chunks:
                 try:
                     connection.writer.write(b"".join(chunks))
@@ -802,22 +682,16 @@ class PhaseService:
                 request.id, self._handle_simple(request)
             )]
         except Exception as error:
-            return self._error_payloads(request.id, error)
-
-    def _error_payloads(
-        self, request_id: int, error: Exception
-    ) -> List[dict]:
-        """Count and encode one refusal (typed) or failure (internal)."""
-        self.errors_returned += 1
-        if self._telemetry is not None:
-            self._m_errors.inc()
-        if isinstance(error, ReproError):
+            self.errors_returned += 1
+            if self._telemetry is not None:
+                self._m_errors.inc()
+            if isinstance(error, ReproError):
+                return [protocol.error_response(
+                    request.id, protocol.error_code_for(error), str(error)
+                )]
             return [protocol.error_response(
-                request_id, protocol.error_code_for(error), str(error)
+                request.id, "internal", f"{type(error).__name__}: {error}",
             )]
-        return [protocol.error_response(
-            request_id, "internal", f"{type(error).__name__}: {error}",
-        )]
 
     def _handle_simple(self, request: protocol.Request) -> dict:
         if isinstance(request, protocol.PingRequest):
@@ -918,27 +792,12 @@ class PhaseService:
         elapsed = time.perf_counter() - started
         if self._telemetry is not None and len(request.pcs):
             self._h_ingest.observe(elapsed / len(request.pcs))
-        return self._finish_observe(session, request, reports)
-
-    def _finish_observe(
-        self,
-        session: Session,
-        request: protocol.ObserveRequest,
-        reports,
-    ) -> List[dict]:
-        """The shared post-classification tail of an observe: session
-        bookkeeping, journaling, prediction scoring, interval events,
-        and the wire payloads (pushes first, ack last). Used by both
-        the per-session path and the coalesced round executor so the
-        two produce byte-identical streams by construction."""
         session.branches_ingested += len(request.pcs)
         session.intervals_pushed += len(reports)
         if self._persistence is not None and len(request.pcs):
             # Journaled (and flushed per the sync mode) before the ack
             # below is written: an acknowledged batch is as durable as
-            # the sync mode promises. In a coalesced round every
-            # submission logs here before any future resolves, so the
-            # whole round is journaled before the first ack leaves.
+            # the sync mode promises.
             self._persistence.log_observe(
                 session.name, request.pcs, request.counts,
                 cpi=request.cpi,
@@ -966,143 +825,6 @@ class PhaseService:
             "branches": len(request.pcs),
         }))
         return payloads
-
-    # -- coalesced ingest rounds ----------------------------------------------
-
-    async def execute_observe(
-        self, request: protocol.ObserveRequest
-    ) -> List[dict]:
-        """Execute one observe through the ingest coalescer when it is
-        running, else inline — the entry point shared by the NDJSON
-        workers and the HTTP gateway's observe-batch endpoint."""
-        coalescer = self._coalescer
-        if coalescer is not None and coalescer.running:
-            return await coalescer.submit(request)
-        return self._execute(request)
-
-    def _coalesce_round(self, submissions) -> None:
-        """Execute one coalesced ingest round.
-
-        Sessions on pool slots contribute their record slices to a
-        single fused :meth:`TrackerPool.observe_fanin` pass; everything
-        else (scalar trackers, lookup failures) takes the per-session
-        path. Every submission's future is resolved with its wire
-        payloads — pushes first, ack last, identical to the inline
-        path — and journaling for the whole round happens before any
-        future resolves.
-
-        Ordering: submissions arrive in per-connection request order,
-        a session's submissions are grouped and its whole group takes
-        exactly one path per round (fused or per-session — never a
-        mid-round flip that could reorder a session's requests), and
-        same-session slices are concatenated in submission order, so a
-        record-by-record replay would interleave exactly the way the
-        uncoalesced worker loop does.
-        """
-        from collections import OrderedDict
-
-        # Group submissions per session, keeping submission order both
-        # across groups (insertion order) and within each group. The
-        # lookup runs per submission — exactly the inline path's LRU /
-        # hydration touches — and the group always uses the *latest*
-        # resolved Session object (a mid-round evict-and-hydrate
-        # replaces it for every queued request of that session).
-        groups: "OrderedDict[str, dict]" = OrderedDict()
-        for submission in submissions:
-            request = submission.request
-            try:
-                session = self.registry.get(request.session)
-            except Exception as error:
-                submission.resolve(
-                    self._error_payloads(request.id, error)
-                )
-                continue
-            group = groups.get(request.session)
-            if group is None:
-                groups[request.session] = {
-                    "session": session, "subs": [submission],
-                }
-            else:
-                group["session"] = session
-                group["subs"].append(submission)
-
-        def _per_session(group: dict) -> None:
-            """Today's path for a whole group, in request order."""
-            for submission in group["subs"]:
-                submission.resolve(self._execute(submission.request))
-            if self._telemetry is not None:
-                self._m_coalesce_fallbacks.inc(len(group["subs"]))
-
-        fused = []
-        for group in groups.values():
-            if self.registry.pool_slot(group["session"]) is None:
-                # Foreign-config scalar trackers (and pool-exhaustion
-                # fallbacks) keep the per-session path.
-                _per_session(group)
-            else:
-                fused.append(group)
-
-        # A scalar group's (or another pooled group's) hydration may
-        # have LRU-evicted a fused session after its lookup; demote any
-        # stale group to the per-session path, whose own registry.get
-        # re-hydrates it correctly. Each iteration demotes at least one
-        # group, so this terminates even under eviction ping-pong.
-        while True:
-            stale = [
-                group for group in fused
-                if self.registry.pool_slot(group["session"]) is None
-            ]
-            if not stale:
-                break
-            fused = [group for group in fused if group not in stale]
-            for group in stale:
-                _per_session(group)
-
-        records = 0
-        live_count = len(fused)
-        if fused:
-            segments = []
-            flat: List[tuple] = []  # (submission, session) per segment
-            for group in fused:
-                session = group["session"]
-                slot = self.registry.pool_slot(session)
-                for submission in group["subs"]:
-                    request = submission.request
-                    segments.append((
-                        slot, request.pcs, request.counts, request.cpi,
-                    ))
-                    flat.append((submission, session))
-                    records += len(request.pcs)
-            started = time.perf_counter()
-            try:
-                fanned = self.registry.pool.observe_fanin(segments)
-            except Exception as error:  # pragma: no cover - defensive
-                for submission, _ in flat:
-                    submission.resolve(self._error_payloads(
-                        submission.request.id, error
-                    ))
-                fanned = None
-            if fanned is not None:
-                elapsed = time.perf_counter() - started
-                if self._telemetry is not None and records:
-                    # Per-record ingest latency, attributed per round:
-                    # the fused pass is one unit of work.
-                    self._h_ingest.observe(elapsed / records)
-                for (submission, session), reports in zip(flat, fanned):
-                    try:
-                        payloads = self._finish_observe(
-                            session, submission.request, reports
-                        )
-                    except Exception as error:  # pragma: no cover
-                        payloads = self._error_payloads(
-                            submission.request.id, error
-                        )
-                    submission.resolve(payloads)
-
-        if self._telemetry is not None:
-            self._m_coalesce_rounds.inc()
-            self._h_round_size.observe(len(submissions))
-            self._g_coalesced_sessions.set(live_count)
 
     def _score_prediction(self, session: Session, report) -> None:
         """Score the session's outstanding next-phase prediction against
@@ -1145,14 +867,13 @@ class PhaseService:
 
     def diagnostics(self) -> Dict[str, object]:
         """The operational state the dashboard renders: per-phase
-        occupancy across live sessions, predictor accuracy, pool slot
-        utilization, ingest backpressure, and persistence stats."""
+        occupancy across live sessions, predictor accuracy, ingest
+        backpressure, and persistence stats."""
         occupancy: Dict[str, int] = {}
         for session in self.registry.sessions():
             phase = session.tracker.current_phase
             key = "none" if phase is None else str(phase)
             occupancy[key] = occupancy.get(key, 0) + 1
-        pool = self.registry.pool
         diagnostics: Dict[str, object] = {
             "uptime_seconds": self.touch_uptime(),
             "draining": self._draining,
@@ -1164,34 +885,11 @@ class PhaseService:
             "phase_occupancy": occupancy,
             "prediction": self.prediction_accuracy(),
             "registry": dict(self.registry.stats()),
-            "pool": (
-                {
-                    "capacity": pool.capacity,
-                    "active_slots": pool.active_slots,
-                    "utilization": (
-                        pool.active_slots / pool.capacity
-                        if pool.capacity else None
-                    ),
-                }
-                if pool is not None else None
-            ),
             "persistence": (
                 self._persistence.stats()
                 if self._persistence is not None else None
             ),
         }
-        if self.coalesce:
-            coalescer = self._coalescer
-            if coalescer is not None:
-                diagnostics["coalesce"] = dict(
-                    enabled=True, **coalescer.stats()
-                )
-            else:
-                diagnostics["coalesce"] = {
-                    "enabled": True,
-                    "window": self.coalesce_window,
-                    "rounds": 0,
-                }
         if self._persistence is not None:
             diagnostics["checkpoint_failures"] = self.checkpoint_failures
         return diagnostics

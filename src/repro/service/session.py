@@ -39,10 +39,8 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.config import ClassifierConfig
 from repro.core.online import PhaseTracker
-from repro.core.pool import PooledTracker
 from repro.errors import (
     ConfigurationError,
-    PoolError,
     ServiceOverloadedError,
     SessionExistsError,
     SessionNotFoundError,
@@ -51,7 +49,6 @@ from repro.service.snapshot import restore_tracker
 from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.core.pool import TrackerPool
     from repro.telemetry import Telemetry
 
 
@@ -79,8 +76,7 @@ class Session:
         self.recyclable = recyclable
         # The last outstanding next-phase prediction this session pushed
         # to its client; the server scores it against the next interval's
-        # actual phase (service-level predictor accuracy, uniform across
-        # scalar and pooled trackers).
+        # actual phase (service-level predictor accuracy).
         self.predicted_next_phase: Optional[int] = None
         self.prediction_confident = False
 
@@ -138,12 +134,6 @@ class SessionRegistry:
         Predicate ``(name) -> bool`` marking names that are taken even
         though not live (evicted-to-disk sessions); :meth:`open`
         refuses them and auto-naming skips them.
-    pool:
-        Optional :class:`~repro.core.pool.TrackerPool`. Sessions whose
-        configuration matches the pool's live on pool slots (the
-        batched structure-of-arrays hot path) instead of owning scalar
-        trackers; incompatible configurations and pool exhaustion fall
-        back to scalar trackers transparently.
     """
 
     def __init__(
@@ -156,7 +146,6 @@ class SessionRegistry:
         on_evict: "Optional[Callable[[Session, str], None]]" = None,
         resolver: "Optional[Callable[[str], Optional[Session]]]" = None,
         name_reserved: Optional[Callable[[str], bool]] = None,
-        pool: "Optional[TrackerPool]" = None,
     ) -> None:
         if max_sessions <= 0:
             raise ConfigurationError(
@@ -173,7 +162,6 @@ class SessionRegistry:
         self.on_evict = on_evict
         self.resolver = resolver
         self.name_reserved = name_reserved
-        self.pool = pool
         # Most recently active last; OrderedDict gives O(1) LRU updates.
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
         self._free_trackers: List[PhaseTracker] = []
@@ -250,7 +238,7 @@ class SessionRegistry:
         self._make_room()
 
         if snapshot is not None:
-            tracker = restore_tracker(snapshot, pool=self.pool)
+            tracker = restore_tracker(snapshot)
         else:
             tracker = self._checkout_tracker(
                 build_config(config),
@@ -315,8 +303,6 @@ class SessionRegistry:
         if session is None:
             raise SessionNotFoundError(f"session {name!r} does not exist")
         self.sessions_closed += 1
-        # Emit while the tracker is still live: recycling releases a
-        # pooled tracker's slot, after which its stats are unreadable.
         self._emit("session_closed", session)
         self._recycle(session)
         return session
@@ -441,17 +427,7 @@ class SessionRegistry:
     def _checkout_tracker(
         self, config: ClassifierConfig, interval_instructions: int
     ) -> PhaseTracker:
-        """Claim a pool slot when the configuration matches; otherwise
-        reuse a freed scalar tracker of the right shape, else build."""
-        if self.pool is not None and self.pool.compatible(config):
-            try:
-                return self.pool.acquire(
-                    interval_instructions=interval_instructions
-                )
-            except PoolError:
-                # Full pool with growth disabled: soft signal, the
-                # scalar path below carries the session instead.
-                pass
+        """Reuse a freed tracker of the right shape, else build one."""
         for index, tracker in enumerate(self._free_trackers):
             if tracker.classifier.config == config:
                 del self._free_trackers[index]
@@ -463,40 +439,11 @@ class SessionRegistry:
         )
 
     def _recycle(self, session: Session) -> None:
-        tracker = session.tracker
-        if isinstance(tracker, PooledTracker):
-            # Pool slots go back to the pool — never into the scalar
-            # free list (their state lives in the pool's arrays).
-            try:
-                tracker.release()
-            except PoolError:  # pragma: no cover - already released
-                pass
-            return
         # Cap the pool at the session cap; beyond that, drop trackers.
         if session.recyclable and (
             len(self._free_trackers) < self.max_sessions
         ):
             self._free_trackers.append(session.tracker)
-
-    def pool_slot(self, session: Session) -> Optional[int]:
-        """The pool slot backing ``session``, or ``None``.
-
-        ``None`` means the scalar fallback path owns the session: no
-        pool, a foreign-config scalar tracker, or a stale handle (the
-        slot was released under the facade, e.g. by a mid-round
-        eviction). The ingest coalescer uses this to decide which
-        sessions join the fused structure-of-arrays pass.
-        """
-        tracker = session.tracker
-        if self.pool is None or not isinstance(tracker, PooledTracker):
-            return None
-        if tracker.pool is not self.pool:
-            return None
-        try:
-            tracker._check()
-        except PoolError:
-            return None
-        return tracker.slot
 
     # -- inspection -----------------------------------------------------------
 

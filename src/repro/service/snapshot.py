@@ -38,7 +38,6 @@ from repro.errors import (
 from repro.prediction import CHANGE_PREDICTOR_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.core.pool import TrackerPool
     from repro.telemetry import Telemetry
 
 #: Snapshot document revision; bumped on incompatible state changes.
@@ -59,8 +58,9 @@ def snapshot_tracker(tracker) -> dict:
     """Export a tracker into a versioned, JSON-safe document.
 
     Accepts anything with the :class:`PhaseTracker` ``export_state``
-    hook — including :class:`~repro.core.pool.PooledTracker` slots,
-    whose exported state is byte-identical to the scalar tracker's.
+    hook — including a library :class:`~repro.core.pool.PooledTracker`
+    slot, whose exported state is byte-identical to the scalar
+    tracker's.
     """
     document = {
         "schema_version": SNAPSHOT_VERSION,
@@ -88,7 +88,6 @@ def check_schema_version(document: dict) -> int:
 def restore_tracker(
     document: dict,
     telemetry: "Optional[Telemetry]" = None,
-    pool: "Optional[TrackerPool]" = None,
 ) -> PhaseTracker:
     """Rebuild a tracker from a :func:`snapshot_tracker` document.
 
@@ -96,12 +95,6 @@ def restore_tracker(
     stopped (mid-interval accumulator contents included). Listeners
     are not part of a snapshot; ``telemetry`` attaches a hub to the
     restored tracker.
-
-    When ``pool`` is given and no telemetry is requested, the state is
-    adopted into a pool slot first — the restored tracker is then a
-    :class:`~repro.core.pool.PooledTracker` riding the batched hot
-    path. A pool that cannot host the snapshot (configuration
-    mismatch) is a soft signal: the scalar path below is used instead.
 
     Raises :class:`~repro.errors.SnapshotError` on a malformed
     document and :class:`~repro.errors.SnapshotSchemaError` (a
@@ -113,16 +106,6 @@ def restore_tracker(
     state = document.get("tracker")
     if not isinstance(state, dict):
         raise SnapshotError("snapshot lacks the 'tracker' state object")
-
-    if pool is not None and telemetry is None:
-        try:
-            adopted = pool.try_adopt(state)
-        except (KeyError, IndexError, TypeError, ValueError, ReproError) as error:
-            raise SnapshotError(
-                f"snapshot state is malformed: {error}"
-            ) from None
-        if adopted is not None:
-            return adopted
 
     try:
         config = ClassifierConfig(**state["classifier"]["config"])

@@ -349,15 +349,18 @@ def test_pooled_reports_are_json_safe():
 
 
 def test_report_legacy_alias():
-    """The deprecated ``interval`` key only appears on request."""
+    """The retired ``interval`` alias of ``interval_index`` is gone:
+    the wire form carries only the current key, and asking for the
+    alias is an error."""
     pool = TrackerPool(capacity=1)
     slot = pool.allocate(interval_instructions=50)
     pool.observe_branch(slot, 0x400, 60)
     report = pool.complete_interval(slot, cpi=1.0)
-    modern = report.to_dict()
-    assert "interval" not in modern
-    legacy = report.to_dict(legacy=True)
-    assert legacy["interval"] == legacy["interval_index"] == 0
+    payload = report.to_dict()
+    assert "interval" not in payload
+    assert payload["interval_index"] == 0
+    with pytest.raises(TypeError):
+        report.to_dict(legacy=True)
 
 
 class TestPoolTelemetry:

@@ -101,7 +101,7 @@ class TestPredictionPipeline:
     def test_length_predictor_runs(self, classified_small):
         predictor = PhaseLengthPredictor()
         for phase_id in classified_small.phase_ids:
-            predictor.observe(int(phase_id))
+            predictor.advance(int(phase_id))
         assert predictor.stats.misprediction_rate <= 1.0
 
 

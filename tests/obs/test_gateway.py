@@ -49,7 +49,7 @@ def call(base, method, path, body=None):
 
 @pytest.fixture()
 def service():
-    handle = start_in_thread(max_sessions=8, pool_slots=8, http_port=0)
+    handle = start_in_thread(max_sessions=8, http_port=0)
     yield handle
     handle.stop()
 
@@ -179,6 +179,14 @@ class TestSessionRoutes:
         status, _ = call(base, "POST", "/v1/sessions", {"session": "dup"})
         assert status == 409
 
+    def test_observe_errors_map_to_http_status(self, base):
+        status, body = call(
+            base, "POST", "/v1/sessions/ghost/observe-batch",
+            {"pcs": [0x400], "counts": [1], "cpi": 1.0},
+        )
+        assert status == 404
+        assert "ghost" in body["error"]["message"]
+
     def test_body_validation_is_400(self, base):
         call(base, "POST", "/v1/sessions", {"session": "v"})
         for bad in (
@@ -285,7 +293,6 @@ class TestMetrics:
         info_keys = [k for k in samples if k.startswith("repro_service_info")]
         assert len(info_keys) == 1 and samples[info_keys[0]] == 1
         assert 'version="' in info_keys[0] and 'pid="' in info_keys[0]
-        assert samples["repro_pool_capacity"] > 0
 
     def test_every_line_of_live_output_parses(self, base):
         call(base, "POST", "/v1/sessions", {"session": "p"})
@@ -316,8 +323,6 @@ class TestDiagnostics:
             "scored", "correct", "accuracy",
             "confident_scored", "confident_correct", "confident_accuracy",
         }
-        assert diag["pool"]["active_slots"] == 1
-        assert 0 < diag["pool"]["utilization"] <= 1
         assert diag["ingest_queue_depth"] >= 0
         assert diag["registry"]["live"] == 1
 
@@ -446,60 +451,3 @@ class TestDrain:
             assert body["error"]["code"] == "shutting_down"
         finally:
             handle.stop()
-
-
-class TestCoalescedObserve:
-    """The observe-batch route joins the service's coalescing rounds:
-    reports must match a non-coalesced gateway run exactly."""
-
-    def run_gateway(self, coalesce):
-        handle = start_in_thread(
-            max_sessions=8, pool_slots=8, http_port=0,
-            coalesce=coalesce,
-        )
-        base = (
-            f"http://{handle.service.http_host}:"
-            f"{handle.service.http_port}"
-        )
-        reports = []
-        try:
-            call(base, "POST", "/v1/sessions", {
-                "session": "co", "interval_instructions": INTERVAL,
-            })
-            for pcs, counts in branch_batches(seed=11, batches=8):
-                status, result = call(
-                    base, "POST", "/v1/sessions/co/observe-batch",
-                    {"pcs": pcs, "counts": counts, "cpi": 1.2},
-                )
-                assert status == 200
-                reports += result["reports"]
-            status, diagnostics = call(base, "GET", "/v1/diagnostics")
-        finally:
-            handle.stop()
-        return reports, diagnostics
-
-    def test_reports_match_uncoalesced_gateway(self):
-        coalesced, diagnostics = self.run_gateway(coalesce=True)
-        reference, _ = self.run_gateway(coalesce=False)
-        assert coalesced == reference
-        assert len(coalesced) > 0
-        assert diagnostics["coalesce"]["requests"] == 8
-        assert diagnostics["coalesce"]["rounds"] >= 1
-
-    def test_observe_errors_still_map_to_http_status(self):
-        handle = start_in_thread(
-            max_sessions=4, pool_slots=4, http_port=0, coalesce=True,
-        )
-        base = (
-            f"http://{handle.service.http_host}:"
-            f"{handle.service.http_port}"
-        )
-        try:
-            status, body = call(
-                base, "POST", "/v1/sessions/ghost/observe-batch",
-                {"pcs": [0x400], "counts": [1], "cpi": 1.0},
-            )
-        finally:
-            handle.stop()
-        assert status == 404
-        assert "ghost" in body["error"]["message"]

@@ -69,7 +69,7 @@ class TestPhaseLengthPredictor:
         # (class 1), repeating.
         stream = ([1] * 3 + [2] * 20) * 12
         for phase_id in stream:
-            predictor.observe(phase_id)
+            predictor.advance(phase_id)
         stats = predictor.stats
         assert stats.predictions > 10
         # After warmup, predictions are nearly perfect.
@@ -78,7 +78,7 @@ class TestPhaseLengthPredictor:
     def test_no_changes_no_predictions(self):
         predictor = PhaseLengthPredictor()
         for _ in range(50):
-            predictor.observe(1)
+            predictor.advance(1)
         assert predictor.stats.predictions == 0
 
     def test_tag_miss_counted_and_falls_back(self):
@@ -89,7 +89,7 @@ class TestPhaseLengthPredictor:
             stream.extend([1] * length)
             stream.extend([2] * (length + 1))
         for phase_id in stream:
-            predictor.observe(phase_id)
+            predictor.advance(phase_id)
         assert predictor.stats.tag_misses > 0
         # Fallback still issues predictions (all runs are class 0 here,
         # so the adaptive fallback is always right).
@@ -99,7 +99,7 @@ class TestPhaseLengthPredictor:
         predictor = PhaseLengthPredictor()
         stream = ([1] * 3 + [2] * 20) * 6
         for phase_id in stream:
-            predictor.observe(phase_id)
+            predictor.advance(phase_id)
         assert predictor.stats.confusion
         assert sum(predictor.stats.confusion.values()) == (
             predictor.stats.predictions
@@ -114,7 +114,7 @@ class TestConfusionTable:
         predictor = PhaseLengthPredictor()
         stream = ([1] * 3 + [2] * 20) * 6
         for phase_id in stream:
-            predictor.observe(phase_id)
+            predictor.advance(phase_id)
         table = predictor.stats.confusion_table()
         for label in ("1-15", "16-127", "128-1023", "1024-"):
             assert label in table
@@ -125,6 +125,6 @@ class TestConfusionTable:
         predictor = PhaseLengthPredictor()
         stream = ([1] * 3 + [2] * 20) * 6
         for phase_id in stream:
-            predictor.observe(phase_id)
+            predictor.advance(phase_id)
         total_cells = sum(predictor.stats.confusion.values())
         assert total_cells == predictor.stats.predictions

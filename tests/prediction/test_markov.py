@@ -10,7 +10,7 @@ from repro.prediction.markov import MarkovChangePredictor
 def feed(predictor, phase_ids, train=True):
     """Drive a predictor over a phase stream, training at changes."""
     for phase_id in phase_ids:
-        completed = predictor.observe(phase_id)
+        completed = predictor.advance(phase_id).completed_run
         if completed is not None and train:
             predictor.train_change(predictor.change_key(), phase_id)
 
@@ -25,9 +25,9 @@ class TestHistory:
 
     def test_observe_returns_completed_run(self):
         predictor = MarkovChangePredictor(1)
-        assert predictor.observe(1) is None
-        assert predictor.observe(1) is None
-        assert predictor.observe(2) == (1, 2)
+        assert predictor.advance(1).completed_run is None
+        assert predictor.advance(1).completed_run is None
+        assert predictor.advance(2).completed_run == (1, 2)
 
     def test_invalid_order(self):
         with pytest.raises(ConfigurationError):
@@ -53,7 +53,7 @@ class TestKeys:
 
     def test_key_none_with_shallow_history(self):
         predictor = MarkovChangePredictor(2)
-        predictor.observe(1)
+        predictor.advance(1)
         assert predictor.running_key() is None
 
 
@@ -71,7 +71,7 @@ class TestPrediction:
         predictor = MarkovChangePredictor(1, use_confidence=False)
         feed(predictor, [1, 1, 2, 2, 1, 1])
         # At this point history has seen change 1->2 once.
-        predictor.observe(2)   # the change 1->2 happens again
+        predictor.advance(2)   # the change 1->2 happens again
         prediction = predictor.predict_change()
         assert prediction.hit
         assert prediction.matches(2)
@@ -86,8 +86,8 @@ class TestPrediction:
         predictor = MarkovChangePredictor(1, use_confidence=True)
         feed(predictor, [1, 1, 2])
         # Entry (1)->2 just inserted: 1-bit counter at 0, not confident.
-        predictor.observe(1)
-        predictor.observe(1)
+        predictor.advance(1)
+        predictor.advance(1)
         key = predictor.running_key()
         entry = predictor.table.peek(key)
         assert entry is not None
@@ -98,7 +98,7 @@ class TestPrediction:
 
     def test_miss_returns_empty_prediction(self):
         predictor = MarkovChangePredictor(1)
-        predictor.observe(1)
+        predictor.advance(1)
         prediction = predictor.predict_next()
         assert not prediction.hit
         assert prediction.outcomes == ()
@@ -150,7 +150,7 @@ class TestRemoval:
     def test_note_same_phase_removes_entry(self):
         predictor = MarkovChangePredictor(1, use_confidence=False)
         feed(predictor, [1, 1, 2])
-        predictor.observe(1)
+        predictor.advance(1)
         key = predictor.running_key()
         assert predictor.table.peek(key) is not None
         predictor.note_same_phase(key)

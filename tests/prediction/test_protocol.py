@@ -1,6 +1,5 @@
 """The unified PhasePredictor protocol: every predictor family
-conforms to ``advance() -> PhaseObservation``, and the historical
-``observe()`` signatures survive as deprecating shims."""
+conforms to ``advance() -> PhaseObservation``."""
 
 import pytest
 
@@ -57,13 +56,6 @@ def test_reset_restarts_the_stream(build):
         predictor.advance(phase)
     predictor.reset()
     assert predictor.advance(7).phase_changed is False
-
-
-@pytest.mark.parametrize("build", ALL_PREDICTORS)
-def test_observe_shim_deprecates(build):
-    predictor = build()
-    with pytest.deprecated_call():
-        predictor.observe(3)
 
 
 def test_change_observation_carries_completed_run():

@@ -8,7 +8,7 @@ from repro.prediction.rle import RLEChangePredictor
 
 def feed(predictor, phase_ids, train=True):
     for phase_id in phase_ids:
-        completed = predictor.observe(phase_id)
+        completed = predictor.advance(phase_id).completed_run
         if completed is not None and train:
             predictor.train_change(predictor.change_key(), phase_id)
 
@@ -48,11 +48,11 @@ class TestTiming:
         # Learn: phase 1 runs for 3 intervals, then changes to 2.
         feed(predictor, [1, 1, 1, 2, 2])
         # Re-enter phase 1 and watch the running key.
-        predictor.observe(1)   # run length 1
+        predictor.advance(1)   # run length 1
         assert not predictor.predict_next().hit
-        predictor.observe(1)   # run length 2
+        predictor.advance(1)   # run length 2
         assert not predictor.predict_next().hit
-        predictor.observe(1)   # run length 3: matches the learned length
+        predictor.advance(1)   # run length 3: matches the learned length
         prediction = predictor.predict_next()
         assert prediction.hit
         assert prediction.matches(2)
@@ -60,9 +60,9 @@ class TestTiming:
     def test_different_run_length_never_hits(self):
         predictor = RLEChangePredictor(1, use_confidence=False)
         feed(predictor, [1, 1, 1, 2, 2])   # learned length 3
-        predictor.observe(1)
-        predictor.observe(1)
-        predictor.observe(3)               # actual change at length 2
+        predictor.advance(1)
+        predictor.advance(1)
+        predictor.advance(3)               # actual change at length 2
         prediction = predictor.predict_change()
         assert not prediction.hit          # key (1,2) was never stored
 
@@ -73,7 +73,7 @@ class TestTraining:
         pattern = [1, 1, 2, 2, 2] * 6
         hits, correct = 0, 0
         for phase_id in pattern:
-            completed = predictor.observe(phase_id)
+            completed = predictor.advance(phase_id).completed_run
             if completed is not None:
                 prediction = predictor.predict_change()
                 if prediction.hit:
@@ -86,8 +86,8 @@ class TestTraining:
     def test_confidence_gates_predictions(self):
         predictor = RLEChangePredictor(1, use_confidence=True)
         feed(predictor, [1, 1, 2, 2])     # entry ((1,2)) -> 2 inserted
-        predictor.observe(1)
-        predictor.observe(1)
+        predictor.advance(1)
+        predictor.advance(1)
         prediction = predictor.predict_next()
         assert prediction.hit
         assert not prediction.confident    # unverified entry
@@ -96,8 +96,8 @@ class TestTraining:
         predictor = RLEChangePredictor(1, entry_kind="last4",
                                        use_confidence=False)
         feed(predictor, [1, 1, 2, 1, 1, 3, 1, 1, 4])
-        predictor.observe(1)
-        predictor.observe(1)
+        predictor.advance(1)
+        predictor.advance(1)
         prediction = predictor.predict_next()
         assert prediction.hit
         assert set(prediction.outcomes) == {2, 3, 4}

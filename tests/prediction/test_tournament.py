@@ -54,7 +54,7 @@ class TestBehaviour:
     def test_observe_keeps_components_in_step(self):
         tournament = TournamentChangePredictor()
         for phase in (1, 1, 2, 2, 3):
-            tournament.observe(phase)
+            tournament.advance(phase)
         assert (
             tournament.first.completed_runs
             == tournament.second.completed_runs
@@ -62,7 +62,7 @@ class TestBehaviour:
 
     def test_change_key_none_before_history(self):
         tournament = TournamentChangePredictor()
-        tournament.observe(1)
+        tournament.advance(1)
         assert tournament.change_key() is None or isinstance(
             tournament.change_key(), tuple
         )

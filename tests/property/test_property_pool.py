@@ -1,19 +1,15 @@
 """Property: a TrackerPool of N randomly configured trackers is
 state-identical — byte-equal exported snapshots and equal report
 streams — to N scalar PhaseTrackers fed the same interleaved branch
-streams, including a mid-stream evict-to-disk / hydrate round trip
-through :mod:`repro.persistence` (hypothesis)."""
+streams (hypothesis)."""
 
 import json
-import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ClassifierConfig, PhaseTracker, TrackerPool
-from repro.persistence import PersistenceManager
-from repro.service.session import SessionRegistry
 
 INTERVAL_INSTRUCTIONS = 1_500
 TRACKERS = 3
@@ -85,71 +81,3 @@ def test_pool_state_identical_to_scalar_trackers(config, seed, rounds):
         assert json.dumps(scalar.export_state(), sort_keys=True) == (
             json.dumps(handle.export_state(), sort_keys=True)
         )
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    config=configs,
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_pool_survives_evict_hydrate_through_persistence(config, seed):
-    """Mid-stream, every session is evicted to disk by the registry's
-    idle TTL (checkpointed by the persistence tier, its pool slot
-    released) and hydrated back onto a fresh pool slot on next use; the
-    final states must still be byte-equal to uninterrupted scalars."""
-    clock = [0.0]
-    with tempfile.TemporaryDirectory() as data_dir:
-        pool = TrackerPool(capacity=2, config=config)
-        registry = SessionRegistry(
-            max_sessions=TRACKERS + 1,
-            idle_ttl=10.0,
-            clock=lambda: clock[0],
-            pool=pool,
-        )
-        manager = PersistenceManager(data_dir, clock=lambda: clock[0])
-        manager.install_into(registry)
-
-        from dataclasses import asdict
-
-        names = [f"s{index}" for index in range(TRACKERS)]
-        for name in names:
-            registry.open(
-                name,
-                config=asdict(config),
-                interval_instructions=INTERVAL_INSTRUCTIONS,
-            )
-        scalars = [
-            PhaseTracker(config, interval_instructions=INTERVAL_INSTRUCTIONS)
-            for _ in range(TRACKERS)
-        ]
-
-        def feed(round_seed, cpi):
-            slots, pcs, counts = interleaved_stream(round_seed, records=200)
-            scalar_replay(scalars, slots, pcs, counts, cpi)
-            for index, name in enumerate(names):
-                mask = slots == index
-                if mask.any():
-                    registry.get(name).tracker.observe_batch(
-                        pcs[mask], counts[mask], cpi=cpi
-                    )
-
-        feed(seed, cpi=1.25)
-        # All sessions go idle past the TTL: evicted to disk via the
-        # persistence on_evict hook, pool slots released.
-        clock[0] += 60.0
-        assert registry.expire_idle() == names
-        assert pool.active_slots == 0
-        assert manager.evict_saves == TRACKERS
-
-        # Touching the sessions hydrates them back (onto pool slots).
-        feed(seed + 1, cpi=0.8)
-        assert registry.sessions_hydrated == TRACKERS
-        # Hydration landed the sessions back on pool slots, not scalars.
-        assert pool.active_slots == TRACKERS
-
-        for index, name in enumerate(names):
-            assert json.dumps(
-                scalars[index].export_state(), sort_keys=True
-            ) == json.dumps(
-                registry.get(name).tracker.export_state(), sort_keys=True
-            )
