@@ -27,7 +27,7 @@ The surface, by role:
 - :class:`TrackerReport` — the per-interval boundary report both
   tracker flavours emit (``to_dict`` is the wire format).
 - :class:`PhaseServiceClient` — the blocking client for the phase
-  service's length-prefixed JSON protocol.
+  service's newline-delimited JSON protocol.
 - :class:`HttpGateway` — the HTTP operations surface (health probes,
   Prometheus ``/metrics``, JSON session API, SSE events, dashboard)
   that :class:`~repro.service.server.PhaseService` runs when given an

@@ -21,11 +21,7 @@ or in-process (tests, benchmarks)::
         client = PhaseServiceClient(port=cluster.port)
 """
 
-from repro.cluster.dispatcher import (
-    ClusterDispatcher,
-    ClusterHandle,
-    start_cluster_in_thread,
-)
+from repro.cluster.dispatcher import ClusterDispatcher, start_cluster_in_thread
 from repro.cluster.migration import SessionMigrator
 from repro.cluster.routing import DEFAULT_SHARDS, ShardMap, shard_of
 from repro.cluster.supervisor import (
@@ -37,7 +33,6 @@ from repro.cluster.supervisor import (
 
 __all__ = [
     "ClusterDispatcher",
-    "ClusterHandle",
     "ClusterSupervisor",
     "DEFAULT_SHARDS",
     "SessionMigrator",

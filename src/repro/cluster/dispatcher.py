@@ -44,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import re
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -56,15 +55,16 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.service import protocol
+from repro.service.server import (
+    SERVER_REQUESTS,
+    NdjsonServer,
+    ServiceHandle,
+    _best_effort_id,
+    _Connection,
+)
 from repro.cluster.migration import SessionMigrator
 from repro.cluster.routing import DEFAULT_SHARDS, ShardMap
-from repro.cluster.supervisor import (
-    ClusterSupervisor,
-    DOWN,
-    STOPPED,
-    UP,
-    WorkerHandle,
-)
+from repro.cluster.supervisor import ClusterSupervisor, UP, WorkerHandle
 
 #: Fast-path router: matches the canonical wire prefix our encoder (and
 #: the bundled client) emits — ``op``, ``id``, ``session`` first, with a
@@ -211,8 +211,10 @@ class _WorkerChannel:
         return message.result
 
 
-class _ClientConnection:
-    """Dispatcher-side state for one public TCP client."""
+class _ClientConnection(_Connection):
+    """A public client connection plus its channels to workers."""
+
+    __slots__ = ("channels",)
 
     def __init__(
         self,
@@ -220,23 +222,23 @@ class _ClientConnection:
         writer: asyncio.StreamWriter,
         queue_size: int,
     ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=queue_size)
-        self.tasks: List["asyncio.Task"] = []
+        super().__init__(reader, writer, queue_size)
         self.channels: Dict[str, _WorkerChannel] = {}
 
 
-class ClusterDispatcher:
+class ClusterDispatcher(NdjsonServer):
     """The public endpoint of a sharded multi-process phase service.
 
     Parameters mirror :class:`~repro.service.server.PhaseService` where
-    they mean the same thing; worker-fleet knobs (``workers``,
-    ``runtime_dir``, ``data_root``, per-worker capacity) are new.
-    ``data_root=None`` runs a RAM-only cluster; with a data root each
-    worker persists to ``<data_root>/<worker_id>`` and recovers it on
-    restart.
+    they mean the same thing, and the connection lifecycle (admission,
+    drain, signals) is the same :class:`NdjsonServer` code; worker-fleet
+    knobs (``workers``, ``runtime_dir``, ``data_root``, per-worker
+    capacity) are new. ``data_root=None`` runs a RAM-only cluster; with
+    a data root each worker persists to ``<data_root>/<worker_id>`` and
+    recovers it on restart.
     """
+
+    _connection_type = _ClientConnection
 
     def __init__(
         self,
@@ -262,6 +264,15 @@ class ClusterDispatcher:
         retry_window: float = 20.0,
         migration_timeout: float = 30.0,
     ) -> None:
+        super().__init__(
+            host, port,
+            max_connections=max_connections,
+            queue_size=queue_size,
+            drain_timeout=drain_timeout,
+            telemetry=telemetry,
+            http_host=http_host,
+            http_port=http_port,
+        )
         if workers <= 0:
             raise ConfigurationError(
                 f"workers must be positive, got {workers}"
@@ -271,21 +282,10 @@ class ClusterDispatcher:
                 f"workers ({workers}) cannot exceed num_shards "
                 f"({num_shards}); extra workers would own no shards"
             )
-        if http_port is not None and telemetry is None:
-            from repro.telemetry import Telemetry as _Telemetry
-
-            telemetry = _Telemetry()
-        self.host = host
-        self.port = port
-        self.http_host = http_host if http_host is not None else host
-        self.http_port = http_port
+        telemetry = self._telemetry
         self.initial_workers = workers
-        self.queue_size = queue_size
-        self.max_connections = max_connections
-        self.drain_timeout = drain_timeout
         self.retry_window = retry_window
         self.migration_timeout = migration_timeout
-        self._telemetry = telemetry
         self.supervisor = ClusterSupervisor(
             runtime_dir,
             data_root=data_root,
@@ -310,21 +310,9 @@ class ClusterDispatcher:
         self._inflight: Dict[str, int] = {}
         self._control: Dict[str, _WorkerChannel] = {}
         self._restarting: set = set()
-        self._connections: Dict[int, _ClientConnection] = {}
         self._names = itertools.count(1)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._health_task: Optional["asyncio.Task"] = None
-        self._drain_task: Optional["asyncio.Task"] = None
-        self._gateway = None
-        self._draining = False
-        self.requests_served = 0
-        self.errors_returned = 0
-        self.connections_refused = 0
         self.migrations_completed = 0
         self.migrations_failed = 0
-        self.started_at = time.time()
-        self._started_mono = time.monotonic()
         self._init_metrics()
 
     def _init_metrics(self) -> None:
@@ -336,10 +324,6 @@ class ClusterDispatcher:
         self._g_workers = telemetry.gauge(
             "repro_cluster_workers", "Live workers in the shard map"
         )
-        self._g_uptime = telemetry.gauge(
-            "repro_service_uptime_seconds",
-            "Seconds since the dispatcher started",
-        )
         self._m_migrations = telemetry.counter(
             "repro_cluster_migrations_total",
             "Completed live session migrations",
@@ -347,14 +331,6 @@ class ClusterDispatcher:
         self._m_migrations_failed = telemetry.counter(
             "repro_cluster_migrations_failed_total",
             "Session migrations that failed and rolled back",
-        )
-        self._m_requests = telemetry.counter(
-            "repro_service_requests_total",
-            "Requests executed (dispatcher-side count)",
-        )
-        self._m_errors = telemetry.counter(
-            "repro_service_errors_total",
-            "Requests answered with an error response",
         )
 
     def _worker_metrics(self, worker_id: str) -> Optional[dict]:
@@ -408,66 +384,21 @@ class ClusterDispatcher:
             gauges["shards"].set(occupancy.get(worker_id, 0))
             gauges["restarts"].set(handle.restarts)
 
-    # -- properties the gateway leans on ---------------------------------------
-
-    @property
-    def telemetry(self):
-        return self._telemetry
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def gateway(self):
-        return self._gateway
-
-    @property
-    def uptime_seconds(self) -> float:
-        return time.monotonic() - self._started_mono
-
-    def touch_uptime(self) -> float:
-        uptime = self.uptime_seconds
-        if self._telemetry is not None:
-            self._g_uptime.set(uptime)
-        return uptime
-
-    def ingest_queue_depth(self) -> int:
-        return sum(
-            connection.queue.qsize()
-            for connection in self._connections.values()
-        )
-
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
+        """Start the workers, then bind: a client never meets an empty
+        shard map."""
         if self._server is not None:
             raise ServiceUnavailableError("dispatcher is already started")
-        self._stopped = asyncio.Event()
         handles = await asyncio.gather(*(
             self.supervisor.start_worker()
             for _ in range(self.initial_workers)
         ))
         for handle in handles:
             self._admit_worker(handle)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-        self._health_task = asyncio.ensure_future(self._health_loop())
-        if self.http_port is not None:
-            from repro.obs import ClusterGateway
-
-            self._gateway = ClusterGateway(
-                self, host=self.http_host, port=self.http_port
-            )
-            await self._gateway.start()
-            self.http_port = self._gateway.port
+        await super().start()
+        self._tasks.append(asyncio.ensure_future(self._health_loop()))
         self.refresh_cluster_metrics()
         self._emit(
             "cluster_start", host=self.host, port=self.port,
@@ -476,74 +407,19 @@ class ClusterDispatcher:
             http_port=self.http_port,
         )
 
+    def _make_gateway(self):
+        from repro.obs import ClusterGateway
+
+        return ClusterGateway(self, host=self.http_host, port=self.http_port)
+
     def _admit_worker(self, handle: WorkerHandle) -> None:
         self.shard_map.add_worker(handle.worker_id)
         self._control[handle.worker_id] = _WorkerChannel(
             handle.worker_id, handle.uds_path, self.retry_window
         )
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._stopped is not None
-        await self._stopped.wait()
-
-    def begin_drain(self, grace: float = 0.5) -> None:
-        """Flip to draining now; full shutdown after ``grace`` seconds
-        (same contract as ``PhaseService.begin_drain``)."""
-        if self._draining:
-            return
-        self._draining = True
-
-        async def _later() -> None:
-            await asyncio.sleep(grace)
-            await self.shutdown(drain=True)
-
-        self._drain_task = asyncio.ensure_future(_later())
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the cluster: drain client connections, then stop the
-        workers gracefully (each drains and checkpoints)."""
-        if self._server is None:
-            return
-        self._draining = True
-        drain_task = self._drain_task
-        if drain_task is not None and drain_task is not asyncio.current_task():
-            self._drain_task = None
-            drain_task.cancel()
-        server, self._server = self._server, None
-        server.close()
-        await server.wait_closed()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            self._health_task = None
-
-        connections = list(self._connections.values())
-        if drain:
-            for connection in connections:
-                for task in connection.tasks[:1]:  # the reader
-                    task.cancel()
-            for connection in connections:
-                try:
-                    await asyncio.wait_for(
-                        connection.queue.put(None), self.drain_timeout
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            for connection in connections:
-                for task in connection.tasks[1:]:  # the worker
-                    try:
-                        await asyncio.wait_for(
-                            asyncio.shield(task), self.drain_timeout
-                        )
-                    except (asyncio.CancelledError, Exception):
-                        pass
-        for connection in connections:
-            for task in connection.tasks:
-                task.cancel()
-            await self._close_client(connection)
-        self._connections.clear()
-
+    async def _stop_backend(self, drain: bool) -> None:
+        """Stop the workers gracefully (each drains and checkpoints)."""
         await self.supervisor.stop_all(timeout=self.drain_timeout)
         for channel in self._control.values():
             await channel.close()
@@ -553,11 +429,6 @@ class ClusterDispatcher:
             requests=self.requests_served,
             migrations=self.migrations_completed,
         )
-        if self._gateway is not None:
-            gateway, self._gateway = self._gateway, None
-            await gateway.shutdown()
-        if self._stopped is not None:
-            self._stopped.set()
 
     async def _health_loop(self) -> None:
         """Detect crashed workers and restart them on the same socket
@@ -628,34 +499,7 @@ class ClusterDispatcher:
 
     # -- connection handling ---------------------------------------------------
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        if self._draining or len(self._connections) >= self.max_connections:
-            self.connections_refused += 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            return
-        connection = _ClientConnection(reader, writer, self.queue_size)
-        self._connections[id(connection)] = connection
-        reader_task = asyncio.ensure_future(self._read_loop(connection))
-        worker_task = asyncio.ensure_future(self._work_loop(connection))
-        connection.tasks = [reader_task, worker_task]
-        try:
-            await worker_task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            reader_task.cancel()
-            if self._connections.pop(id(connection), None) is not None:
-                await self._close_client(connection)
-
-    async def _close_client(self, connection: _ClientConnection) -> None:
+    async def _close_connection(self, connection: _ClientConnection) -> None:
         # May race its counterpart in shutdown(): detach the channel
         # dict before the first await so both runs see a stable list.
         channels, connection.channels = list(
@@ -663,85 +507,39 @@ class ClusterDispatcher:
         ), {}
         for channel in channels:
             await channel.close()
-        try:
-            connection.writer.close()
-            await connection.writer.wait_closed()
-        except Exception:
-            pass
+        await super()._close_connection(connection)
 
-    async def _read_loop(self, connection: _ClientConnection) -> None:
-        """Parse just enough of each line to route it; queue the raw
-        bytes. The bounded queue backpressures exactly like the
-        single-process service."""
-        try:
-            while True:
-                try:
-                    line = await connection.reader.readline()
-                except (asyncio.LimitOverrunError, ValueError) as error:
-                    await connection.queue.put(
-                        ("bad", None, ProtocolError(
-                            f"request line exceeds the "
-                            f"{protocol.MAX_LINE_BYTES}-byte limit: "
-                            f"{error}"
-                        ))
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                item = self._classify_line(line)
-                if (
-                    self._draining
-                    and item[0] in ("open", "fwd")
-                ):
-                    request_id = item[2] if item[0] == "fwd" else item[1].id
-                    await connection.queue.put(("bad", request_id,
-                                                ServiceUnavailableError(
-                        "service is draining; no new work is accepted"
-                    )))
-                    continue
-                await connection.queue.put(item)
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            try:
-                connection.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                pass
-
-    def _classify_line(self, line: bytes) -> tuple:
-        """Turn one raw request line into a queue item:
-        ``("fwd", raw, id, op, session)`` for the proxy fast path,
-        ``("open", request)``, ``("local", request)`` for ops the
-        dispatcher answers itself, or ``("bad", id, error)``.
+    def _parse_line(self, line: bytes) -> tuple:
+        """Parse just enough of one raw request line to route it; the
+        queue item is ``("fwd", id, raw, op, session)`` for the proxy
+        fast path, ``("open", id, request)``, ``("local", id, request)``
+        for ops the dispatcher answers itself, or ``("bad", id, error)``.
         """
         match = _FAST_ROUTE.match(line)
         if match is not None:
             op = match.group(1).decode("ascii")
             request_id = int(match.group(2))
             session = match.group(3).decode("ascii")
-            return ("fwd", line, request_id, op, session)
+            return ("fwd", request_id, line, op, session)
         try:
             request = protocol.parse_request(line)
         except ProtocolError as error:
-            from repro.service.server import _best_effort_id
-
             return ("bad", _best_effort_id(line), error)
-        if isinstance(request, (
-            protocol.PingRequest,
-            protocol.StatsRequest,
-            protocol.ClusterRequest,
-        )):
-            return ("local", request)
+        if isinstance(request, SERVER_REQUESTS):
+            return ("local", request.id, request)
         if isinstance(request, protocol.OpenRequest):
-            return ("open", request)
+            return ("open", request.id, request)
         # A routable op the regex could not take (e.g. an escaped
         # session name): re-encode canonically and forward that.
         raw = protocol.encode(protocol.request_payload(request))
-        return ("fwd", raw, request.id, request.op, request.session)
+        return ("fwd", request.id, raw, request.op, request.session)
+
+    def _work_id(self, item: tuple) -> Optional[int]:
+        return item[1] if item[0] in ("fwd", "open") else None
 
     async def _work_loop(self, connection: _ClientConnection) -> None:
+        """Execute queued items in order; the only writer on this
+        socket."""
         while True:
             item = await connection.queue.get()
             if item is None:
@@ -749,47 +547,28 @@ class ClusterDispatcher:
             self.requests_served += 1
             if self._telemetry is not None:
                 self._m_requests.inc()
-            request_id: Optional[int] = None
+            kind, request_id = item[0], item[1]
             try:
-                kind = item[0]
                 if kind == "bad":
-                    _, request_id, error = item
-                    raise error
+                    raise item[2]
                 if kind == "local":
-                    request = item[1]
-                    request_id = request.id
-                    result = await self._execute_local(request)
-                    payloads = [
-                        protocol.encode(
-                            protocol.ok_response(request.id, result)
-                        )
-                    ]
+                    result = await self._execute_local(item[2])
+                    payloads = [protocol.encode(
+                        protocol.ok_response(request_id, result)
+                    )]
                 elif kind == "open":
-                    request = item[1]
-                    request_id = request.id
-                    payloads = await self._handle_open(connection, request)
+                    payloads = await self._handle_open(connection, item[2])
                 else:
-                    _, raw, request_id, op, session = item
-                    payloads = await self._forward(
-                        connection, raw, request_id, op, session
-                    )
-            except ReproError as error:
+                    payloads = await self._forward(connection, *item[2:])
+            except Exception as error:
                 self.errors_returned += 1
                 if self._telemetry is not None:
                     self._m_errors.inc()
                 payloads = [protocol.encode(protocol.error_response(
                     request_id if request_id is not None else -1,
                     protocol.error_code_for(error),
-                    str(error),
-                ))]
-            except Exception as error:  # pragma: no cover - defensive
-                self.errors_returned += 1
-                if self._telemetry is not None:
-                    self._m_errors.inc()
-                payloads = [protocol.encode(protocol.error_response(
-                    request_id if request_id is not None else -1,
-                    "internal",
-                    f"{type(error).__name__}: {error}",
+                    str(error) if isinstance(error, ReproError)
+                    else f"{type(error).__name__}: {error}",
                 ))]
             try:
                 for payload in payloads:
@@ -800,18 +579,19 @@ class ClusterDispatcher:
 
     # -- request execution -----------------------------------------------------
 
-    async def _forward(
+    async def _exchange(
         self,
         connection: _ClientConnection,
-        raw: bytes,
-        request_id: int,
-        op: str,
         session: str,
-    ) -> List[bytes]:
+        raw: bytes,
+        resendable: bool,
+    ) -> Tuple[str, List[bytes]]:
+        """Send ``raw`` to the worker that owns ``session``, counting it
+        in flight (a migration waits for zero); returns that worker's id
+        and the lines it answered, pushes first."""
         await self._gate_wait(session)
         worker_id = self.route(session)
         channel = self._client_channel(connection, worker_id)
-        resendable = op in ("predict", "snapshot")
         self._inflight[session] = self._inflight.get(session, 0) + 1
         try:
             pushes, response = await channel.exchange(raw, resendable)
@@ -821,6 +601,19 @@ class ClusterDispatcher:
                 self._inflight[session] = remaining
             else:
                 self._inflight.pop(session, None)
+        return worker_id, pushes + [response]
+
+    async def _forward(
+        self,
+        connection: _ClientConnection,
+        raw: bytes,
+        op: str,
+        session: str,
+    ) -> List[bytes]:
+        _, lines = await self._exchange(
+            connection, session, raw, resendable=op in ("predict", "snapshot")
+        )
+        response = lines[-1]
         if op == "close" and response.startswith(b'{"id":') and (
             b'"ok":true' in response
         ):
@@ -830,7 +623,7 @@ class ClusterDispatcher:
             # persistence, or a RAM-only worker restarted): drop the
             # stale route so a future open hashes fresh.
             self._sessions.pop(session, None)
-        return pushes + [response]
+        return lines
 
     async def _handle_open(
         self, connection: _ClientConnection, request: protocol.OpenRequest
@@ -851,22 +644,14 @@ class ClusterDispatcher:
                 interval_instructions=request.interval_instructions,
                 snapshot=request.snapshot,
             )
-        await self._gate_wait(session)
-        worker_id = self.route(session)
-        channel = self._client_channel(connection, worker_id)
         raw = protocol.encode(protocol.request_payload(request))
-        self._inflight[session] = self._inflight.get(session, 0) + 1
-        try:
-            pushes, response = await channel.exchange(raw, resendable=False)
-        finally:
-            remaining = self._inflight.get(session, 1) - 1
-            if remaining:
-                self._inflight[session] = remaining
-            else:
-                self._inflight.pop(session, None)
+        worker_id, lines = await self._exchange(
+            connection, session, raw, resendable=False
+        )
+        response = lines[-1]
         if response.startswith(b'{"id":') and b'"ok":true' in response:
             self._sessions[session] = worker_id
-        return pushes + [response]
+        return lines
 
     async def _execute_local(self, request: protocol.Request) -> dict:
         if isinstance(request, protocol.PingRequest):
@@ -1110,102 +895,11 @@ class ClusterDispatcher:
             "cluster": status,
         }
 
-    def _emit(self, event: str, **fields: object) -> None:
-        if self._telemetry is not None:
-            self._telemetry.emit(event, **fields)
-
-
-# -- thread hosting ------------------------------------------------------------
-
-
-class ClusterHandle:
-    """A running cluster on a background thread (tests, benchmarks,
-    demos) — the cluster counterpart of
-    :class:`~repro.service.server.ServiceHandle`."""
-
-    def __init__(
-        self, dispatcher: ClusterDispatcher, drain: bool = True
-    ) -> None:
-        self.dispatcher = dispatcher
-        self.drain = drain
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._error: Optional[BaseException] = None
-
-    @property
-    def port(self) -> int:
-        return self.dispatcher.port
-
-    @property
-    def host(self) -> str:
-        return self.dispatcher.host
-
-    def run_control(self, coroutine, timeout: float = 60.0):
-        """Run a dispatcher coroutine (migrate, drain_worker, …) on the
-        cluster's loop from the calling thread."""
-        assert self._loop is not None
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout)
-
-    def start(self, timeout: float = 120.0) -> "ClusterHandle":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cluster", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise ServiceUnavailableError(
-                "cluster failed to start within the timeout"
-            )
-        if self._error is not None:
-            raise ServiceUnavailableError(
-                f"cluster failed to start: {self._error}"
-            )
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.dispatcher.start())
-        except BaseException as error:
-            self._error = error
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_until_complete(self.dispatcher.serve_forever())
-        finally:
-            loop.close()
-
-    def stop(
-        self, drain: Optional[bool] = None, timeout: float = 60.0
-    ) -> None:
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None or not thread.is_alive():
-            return
-        should_drain = self.drain if drain is None else drain
-        future = asyncio.run_coroutine_threadsafe(
-            self.dispatcher.shutdown(drain=should_drain), loop
-        )
-        try:
-            future.result(timeout)
-        except Exception:
-            pass
-        thread.join(timeout)
-
-    def __enter__(self) -> "ClusterHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-def start_cluster_in_thread(**kwargs: object) -> ClusterHandle:
+def start_cluster_in_thread(**kwargs: object) -> ServiceHandle:
     """Build a :class:`ClusterDispatcher` and run it on a daemon
-    thread; returns a started handle (``handle.port`` is live and all
-    workers are ready)."""
+    thread; returns a started
+    :class:`~repro.service.server.ServiceHandle` (``handle.port`` is
+    live, all workers are ready, ``handle.service`` is the dispatcher).
+    """
     dispatcher = ClusterDispatcher(**kwargs)  # type: ignore[arg-type]
-    return ClusterHandle(dispatcher).start()
+    return ServiceHandle(dispatcher).start()

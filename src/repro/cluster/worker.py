@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
-import signal
 import sys
 from typing import List, Optional
 
@@ -109,12 +108,7 @@ async def run_worker(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    loop = asyncio.get_event_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(
-            signum,
-            lambda: asyncio.ensure_future(service.shutdown(drain=True)),
-        )
+    service.drain_on_signals()
     watchdog: Optional[asyncio.Task] = None
     if args.parent_pid is not None:
         watchdog = asyncio.ensure_future(

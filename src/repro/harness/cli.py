@@ -307,7 +307,8 @@ def _serve_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--no-evict", action="store_true",
-        help="refuse opens when full instead of evicting the LRU session",
+        help="refuse opens when full instead of evicting the LRU session "
+        "(one process only; refused with --workers)",
     )
     parser.add_argument(
         "--max-connections", type=int, default=64,
@@ -374,14 +375,10 @@ def _serve_main(argv: List[str]) -> int:
         "needs --workers)",
     )
     args = parser.parse_args(argv)
-
-    import asyncio
-    import signal
-
-    from repro.service import PhaseService
-
-    if args.workers is not None:
-        return _serve_cluster(args)
+    if args.workers is not None and args.no_evict:
+        # Cluster workers always evict the LRU session; without a data
+        # dir that destroys the session the operator asked to keep.
+        parser.error("--no-evict is not supported with --workers")
 
     telemetry = None
     if args.metrics is not None or args.events is not None:
@@ -390,6 +387,10 @@ def _serve_main(argv: List[str]) -> int:
         telemetry = Telemetry.to_files(
             metrics_path=args.metrics, events_path=args.events
         )
+    if args.workers is not None:
+        return _serve_cluster(args, telemetry)
+
+    from repro.service import PhaseService
 
     service = PhaseService(
         host=args.host,
@@ -414,34 +415,41 @@ def _serve_main(argv: List[str]) -> int:
             flush=True,
         )
 
-    async def _run() -> None:
-        await service.start()
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: asyncio.ensure_future(
-                        service.shutdown(drain=True)
-                    ),
-                )
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
+    def banners() -> List[str]:
+        lines = [
             f"repro-phases service listening on "
             f"{service.host}:{service.port} "
             f"(max {service.registry.max_sessions} sessions); "
-            f"Ctrl-C to drain and exit",
-            flush=True,
-        )
+            f"Ctrl-C to drain and exit"
+        ]
         if service.http_port is not None:
-            print(
+            lines.append(
                 f"http gateway on "
                 f"http://{service.http_host}:{service.http_port}/ "
-                f"(dashboard; /metrics for Prometheus)",
-                flush=True,
+                f"(dashboard; /metrics for Prometheus)"
             )
-        await service.serve_forever()
+        return lines
+
+    _serve_until_drained(service, banners, telemetry)
+    print(
+        f"service drained cleanly: {service.requests_served} requests, "
+        f"{service.registry.sessions_opened} sessions",
+        flush=True,
+    )
+    return 0
+
+
+def _serve_until_drained(server, banners, telemetry) -> None:
+    """Start ``server``, print ``banners()`` once it is bound, and serve
+    until SIGINT/SIGTERM has drained it."""
+    import asyncio
+
+    async def _run() -> None:
+        await server.start()
+        server.drain_on_signals()
+        for line in banners():
+            print(line, flush=True)
+        await server.serve_forever()
 
     try:
         asyncio.run(_run())
@@ -451,30 +459,15 @@ def _serve_main(argv: List[str]) -> int:
         if telemetry is not None:
             telemetry.emit("run_end")
             telemetry.close()
-    print(
-        f"service drained cleanly: {service.requests_served} requests, "
-        f"{service.registry.sessions_opened} sessions",
-        flush=True,
-    )
-    return 0
 
 
-def _serve_cluster(args) -> int:
+def _serve_cluster(args, telemetry) -> int:
     """``repro-phases serve --workers N``: the sharded multi-process
     cluster — dispatcher on ``--port``, N supervised workers."""
-    import asyncio
-    import signal
     import tempfile
 
     from repro.cluster import DEFAULT_SHARDS, ClusterDispatcher
 
-    telemetry = None
-    if args.metrics is not None or args.events is not None:
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry.to_files(
-            metrics_path=args.metrics, events_path=args.events
-        )
     runtime_dir = args.runtime_dir or tempfile.mkdtemp(
         prefix="repro-cluster-"
     )
@@ -496,50 +489,28 @@ def _serve_cluster(args) -> int:
         idle_ttl=args.idle_ttl,
     )
 
-    async def _run() -> None:
-        await dispatcher.start()
-        loop = asyncio.get_event_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: asyncio.ensure_future(
-                        dispatcher.shutdown(drain=True)
-                    ),
-                )
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
+    def banners() -> List[str]:
+        lines = [
             f"repro-phases cluster listening on "
             f"{dispatcher.host}:{dispatcher.port} "
             f"({len(dispatcher.shard_map)} workers, "
             f"{dispatcher.shard_map.num_shards} shards, "
-            f"runtime {runtime_dir}); Ctrl-C to drain and exit",
-            flush=True,
-        )
+            f"runtime {runtime_dir}); Ctrl-C to drain and exit"
+        ]
         if args.data_dir is not None:
-            print(
+            lines.append(
                 f"durable workers under {args.data_dir} "
-                f"(sync={args.sync}, per-worker data dirs)",
-                flush=True,
+                f"(sync={args.sync}, per-worker data dirs)"
             )
         if dispatcher.http_port is not None:
-            print(
+            lines.append(
                 f"http gateway on "
                 f"http://{dispatcher.http_host}:{dispatcher.http_port}/ "
-                f"(dashboard; /v1/cluster for topology)",
-                flush=True,
+                f"(dashboard; /v1/cluster for topology)"
             )
-        await dispatcher.serve_forever()
+        return lines
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
-    finally:
-        if telemetry is not None:
-            telemetry.emit("run_end")
-            telemetry.close()
+    _serve_until_drained(dispatcher, banners, telemetry)
     print(
         f"cluster drained cleanly: {dispatcher.requests_served} "
         f"requests, {dispatcher.migrations_completed} migrations",

@@ -28,8 +28,7 @@ the run-length *class* of the next phase.
 
 Every predictor here conforms to :class:`PhasePredictor`: drive it
 with ``advance(phase_id)`` and read the uniform
-:class:`PhaseObservation` it returns. The historical per-family
-``observe()`` signatures survive as deprecation shims.
+:class:`PhaseObservation` it returns; it is the only entry point.
 :class:`CompositePhasePredictor` is the one deliberate exception — it
 *drives* component predictors through the protocol and exposes the
 richer ``step``/``predict`` interface trackers consume.

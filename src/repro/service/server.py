@@ -18,11 +18,15 @@ Admission control: the session cap refuses/evicts at ``open`` (see the
 registry), a connection cap closes surplus sockets at accept, and during
 shutdown new requests are refused with ``shutting_down``.
 
-Graceful drain: :meth:`PhaseService.shutdown` (``drain=True``) stops
+Graceful drain: :meth:`NdjsonServer.shutdown` (``drain=True``) stops
 accepting connections and new request lines, but every request already
 queued is still executed and its responses/pushes flushed before sockets
 close — no interval is lost or double-classified across a drain, which
 the test suite proves by snapshotting at shutdown and replaying.
+
+The connection lifecycle (admission, the read loop, the drain order,
+signals, thread hosting) lives in :class:`NdjsonServer`, which the
+cluster's :class:`~repro.cluster.dispatcher.ClusterDispatcher` shares.
 
 Durability (``data_dir=...``): the service builds a
 :class:`~repro.persistence.manager.PersistenceManager`, recovers the
@@ -38,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import threading
 import time
 from typing import Dict, List, Optional, TYPE_CHECKING
@@ -56,12 +61,20 @@ from repro.service.snapshot import snapshot_tracker
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
 
+#: Requests about the server rather than a session: answered even while
+#: draining, and by the dispatcher itself in a cluster.
+SERVER_REQUESTS = (
+    protocol.PingRequest,
+    protocol.StatsRequest,
+    protocol.ClusterRequest,
+)
+
 
 class _Connection:
     """Per-connection state: the socket pair, the bounded ingest queue,
     and the reader/worker task pair."""
 
-    __slots__ = ("reader", "writer", "queue", "tasks", "peer")
+    __slots__ = ("reader", "writer", "queue", "tasks")
 
     def __init__(
         self,
@@ -71,15 +84,390 @@ class _Connection:
     ) -> None:
         self.reader = reader
         self.writer = writer
-        # Items are ("request", Request), ("bad", id-or-None, error), or
-        # None (end of input). Bounded: this queue is the backpressure.
+        # Items come from the server's _parse_line, plus ("bad",
+        # id-or-None, error) and None (end of input). Bounded: this
+        # queue is the backpressure.
         self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=queue_size)
         self.tasks: List["asyncio.Task"] = []
-        peer = writer.get_extra_info("peername")
-        self.peer = f"{peer[0]}:{peer[1]}" if peer else "?"
 
 
-class PhaseService:
+class NdjsonServer:
+    """The connection lifecycle of an NDJSON front end.
+
+    Owns the constructor checks, connection admission, the read loop,
+    :meth:`shutdown`'s drain order, :meth:`begin_drain`,
+    :meth:`serve_forever`, signal handling, and the uptime, queue-depth
+    and connection-count bookkeeping. A subclass supplies what differs:
+
+    - :meth:`_parse_line` turns one request line into a queue item, and
+      :meth:`_work_id` names the items refused while draining;
+    - :meth:`_work_loop` executes queued items, the only writer on the
+      connection's socket;
+    - its background tasks, appended to ``_tasks`` in :meth:`start`, and
+      :meth:`_stop_backend`, which runs once every connection is closed.
+    """
+
+    _connection_type = _Connection
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        max_connections: int,
+        queue_size: int,
+        drain_timeout: float,
+        telemetry: "Optional[Telemetry]",
+        uds_path: Optional[str] = None,
+        http_host: Optional[str] = None,
+        http_port: Optional[int] = None,
+    ) -> None:
+        if max_connections <= 0:
+            raise ConfigurationError(
+                f"max_connections must be positive, got {max_connections}"
+            )
+        if queue_size <= 0:
+            raise ConfigurationError(
+                f"queue_size must be positive, got {queue_size}"
+            )
+        if http_port is not None and http_port < 0:
+            raise ConfigurationError(
+                f"http_port must be >= 0, got {http_port}"
+            )
+        if http_port is not None and telemetry is None:
+            # The gateway exists to expose telemetry; an operator who
+            # asks for the HTTP surface gets an in-memory hub for free.
+            from repro.telemetry import Telemetry as _Telemetry
+
+            telemetry = _Telemetry()
+        self.host = host
+        self.port = port
+        self.uds_path = uds_path
+        self.http_host = http_host if http_host is not None else host
+        self.http_port = http_port
+        self.max_connections = max_connections
+        self.queue_size = queue_size
+        self.drain_timeout = drain_timeout
+        self.requests_served = 0
+        self.errors_returned = 0
+        self.connections_refused = 0
+        self.started_at = time.time()
+        self._started_mono = time.monotonic()
+        self._telemetry = telemetry
+        self._gateway = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Dict[int, _Connection] = {}
+        self._draining = False
+        self._stopped: Optional[asyncio.Event] = None
+        self._drain_task: Optional["asyncio.Task"] = None
+        self._tasks: List["asyncio.Task"] = []
+        if telemetry is not None:
+            self._g_uptime = telemetry.gauge(
+                "repro_service_uptime_seconds",
+                "Seconds since service construction (updated on scrape).",
+            )
+            self._m_requests = telemetry.counter(
+                "repro_service_requests_total",
+                "Requests executed by the service (including refusals)",
+            )
+            self._m_errors = telemetry.counter(
+                "repro_service_errors_total",
+                "Requests answered with an error response",
+            )
+            self._g_connections = telemetry.gauge(
+                "repro_service_connections",
+                "Open client connections",
+            )
+
+    # -- what a subclass supplies ---------------------------------------------
+
+    def _parse_line(self, line: bytes) -> tuple:
+        """Turn one non-blank request line into a queue item."""
+        raise NotImplementedError
+
+    def _work_id(self, item: tuple) -> Optional[int]:
+        """The request id of an item that does work, which is refused
+        while draining; ``None`` for items answered even then."""
+        raise NotImplementedError
+
+    async def _work_loop(self, connection: _Connection) -> None:
+        """Execute queued items until the ``None`` sentinel."""
+        raise NotImplementedError
+
+    async def _stop_backend(self, drain: bool) -> None:
+        """Tear down what serves requests, once every client connection
+        is closed."""
+        raise NotImplementedError
+
+    def _make_gateway(self):
+        # Imported lazily: the NDJSON service must not pay for the
+        # HTTP gateway unless it was asked for.
+        from repro.obs import HttpGateway
+
+        return HttpGateway(self, host=self.http_host, port=self.http_port)
+
+    # -- lifecycle ------------------------------------------------------------
+
+    async def start(self) -> None:
+        """Bind and start accepting connections."""
+        if self._server is not None:
+            raise ServiceUnavailableError("service is already started")
+        self._stopped = asyncio.Event()
+        if self.uds_path is not None:
+            try:
+                os.unlink(self.uds_path)
+            except FileNotFoundError:
+                pass
+            self._server = await asyncio.start_unix_server(
+                self._handle_connection,
+                path=self.uds_path,
+                limit=protocol.MAX_LINE_BYTES,
+            )
+        else:
+            self._server = await asyncio.start_server(
+                self._handle_connection,
+                self.host,
+                self.port,
+                limit=protocol.MAX_LINE_BYTES,
+            )
+            sockets = self._server.sockets or []
+            if sockets:
+                self.port = sockets[0].getsockname()[1]
+        if self.http_port is not None:
+            self._gateway = self._make_gateway()
+            await self._gateway.start()
+            self.http_port = self._gateway.port
+
+    @property
+    def telemetry(self) -> "Optional[Telemetry]":
+        return self._telemetry
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    @property
+    def gateway(self):
+        """The running HTTP gateway, or ``None``."""
+        return self._gateway
+
+    @property
+    def uptime_seconds(self) -> float:
+        return time.monotonic() - self._started_mono
+
+    def touch_uptime(self) -> float:
+        """Refresh the uptime gauge (called on scrape) and return it."""
+        uptime = self.uptime_seconds
+        if self._telemetry is not None:
+            self._g_uptime.set(uptime)
+        return uptime
+
+    def ingest_queue_depth(self) -> int:
+        """Requests currently buffered across all connection queues —
+        the live backpressure signal."""
+        return sum(
+            connection.queue.qsize()
+            for connection in self._connections.values()
+        )
+
+    def drain_on_signals(self) -> None:
+        """Make SIGINT and SIGTERM start a draining :meth:`shutdown`.
+        Call from inside the running event loop."""
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(
+                    signum,
+                    lambda: asyncio.ensure_future(
+                        self.shutdown(drain=True)
+                    ),
+                )
+            except NotImplementedError:  # pragma: no cover - non-POSIX
+                pass
+
+    def begin_drain(self, grace: float = 0.5) -> None:
+        """Flip to draining *now* and schedule the real shutdown.
+
+        ``/readyz`` (and ``ping``) report not-ready immediately; the
+        full :meth:`shutdown` runs after ``grace`` seconds so probes
+        and load balancers get a window to observe the transition
+        before sockets disappear. Idempotent while already draining.
+        """
+        if self._draining:
+            return
+        self._draining = True
+
+        async def _later() -> None:
+            await asyncio.sleep(grace)
+            await self.shutdown(drain=True)
+
+        self._drain_task = asyncio.ensure_future(_later())
+
+    async def serve_forever(self) -> None:
+        """Run until :meth:`shutdown` completes (from another task or a
+        signal handler)."""
+        if self._server is None:
+            await self.start()
+        assert self._stopped is not None
+        await self._stopped.wait()
+
+    async def shutdown(self, drain: bool = True) -> None:
+        """Stop the server.
+
+        With ``drain=True`` (the default): stop accepting connections,
+        stop reading new request lines, execute everything already
+        queued, flush all responses and interval pushes, then close the
+        sockets. With ``drain=False``: cancel everything immediately.
+        Either way the backend stops next and the HTTP gateway last.
+        """
+        if self._server is None:
+            return
+        self._draining = True
+        drain_task = self._drain_task
+        if drain_task is not None and drain_task is not asyncio.current_task():
+            # A direct shutdown supersedes a scheduled begin_drain one.
+            self._drain_task = None
+            drain_task.cancel()
+        server, self._server = self._server, None
+        server.close()
+        await server.wait_closed()
+        if self.uds_path is not None:
+            try:
+                os.unlink(self.uds_path)
+            except OSError:
+                pass
+        tasks, self._tasks = self._tasks, []
+        for task in tasks:
+            task.cancel()
+
+        connections = list(self._connections.values())
+        if drain:
+            # Stop the readers (no new requests), then let each worker
+            # finish its queue. The sentinel wakes idle workers; both
+            # waits are bounded so a stalled client cannot wedge the
+            # shutdown.
+            for connection in connections:
+                for task in connection.tasks[:1]:  # the reader
+                    task.cancel()
+            for connection in connections:
+                try:
+                    await asyncio.wait_for(
+                        connection.queue.put(None), self.drain_timeout
+                    )
+                except asyncio.TimeoutError:
+                    pass
+            for connection in connections:
+                for task in connection.tasks[1:]:  # the worker
+                    try:
+                        await asyncio.wait_for(
+                            asyncio.shield(task), self.drain_timeout
+                        )
+                    except (asyncio.CancelledError, Exception):
+                        pass
+        for connection in connections:
+            for task in connection.tasks:
+                task.cancel()
+            await self._close_connection(connection)
+        self._connections.clear()
+
+        await self._stop_backend(drain)
+        if self._gateway is not None:
+            # The gateway goes down last so /healthz and /readyz stay
+            # observable for the whole drain — a load balancer sees the
+            # not-ready signal before the port disappears.
+            gateway, self._gateway = self._gateway, None
+            await gateway.shutdown()
+        if self._stopped is not None:
+            self._stopped.set()
+
+    def _emit(self, event: str, **fields: object) -> None:
+        if self._telemetry is not None:
+            self._telemetry.emit(event, **fields)
+
+    # -- connection handling ---------------------------------------------------
+
+    async def _handle_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        if self._draining or len(self._connections) >= self.max_connections:
+            # Admission control at the socket level: no request to
+            # answer yet, so refuse by closing.
+            self.connections_refused += 1
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except Exception:
+                pass
+            return
+        connection = self._connection_type(reader, writer, self.queue_size)
+        self._connections[id(connection)] = connection
+        if self._telemetry is not None:
+            self._g_connections.set(len(self._connections))
+        reader_task = asyncio.ensure_future(self._read_loop(connection))
+        worker_task = asyncio.ensure_future(self._work_loop(connection))
+        connection.tasks = [reader_task, worker_task]
+        try:
+            await worker_task
+        except asyncio.CancelledError:
+            pass
+        finally:
+            reader_task.cancel()
+            if self._connections.pop(id(connection), None) is not None:
+                await self._close_connection(connection)
+            if self._telemetry is not None:
+                self._g_connections.set(len(self._connections))
+
+    async def _close_connection(self, connection: _Connection) -> None:
+        try:
+            connection.writer.close()
+            await connection.writer.wait_closed()
+        except Exception:
+            pass
+
+    async def _read_loop(self, connection: _Connection) -> None:
+        """Turn request lines into queue items (the await on ``put`` is
+        what backpressures the socket)."""
+        try:
+            while True:
+                try:
+                    line = await connection.reader.readline()
+                except (
+                    asyncio.LimitOverrunError, ValueError
+                ) as error:  # line longer than MAX_LINE_BYTES
+                    await connection.queue.put(
+                        ("bad", None, ProtocolError(
+                            f"request line exceeds the "
+                            f"{protocol.MAX_LINE_BYTES}-byte limit: {error}"
+                        ))
+                    )
+                    break
+                if not line:
+                    break  # EOF
+                if not line.strip():
+                    continue
+                item = self._parse_line(line)
+                if self._draining:
+                    request_id = self._work_id(item)
+                    if request_id is not None:
+                        # Lines read after drain began: typed refusal,
+                        # so the client knows the work was NOT ingested.
+                        item = ("bad", request_id, ServiceUnavailableError(
+                            "service is draining; no new work is accepted"
+                        ))
+                await connection.queue.put(item)
+        except (asyncio.CancelledError, ConnectionError):
+            pass
+        finally:
+            # Unblock the worker even when cancelled mid-drain.
+            try:
+                connection.queue.put_nowait(None)
+            except asyncio.QueueFull:
+                pass
+
+
+class PhaseService(NdjsonServer):
     """A streaming phase-classification service.
 
     Parameters
@@ -154,39 +542,23 @@ class PhaseService:
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
     ) -> None:
-        if max_connections <= 0:
-            raise ConfigurationError(
-                f"max_connections must be positive, got {max_connections}"
-            )
-        if queue_size <= 0:
-            raise ConfigurationError(
-                f"queue_size must be positive, got {queue_size}"
-            )
+        super().__init__(
+            host, port,
+            max_connections=max_connections,
+            queue_size=queue_size,
+            drain_timeout=drain_timeout,
+            telemetry=telemetry,
+            uds_path=uds_path,
+            http_host=http_host,
+            http_port=http_port,
+        )
         if checkpoint_interval <= 0:
             raise ConfigurationError(
                 f"checkpoint_interval must be positive, "
                 f"got {checkpoint_interval}"
             )
-        if http_port is not None and http_port < 0:
-            raise ConfigurationError(
-                f"http_port must be >= 0, got {http_port}"
-            )
-        if http_port is not None and telemetry is None:
-            # The gateway exists to expose telemetry; an operator who
-            # asks for the HTTP surface gets an in-memory hub for free.
-            from repro.telemetry import Telemetry as _Telemetry
-
-            telemetry = _Telemetry()
-        self.host = host
-        self.port = port
-        self.uds_path = uds_path
-        self.http_host = http_host if http_host is not None else host
-        self.http_port = http_port
-        self._gateway = None
-        self.max_connections = max_connections
-        self.queue_size = queue_size
+        telemetry = self._telemetry
         self.sweep_interval = sweep_interval
-        self.drain_timeout = drain_timeout
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
             idle_ttl=idle_ttl,
@@ -207,41 +579,23 @@ class PhaseService:
             self.sessions_recovered = self._persistence.install_into(
                 self.registry
             )
-        self.requests_served = 0
-        self.errors_returned = 0
-        self.connections_refused = 0
         self.checkpoint_failures = 0
         self.predictions_scored = 0
         self.predictions_correct = 0
         self.confident_scored = 0
         self.confident_correct = 0
-        self.started_at = time.time()
-        self._started_mono = time.monotonic()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Dict[int, _Connection] = {}
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
-        self._sweeper: Optional["asyncio.Task"] = None
-        self._checkpointer: Optional["asyncio.Task"] = None
-        self._drain_task: Optional["asyncio.Task"] = None
-        self._telemetry = telemetry
         if telemetry is not None:
             from repro import __version__ as _version
-            import os as _os
 
             telemetry.gauge(
                 "repro_service_info",
                 "Constant 1; process identity in the labels.",
                 labels={
                     "version": _version,
-                    "pid": _os.getpid(),
+                    "pid": os.getpid(),
                     "started": int(self.started_at),
                 },
             ).set(1)
-            self._g_uptime = telemetry.gauge(
-                "repro_service_uptime_seconds",
-                "Seconds since service construction (updated on scrape).",
-            )
             self._m_pred_scored = telemetry.counter(
                 "repro_service_predictions_total",
                 "Next-phase predictions scored against the next interval",
@@ -257,14 +611,6 @@ class PhaseService:
             self._m_pred_confident_correct = telemetry.counter(
                 "repro_service_predictions_confident_correct_total",
                 "Confident scored predictions that matched",
-            )
-            self._m_requests = telemetry.counter(
-                "repro_service_requests_total",
-                "Requests executed by the service (including refusals)",
-            )
-            self._m_errors = telemetry.counter(
-                "repro_service_errors_total",
-                "Requests answered with an error response",
             )
             self._m_branches = telemetry.counter(
                 "repro_service_branches_total",
@@ -282,10 +628,6 @@ class PhaseService:
                 "repro_service_ingest_seconds",
                 "Mean per-branch ingest latency, one sample per observe",
             )
-            self._g_connections = telemetry.gauge(
-                "repro_service_connections",
-                "Open client connections",
-            )
             self._m_checkpoint_failures = telemetry.counter(
                 "repro_service_checkpoint_failures_total",
                 "Periodic checkpoint sweeps that raised",
@@ -294,54 +636,22 @@ class PhaseService:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind and start accepting connections."""
-        if self._server is not None:
-            raise ServiceUnavailableError("service is already started")
-        self._stopped = asyncio.Event()
-        if self.uds_path is not None:
-            try:
-                os.unlink(self.uds_path)
-            except FileNotFoundError:
-                pass
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection,
-                path=self.uds_path,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                self.host,
-                self.port,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-            sockets = self._server.sockets or []
-            if sockets:
-                self.port = sockets[0].getsockname()[1]
+        """Bind, start accepting connections, and start the idle sweep
+        and checkpoint timers."""
+        await super().start()
         if self.idle_ttl_enabled:
-            self._sweeper = asyncio.ensure_future(self._sweep_idle())
+            self._tasks.append(asyncio.ensure_future(self._sweep_idle()))
         if self._persistence is not None:
-            self._checkpointer = asyncio.ensure_future(
-                self._checkpoint_loop()
+            self._tasks.append(
+                asyncio.ensure_future(self._checkpoint_loop())
             )
-        if self.http_port is not None:
-            # Imported lazily: the NDJSON service must not pay for the
-            # HTTP gateway unless it was asked for.
-            from repro.obs import HttpGateway
-
-            self._gateway = HttpGateway(
-                self, host=self.http_host, port=self.http_port
-            )
-            await self._gateway.start()
-            self.http_port = self._gateway.port
-        if self._telemetry is not None:
-            self._telemetry.emit(
-                "service_start", host=self.host, port=self.port,
-                max_sessions=self.registry.max_sessions,
-                recovered=self.sessions_recovered,
-                durable=self._persistence is not None,
-                http_port=self.http_port,
-            )
+        self._emit(
+            "service_start", host=self.host, port=self.port,
+            max_sessions=self.registry.max_sessions,
+            recovered=self.sessions_recovered,
+            durable=self._persistence is not None,
+            http_port=self.http_port,
+        )
 
     @property
     def idle_ttl_enabled(self) -> bool:
@@ -353,125 +663,7 @@ class PhaseService:
         backing this service, or ``None`` when RAM-only."""
         return self._persistence
 
-    @property
-    def telemetry(self) -> "Optional[Telemetry]":
-        return self._telemetry
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def gateway(self):
-        """The running :class:`~repro.obs.HttpGateway`, or ``None``."""
-        return self._gateway
-
-    @property
-    def uptime_seconds(self) -> float:
-        return time.monotonic() - self._started_mono
-
-    def touch_uptime(self) -> float:
-        """Refresh the uptime gauge (called on scrape) and return it."""
-        uptime = self.uptime_seconds
-        if self._telemetry is not None:
-            self._g_uptime.set(uptime)
-        return uptime
-
-    def ingest_queue_depth(self) -> int:
-        """Requests currently buffered across all connection queues —
-        the live backpressure signal."""
-        return sum(
-            connection.queue.qsize()
-            for connection in self._connections.values()
-        )
-
-    def begin_drain(self, grace: float = 0.5) -> None:
-        """Flip to draining *now* and schedule the real shutdown.
-
-        ``/readyz`` (and ``ping``) report not-ready immediately; the
-        full :meth:`shutdown` runs after ``grace`` seconds so probes
-        and load balancers get a window to observe the transition
-        before sockets disappear. Idempotent while already draining.
-        """
-        if self._draining:
-            return
-        self._draining = True
-
-        async def _later() -> None:
-            await asyncio.sleep(grace)
-            await self.shutdown(drain=True)
-
-        self._drain_task = asyncio.ensure_future(_later())
-
-    async def serve_forever(self) -> None:
-        """Run until :meth:`shutdown` completes (from another task or a
-        signal handler)."""
-        if self._server is None:
-            await self.start()
-        assert self._stopped is not None
-        await self._stopped.wait()
-
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the service.
-
-        With ``drain=True`` (the default): stop accepting connections,
-        stop reading new request lines, execute everything already
-        queued, flush all responses and interval pushes, then close the
-        sockets. With ``drain=False``: cancel everything immediately.
-        """
-        if self._server is None:
-            return
-        self._draining = True
-        drain_task = self._drain_task
-        if drain_task is not None and drain_task is not asyncio.current_task():
-            # A direct shutdown supersedes a scheduled begin_drain one.
-            self._drain_task = None
-            drain_task.cancel()
-        server, self._server = self._server, None
-        server.close()
-        await server.wait_closed()
-        if self.uds_path is not None:
-            try:
-                os.unlink(self.uds_path)
-            except OSError:
-                pass
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            self._sweeper = None
-        if self._checkpointer is not None:
-            self._checkpointer.cancel()
-            self._checkpointer = None
-
-        connections = list(self._connections.values())
-        if drain:
-            # Stop the readers (no new requests), then let each worker
-            # finish its queue. The sentinel wakes idle workers; both
-            # waits are bounded so a stalled client cannot wedge the
-            # shutdown.
-            for connection in connections:
-                for task in connection.tasks[:1]:  # the reader
-                    task.cancel()
-            for connection in connections:
-                try:
-                    await asyncio.wait_for(
-                        connection.queue.put(None), self.drain_timeout
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            for connection in connections:
-                for task in connection.tasks[1:]:  # the worker
-                    try:
-                        await asyncio.wait_for(
-                            asyncio.shield(task), self.drain_timeout
-                        )
-                    except (asyncio.CancelledError, Exception):
-                        pass
-        for connection in connections:
-            for task in connection.tasks:
-                task.cancel()
-            await self._close_connection(connection)
-        self._connections.clear()
-
+    async def _stop_backend(self, drain: bool) -> None:
         if self._persistence is not None:
             # Final checkpoint so a graceful stop leaves the data dir
             # ready to recover every session — the registry teardown
@@ -480,19 +672,10 @@ class PhaseService:
             self._persistence.compact()
             self._persistence.close()
         closed = self.registry.close_all()
-        if self._telemetry is not None:
-            self._telemetry.emit(
-                "service_stop", drained=drain, sessions_closed=closed,
-                requests=self.requests_served,
-            )
-        if self._gateway is not None:
-            # The gateway goes down last so /healthz and /readyz stay
-            # observable for the whole drain — a load balancer sees the
-            # not-ready signal before the port disappears.
-            gateway, self._gateway = self._gateway, None
-            await gateway.shutdown()
-        if self._stopped is not None:
-            self._stopped.set()
+        self._emit(
+            "service_stop", drained=drain, sessions_closed=closed,
+            requests=self.requests_served,
+        )
 
     async def _sweep_idle(self) -> None:
         while True:
@@ -519,97 +702,16 @@ class PhaseService:
 
     # -- connection handling ---------------------------------------------------
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        if self._draining or len(self._connections) >= self.max_connections:
-            # Admission control at the socket level: no request to
-            # answer yet, so refuse by closing.
-            self.connections_refused += 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            return
-        connection = _Connection(reader, writer, self.queue_size)
-        self._connections[id(connection)] = connection
-        if self._telemetry is not None:
-            self._g_connections.set(len(self._connections))
-        reader_task = asyncio.ensure_future(self._read_loop(connection))
-        worker_task = asyncio.ensure_future(self._work_loop(connection))
-        connection.tasks = [reader_task, worker_task]
+    def _parse_line(self, line: bytes) -> tuple:
         try:
-            await worker_task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            reader_task.cancel()
-            if self._connections.pop(id(connection), None) is not None:
-                await self._close_connection(connection)
-            if self._telemetry is not None:
-                self._g_connections.set(len(self._connections))
+            return ("request", protocol.parse_request(line))
+        except ProtocolError as error:
+            return ("bad", _best_effort_id(line), error)
 
-    async def _close_connection(self, connection: _Connection) -> None:
-        try:
-            connection.writer.close()
-            await connection.writer.wait_closed()
-        except Exception:
-            pass
-
-    async def _read_loop(self, connection: _Connection) -> None:
-        """Parse request lines into the bounded queue (the await on
-        ``put`` is what backpressures the socket)."""
-        try:
-            while True:
-                try:
-                    line = await connection.reader.readline()
-                except (
-                    asyncio.LimitOverrunError, ValueError
-                ) as error:  # line longer than MAX_LINE_BYTES
-                    await connection.queue.put(
-                        ("bad", None, ProtocolError(
-                            f"request line exceeds the "
-                            f"{protocol.MAX_LINE_BYTES}-byte limit: {error}"
-                        ))
-                    )
-                    break
-                if not line:
-                    break  # EOF
-                if not line.strip():
-                    continue
-                try:
-                    request = protocol.parse_request(line)
-                except ProtocolError as error:
-                    request_id = _best_effort_id(line)
-                    await connection.queue.put(("bad", request_id, error))
-                    continue
-                if self._draining and not isinstance(
-                    request,
-                    (
-                        protocol.PingRequest,
-                        protocol.StatsRequest,
-                        protocol.ClusterRequest,
-                    ),
-                ):
-                    # Lines read after drain began: typed refusal, so
-                    # the client knows the work was NOT ingested.
-                    await connection.queue.put(("bad", request.id,
-                                                ServiceUnavailableError(
-                        "service is draining; no new work is accepted"
-                    )))
-                    continue
-                await connection.queue.put(("request", request))
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            # Unblock the worker even when cancelled mid-drain.
-            try:
-                connection.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                pass
+    def _work_id(self, item: tuple) -> Optional[int]:
+        if item[0] == "request" and not isinstance(item[1], SERVER_REQUESTS):
+            return item[1].id
+        return None
 
     async def _work_loop(self, connection: _Connection) -> None:
         """Execute queued requests; the only writer on this socket.
@@ -913,10 +1015,15 @@ def _best_effort_id(line: bytes) -> Optional[int]:
 
 
 class ServiceHandle:
-    """A running service on a background thread (tests, demos, the
-    benchmark). Use as a context manager or call :meth:`stop`."""
+    """A running server — a :class:`PhaseService` or a cluster
+    dispatcher — on a background thread (tests, demos, benchmarks).
+    Use as a context manager or call :meth:`stop`.
 
-    def __init__(self, service: PhaseService, drain: bool = True) -> None:
+    The timeouts only bound waits, so their defaults are sized for a
+    cluster, whose workers take seconds to start and to drain.
+    """
+
+    def __init__(self, service: NdjsonServer, drain: bool = True) -> None:
         self.service = service
         self.drain = drain
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -932,7 +1039,7 @@ class ServiceHandle:
     def host(self) -> str:
         return self.service.host
 
-    def start(self, timeout: float = 10.0) -> "ServiceHandle":
+    def start(self, timeout: float = 120.0) -> "ServiceHandle":
         self._thread = threading.Thread(
             target=self._run, name="repro-phase-service", daemon=True
         )
@@ -964,7 +1071,7 @@ class ServiceHandle:
         finally:
             loop.close()
 
-    def stop(self, drain: Optional[bool] = None, timeout: float = 10.0) -> None:
+    def stop(self, drain: Optional[bool] = None, timeout: float = 60.0) -> None:
         """Shut the service down (draining by default) and join the
         thread. Idempotent."""
         loop, thread = self._loop, self._thread

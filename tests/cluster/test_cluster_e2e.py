@@ -12,11 +12,14 @@ but they are the acceptance test for repro.cluster.
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import start_cluster_in_thread
 from repro.errors import ClusterError
 from repro.service import PhaseServiceClient, start_in_thread
@@ -117,7 +120,7 @@ class TestClusterByteIdentity:
                     )
 
                 # … then live-migrate one session to the other worker …
-                dispatcher = cluster.dispatcher
+                dispatcher = cluster.service
                 victim = "charlie"
                 source = dispatcher._sessions[victim]
                 target = next(
@@ -161,7 +164,7 @@ class TestClusterByteIdentity:
                 assert stats["live"] == 6
                 assert stats["cluster"]["sessions_routed"] == 6
                 assert set(stats["per_worker"]) == set(
-                    cluster.dispatcher.shard_map.workers
+                    cluster.service.shard_map.workers
                 )
                 ping = client.ping()
                 assert ping["cluster"] is True
@@ -182,7 +185,7 @@ class TestClusterFailover:
             data_root=str(tmp_path / "data"), sync="always",
             num_shards=8,
         ) as cluster:
-            dispatcher = cluster.dispatcher
+            dispatcher = cluster.service
             with PhaseServiceClient(
                 port=cluster.port, timeout=60.0, retries=2
             ) as client:
@@ -224,7 +227,7 @@ class TestDrainWorker:
             port=0, workers=2, runtime_dir=str(tmp_path / "rt"),
             num_shards=8,
         ) as cluster:
-            dispatcher = cluster.dispatcher
+            dispatcher = cluster.service
             with PhaseServiceClient(
                 port=cluster.port, timeout=60.0
             ) as client:
@@ -263,3 +266,25 @@ class TestDrainWorker:
                 # … but topology actions need a dispatcher.
                 with pytest.raises(ClusterError):
                     client.cluster("migrate", session="x", worker="w0")
+
+
+class TestServeOptions:
+    def test_no_evict_is_refused_before_any_worker_starts(self, tmp_path):
+        """Cluster workers always evict the LRU session, so ``serve
+        --workers N --no-evict`` exits 2 instead of ignoring the flag.
+        Run in a subprocess with a timeout: a server that accepted the
+        flag would start serving and never return."""
+        runtime_dir = tmp_path / "rt"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.harness.cli", "serve",
+                "--port", "0", "--workers", "1", "--no-evict",
+                "--runtime-dir", str(runtime_dir),
+            ],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 2
+        assert "--no-evict is not supported with --workers" in result.stderr
+        assert not runtime_dir.exists()

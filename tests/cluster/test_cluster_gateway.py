@@ -39,7 +39,7 @@ def cluster(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def base(cluster):
-    dispatcher = cluster.dispatcher
+    dispatcher = cluster.service
     return f"http://{dispatcher.http_host}:{dispatcher.http_port}"
 
 
@@ -54,7 +54,7 @@ class TestClusterEndpoints:
         status, body = call(base, "GET", "/v1/cluster")
         assert status == 200
         assert set(body["workers"]) == set(
-            cluster.dispatcher.shard_map.workers
+            cluster.service.shard_map.workers
         )
         assert (
             sum(body["shard_map"]["occupancy"].values())
@@ -62,7 +62,7 @@ class TestClusterEndpoints:
         )
 
     def test_post_migrate_moves_a_session(self, base, cluster):
-        dispatcher = cluster.dispatcher
+        dispatcher = cluster.service
         with PhaseServiceClient(port=cluster.port, timeout=30.0) as c:
             c.open_session(session="gw-mig", interval_instructions=5000)
             source = dispatcher._sessions["gw-mig"]
@@ -92,7 +92,7 @@ class TestClusterEndpoints:
         with urllib.request.urlopen(base + "/metrics", timeout=10) as r:
             text = r.read().decode()
         assert "repro_cluster_workers 2" in text
-        for worker in cluster.dispatcher.shard_map.workers:
+        for worker in cluster.service.shard_map.workers:
             assert f'repro_cluster_worker_up{{worker="{worker}"}} 1' in text
             assert f'repro_cluster_worker_shards{{worker="{worker}"}}' in text
 

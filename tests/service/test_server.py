@@ -1,6 +1,10 @@
 """The asyncio server: protocol behaviour over real sockets, admission
-control, backpressure, and the graceful-drain zero-loss guarantee."""
+control, backpressure, and the graceful-drain zero-loss guarantee.
 
+Admission control and drain are shared lifecycle code, so those cases
+also run against a one-worker cluster's dispatcher."""
+
+import functools
 import json
 import socket
 import threading
@@ -9,7 +13,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterDispatcher, start_cluster_in_thread
 from repro.core import PhaseTracker
+from repro.errors import ConfigurationError
 from repro.service import PhaseServiceClient, start_in_thread
 from repro.service.server import PhaseService
 
@@ -60,6 +66,24 @@ def service():
     handle = start_in_thread(max_sessions=8)
     yield handle
     handle.stop()
+
+
+@pytest.fixture()
+def start():
+    """Starts the server under test on a thread."""
+    return start_in_thread
+
+
+class OneWorkerCluster:
+    """Runs a test class's cases against a one-worker cluster, whose
+    dispatcher shares the service's connection lifecycle."""
+
+    @pytest.fixture()
+    def start(self, tmp_path):
+        return functools.partial(
+            start_cluster_in_thread, workers=1,
+            runtime_dir=str(tmp_path / "rt"),
+        )
 
 
 class TestRequestHandling:
@@ -149,8 +173,8 @@ class TestRequestHandling:
 
 
 class TestAdmissionControl:
-    def test_connection_cap_closes_surplus_sockets(self):
-        handle = start_in_thread(max_connections=1)
+    def test_connection_cap_closes_surplus_sockets(self, start):
+        handle = start(max_connections=1)
         try:
             keeper = RawConnection(handle.port)
             keeper.send({"op": "ping", "id": 1})
@@ -183,14 +207,14 @@ class TestBackpressure:
 
 
 class TestGracefulDrain:
-    def test_queued_requests_classify_and_flush_before_close(self):
+    def test_queued_requests_classify_and_flush_before_close(self, start):
         """The zero-loss/zero-duplication guarantee: pipeline many
         observe requests, shut down while they are queued, and verify
         the pushed interval stream equals a local tracker fed exactly
         the acknowledged batches — nothing lost, nothing classified
         twice. A snapshot taken post-drain via a fresh service restore
         must also continue identically."""
-        handle = start_in_thread(queue_size=64)
+        handle = start(queue_size=64)
         batches = branch_batches(seed=4, batches=30)
         raw = RawConnection(handle.port)
         raw.send({"op": "open", "id": 0, "session": "drainee",
@@ -216,6 +240,9 @@ class TestGracefulDrain:
             elif message.get("ok"):
                 acked.add(message["id"])
             else:
+                # Only lines read after the drain began are refused;
+                # every queued observe still executes.
+                assert message["error"]["code"] == "shutting_down"
                 refused.add(message["id"])
 
         # Responses are FIFO: every acknowledged batch precedes any
@@ -236,17 +263,25 @@ class TestGracefulDrain:
             ]
         assert pushes == expected
 
-    def test_new_connections_refused_while_stopped(self):
-        handle = start_in_thread()
+    def test_new_connections_refused_while_stopped(self, start):
+        handle = start()
         port = handle.port
         handle.stop()
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port), timeout=2)
 
-    def test_shutdown_is_idempotent(self):
-        handle = start_in_thread()
+    def test_shutdown_is_idempotent(self, start):
+        handle = start()
         handle.stop()
         handle.stop()
+
+
+class TestClusterAdmissionControl(OneWorkerCluster, TestAdmissionControl):
+    pass
+
+
+class TestClusterGracefulDrain(OneWorkerCluster, TestGracefulDrain):
+    pass
 
 
 class TestIdleSweep:
@@ -268,10 +303,18 @@ class TestIdleSweep:
 
 
 class TestConstruction:
-    def test_invalid_parameters(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            PhaseService(max_connections=0)
-        with pytest.raises(ConfigurationError):
-            PhaseService(queue_size=0)
+    def test_invalid_parameters(self, tmp_path):
+        runtime_dir = tmp_path / "rt"
+        dispatcher = functools.partial(
+            ClusterDispatcher, runtime_dir=str(runtime_dir)
+        )
+        for build in (PhaseService, dispatcher):
+            for bad in (
+                {"max_connections": 0},
+                {"queue_size": 0},
+                {"http_port": -1},
+            ):
+                with pytest.raises(ConfigurationError):
+                    build(**bad)
+        # Refused before the dispatcher prepared anything for workers.
+        assert not runtime_dir.exists()
