@@ -118,7 +118,12 @@ class AccumulatorTable:
         self._total += instructions
 
     def update_batch(self, pcs: np.ndarray, instructions: np.ndarray) -> None:
-        """Record a batch of branches (vectorized, addition-equivalent)."""
+        """Record a batch of branches (vectorized, addition-equivalent).
+
+        ``instructions`` must be non-negative. Its callers check that
+        once, where the records enter (``PhaseTracker.observe_batch``,
+        ``Interval``), so it is not checked again here.
+        """
         pcs = np.asarray(pcs)
         instructions = np.asarray(instructions, dtype=np.int64)
         if pcs.shape != instructions.shape:
@@ -126,8 +131,6 @@ class AccumulatorTable:
                 "pcs and instructions must be parallel arrays: "
                 f"{pcs.shape} vs {instructions.shape}"
             )
-        if np.any(instructions < 0):
-            raise ValueError("instruction counts must be non-negative")
         indices = _hash_pc_unchecked(pcs, self.num_counters)
         total = int(instructions.sum())
         if total < _EXACT_FLOAT_SUM:
@@ -167,13 +170,21 @@ class AccumulatorTable:
         configuration first.
         """
         counters = np.asarray(state["counters"], dtype=np.int64)
+        total = int(state["total"])
         if counters.shape != self._counters.shape:
             raise ConfigurationError(
                 f"snapshot has {counters.size} counters, table has "
                 f"{self.num_counters}"
             )
+        # The bit selector trusts the counters it compresses: refuse
+        # here what it would otherwise fail on at the next boundary.
+        if counters.min() < 0 or total < 0:
+            raise ConfigurationError(
+                "snapshot accumulator counters and total must be "
+                "non-negative"
+            )
         self._counters = counters.copy()
-        self._total = int(state["total"])
+        self._total = total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

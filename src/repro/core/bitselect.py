@@ -49,11 +49,10 @@ class BitSelector(ABC):
 
         Any counter with a set bit above the selected window saturates
         to the maximum representable value (paper §4.2: "we set all of
-        the selected bits to one").
+        the selected bits to one"). ``counters`` must be non-negative,
+        as an accumulator's are; they are not checked again here.
         """
         counters = np.asarray(counters, dtype=np.int64)
-        if np.any(counters < 0):
-            raise ValueError("counter values must be non-negative")
         shift = self.shift_for(average_counter_value)
         selected = (counters >> shift) & self.max_value
         overflowed = (counters >> (shift + self.bits)) > 0

@@ -100,7 +100,9 @@ class PhaseClassifier:
             self.accumulator.counters,
             self.accumulator.average_counter_value,
         )
-        return Signature(compressed, bits=self.config.bits_per_counter)
+        return Signature.from_compressed(
+            compressed, self.config.bits_per_counter
+        )
 
     # -- classification -----------------------------------------------------
 
@@ -227,6 +229,20 @@ class PhaseClassifier:
                 "snapshot was exported under a different classifier "
                 f"configuration: {exported} vs {self.config}"
             )
+        # Boundary signatures are matched against every entry's values
+        # as one matrix: an entry of another shape or width would fail
+        # (or silently mis-match) at the next boundary instead of here.
+        for record in state["table"]["entries"]:
+            if len(record["values"]) != self.config.num_counters:
+                raise ConfigurationError(
+                    f"snapshot table entry has {len(record['values'])} "
+                    f"values, the configuration {self.config.num_counters}"
+                )
+            if record["bits"] != self.config.bits_per_counter:
+                raise ConfigurationError(
+                    f"snapshot table entry has {record['bits']} bits, the "
+                    f"configuration {self.config.bits_per_counter}"
+                )
         self._next_phase_id = int(state["next_phase_id"])
         self.phases_allocated = int(state["phases_allocated"])
         self.accumulator.restore_state(state["accumulator"])

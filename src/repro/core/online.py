@@ -32,6 +32,7 @@ bare (``telemetry=None``) hot path is unchanged.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, TYPE_CHECKING
 
@@ -74,9 +75,21 @@ class TrackerReport:
 
         This is the single serializer every consumer shares — telemetry
         ``interval`` events and the service protocol's interval pushes
-        both carry exactly these keys.
+        both carry exactly these keys, in field-declaration order (the
+        order is part of the wire format). A literal, because
+        ``dataclasses.asdict`` deep-copies every field and costs thirty
+        times as much at every interval boundary.
         """
-        return asdict(self)
+        return {
+            "interval_index": self.interval_index,
+            "phase_id": self.phase_id,
+            "is_transition": self.is_transition,
+            "phase_changed": self.phase_changed,
+            "new_phase_allocated": self.new_phase_allocated,
+            "predicted_next_phase": self.predicted_next_phase,
+            "prediction_confident": self.prediction_confident,
+            "predicted_length_class": self.predicted_length_class,
+        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrackerReport":
@@ -86,6 +99,13 @@ class TrackerReport:
             "new_phase_allocated", "predicted_next_phase",
             "prediction_confident", "predicted_length_class",
         )})
+
+
+def _check_cpi(cpi: float) -> None:
+    """Refuse a CPI the adaptive classifier cannot fold into an
+    entry's running mean (one NaN would poison that mean for good)."""
+    if not 0.0 < cpi < math.inf:
+        raise ValueError(f"cpi must be a finite positive number, got {cpi}")
 
 
 #: Listener signature for phase-change notifications.
@@ -277,6 +297,8 @@ class PhaseTracker:
         service's batched-ingest fast path. ``cpi`` is attributed to
         every interval the batch completes. Returns the boundary
         reports, oldest first; the batch never ends boundary-pending.
+        Negative counts and a CPI that is not a finite positive number
+        raise ``ValueError`` before anything is ingested.
         """
         if self._boundary_pending:
             raise PredictionError(
@@ -290,9 +312,10 @@ class PhaseTracker:
                 "pcs and counts must be parallel 1-D arrays: "
                 f"{pcs.shape} vs {counts.shape}"
             )
+        _check_cpi(cpi)
         if pcs.size == 0:
             return []
-        if np.any(counts < 0):
+        if counts.min() < 0:
             raise ValueError("instruction counts must be non-negative")
 
         accumulator = self.classifier.accumulator
@@ -317,16 +340,23 @@ class PhaseTracker:
             self._instructions += int(prefix[boundary]) - consumed
             self._branches_in_interval += boundary + 1 - start
             self._boundary_pending = True
-            reports.append(self.complete_interval(cpi))
+            reports.append(self._close_interval(cpi))
             consumed = int(prefix[boundary])
             start = boundary + 1
         return reports
 
     def complete_interval(self, cpi: float) -> TrackerReport:
-        """Close the current interval: classify, predict, notify."""
+        """Close the current interval: classify, predict, notify.
+
+        A CPI that is not a finite positive number raises
+        ``ValueError`` and leaves the interval open.
+        """
         if not self._boundary_pending and self._instructions == 0:
             raise PredictionError("no interval content to complete")
+        _check_cpi(cpi)
+        return self._close_interval(cpi)
 
+    def _close_interval(self, cpi: float) -> TrackerReport:
         telemetry = self._telemetry
         interval_instructions = self._instructions
         interval_branches = self._branches_in_interval
@@ -473,8 +503,8 @@ class PhaseTracker:
             accumulator.counters, accumulator.average_counter_value
         )
         accumulator.clear()
-        return Signature(
-            compressed, bits=self.classifier.config.bits_per_counter
+        return Signature.from_compressed(
+            compressed, self.classifier.config.bits_per_counter
         )
 
     def _update_predictors(
@@ -483,10 +513,9 @@ class PhaseTracker:
         """Train predictors on the classified interval; predict the next."""
         self.next_phase.step(phase_id)
         self.length_predictor.advance(phase_id)
-        try:
-            return self.next_phase.predict()
-        except PredictionError:  # pragma: no cover - first interval only
-            return None
+        # ``step`` has just made the next prediction; predicting again
+        # would repeat its table lookups.
+        return self.next_phase.pending_prediction
 
     # -- telemetry ------------------------------------------------------------
 

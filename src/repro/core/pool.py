@@ -487,6 +487,11 @@ class ClassifierPool:
                 f"snapshot has {counters.size} counters, table has "
                 f"{self.config.num_counters}"
             )
+        if counters.min() < 0 or int(state["accumulator"]["total"]) < 0:
+            raise ConfigurationError(
+                "snapshot accumulator counters and total must be "
+                "non-negative"
+            )
         self.reset_slots(np.array([slot]))
         self._counters[slot] = counters
         self._acc_total[slot] = int(state["accumulator"]["total"])
@@ -1014,10 +1019,8 @@ class TrackerPool:
             length = self._length[slot]
             next_phase.step(phase_id)
             length.advance(phase_id)
-            try:
-                prediction = next_phase.predict()
-            except PredictionError:  # pragma: no cover - first interval
-                prediction = None
+            # As in the scalar tracker: ``step`` made the next prediction.
+            prediction = next_phase.pending_prediction
 
             self._instructions[slot] = 0
             self._branches[slot] = 0

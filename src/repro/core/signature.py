@@ -47,6 +47,24 @@ class Signature:
         self.bits = bits
         self._total = int(array.sum())
 
+    @classmethod
+    def from_compressed(cls, values: np.ndarray, bits: int) -> "Signature":
+        """Wrap a bit selector's output without re-checking it.
+
+        ``values`` must be a fresh 1-D ``int64`` array whose entries are
+        already in ``[0, 2**bits)`` — what
+        :meth:`~repro.core.bitselect.BitSelector.compress` returns. The
+        interval-boundary path builds every signature this way; the
+        constructor keeps its checks for snapshots and direct callers.
+        The array is frozen in place, not copied.
+        """
+        signature = cls.__new__(cls)
+        values.setflags(write=False)
+        signature._values = values
+        signature.bits = bits
+        signature._total = int(values.sum())
+        return signature
+
     @property
     def values(self) -> np.ndarray:
         """The (read-only) compressed counter vector."""

@@ -55,6 +55,8 @@ def tuple_key(obj: object) -> Hashable:
 
 @dataclass
 class _Way(Generic[P]):
+    __slots__ = ("key", "payload", "last_used")
+
     key: Hashable
     payload: P
     last_used: int

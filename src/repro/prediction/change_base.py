@@ -17,8 +17,8 @@ Entry variants (paper §5.2.2, §6.1):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, PredictionError
@@ -41,8 +41,13 @@ class ChangeEntry:
             )
         self.kind = kind
         self._last: Optional[int] = None
-        self._recent: List[int] = []  # last-4 unique outcomes, newest last
-        self._freq: Counter = Counter()
+        # The last 4 unique outcomes, newest last, and the outcome
+        # counts as a flat (outcome, count, ...) tuple in first-seen
+        # order. Every session keeps a table of these entries, and an
+        # entry sees few distinct outcomes: a list and a Counter take
+        # three times the memory of the two tuples.
+        self._recent: Tuple[int, ...] = ()
+        self._freq: Tuple[int, ...] = ()
         self.confidence = ConfidenceCounter(confidence_bits)
 
     # -- outcome bookkeeping ------------------------------------------------
@@ -50,11 +55,21 @@ class ChangeEntry:
     def record_outcome(self, outcome: int) -> None:
         """Fold one observed change outcome into the entry."""
         self._last = outcome
-        if outcome in self._recent:
-            self._recent.remove(outcome)
-        self._recent.append(outcome)
-        self._recent = self._recent[-4:]
-        self._freq[outcome] += 1
+        others = tuple(seen for seen in self._recent if seen != outcome)
+        self._recent = (others + (outcome,))[-4:]
+        freq = self._freq
+        for index in range(0, len(freq), 2):
+            if freq[index] == outcome:
+                self._freq = (
+                    freq[:index + 1] + (freq[index + 1] + 1,)
+                    + freq[index + 2:]
+                )
+                return
+        self._freq = freq + (outcome, 1)
+
+    def _frequencies(self) -> List[Tuple[int, int]]:
+        """(outcome, count) pairs in first-seen order."""
+        return list(zip(self._freq[::2], self._freq[1::2]))
 
     def predicted_outcomes(self) -> Tuple[int, ...]:
         """The outcome set this entry currently predicts.
@@ -70,9 +85,9 @@ class ChangeEntry:
         if self.kind == "last4":
             return tuple(reversed(self._recent))
         count = 1 if self.kind == "top1" else 4
-        return tuple(
-            outcome for outcome, _ in self._freq.most_common(count)
-        )
+        # The sort is stable: frequency ties keep first-seen order.
+        ranked = sorted(self._frequencies(), key=itemgetter(1), reverse=True)
+        return tuple(outcome for outcome, _ in ranked[:count])
 
     # -- snapshot hooks -------------------------------------------------------
 
@@ -81,7 +96,7 @@ class ChangeEntry:
         return {
             "last": self._last,
             "recent": list(self._recent),
-            "freq": list(self._freq.items()),
+            "freq": self._frequencies(),
             "confidence": self.confidence.value,
         }
 
@@ -91,15 +106,18 @@ class ChangeEntry:
     ) -> "ChangeEntry":
         """Rebuild an entry from :meth:`export_state` output.
 
-        ``freq`` pairs are kept in the counter's insertion order, which
-        is what breaks ``most_common`` frequency ties — restoring in
-        the same order keeps top-N predictions byte-identical.
+        ``freq`` pairs are kept in first-seen order, which is what
+        breaks top-N frequency ties — restoring in the same order keeps
+        top-N predictions byte-identical.
         """
         entry = cls(kind, confidence_bits)
         entry._last = state["last"]
-        entry._recent = [int(v) for v in state["recent"]]
-        entry._freq = Counter(
-            {int(outcome): int(count) for outcome, count in state["freq"]}
+        entry._recent = tuple(int(v) for v in state["recent"])
+        counts = {
+            int(outcome): int(count) for outcome, count in state["freq"]
+        }
+        entry._freq = tuple(
+            value for pair in counts.items() for value in pair
         )
         entry.confidence.reset(int(state["confidence"]))
         return entry

@@ -42,12 +42,21 @@ def length_class(run_length: int) -> int:
     raise AssertionError("unreachable: bounds start at 1")
 
 
-@dataclass
+@dataclass(init=False)
 class _LengthEntry:
-    """Predicted class + two-in-a-row hysteresis latch."""
+    """Predicted class + two-in-a-row hysteresis latch (slotted; the
+    default lives in ``__init__``, as for ``TableEntry``)."""
+
+    __slots__ = ("predicted_class", "pending_class")
 
     predicted_class: int
-    pending_class: Optional[int] = None
+    pending_class: Optional[int]
+
+    def __init__(
+        self, predicted_class: int, pending_class: Optional[int] = None
+    ) -> None:
+        self.predicted_class = predicted_class
+        self.pending_class = pending_class
 
     def train(self, observed_class: int) -> None:
         """Update with hysteresis: a differing class must repeat twice."""

@@ -909,19 +909,18 @@ class PhaseService(NdjsonServer):
             self._m_intervals.inc(len(reports))
         for report in reports:
             self._score_prediction(session, report)
-        if self._telemetry is not None and reports:
-            # One event per boundary (not per branch); with neither a
-            # JSONL sink nor an SSE subscriber these are one-check
-            # no-ops inside the hub.
-            for report in reports:
+        payloads = []
+        for report in reports:
+            # Serialized once: the event and the push carry the same
+            # fields. One event per boundary (not per branch); with
+            # neither a JSONL sink nor an SSE subscriber it is a
+            # one-check no-op inside the hub.
+            fields = report.to_dict()
+            if self._telemetry is not None:
                 self._telemetry.emit(
-                    "interval", session=session.name,
-                    **report.to_dict(),
+                    "interval", session=session.name, **fields
                 )
-        payloads = [
-            protocol.interval_push(session.name, report.to_dict())
-            for report in reports
-        ]
+            payloads.append(protocol.interval_push(session.name, fields))
         payloads.append(protocol.ok_response(request.id, {
             "intervals": len(reports),
             "branches": len(request.pcs),

@@ -81,12 +81,22 @@ class TestAccumulatorTable:
         assert table.total_increment == 0
 
     def test_negative_instructions_rejected(self):
+        # ``update`` is the only check on ``observe_branch``'s path.
+        # ``update_batch`` trusts its callers, which check where the
+        # records enter: ``PhaseTracker.observe_batch`` and ``Interval``.
         with pytest.raises(ValueError):
             AccumulatorTable(8).update(0, -1)
-        with pytest.raises(ValueError):
-            AccumulatorTable(8).update_batch(
-                np.array([0]), np.array([-1])
-            )
+
+    @pytest.mark.parametrize("state", [
+        {"counters": [0] * 7 + [-1], "total": 10},
+        {"counters": [0] * 8, "total": -1},
+    ])
+    def test_restore_refuses_negative_counters(self, state):
+        # The bit selector compresses restored counters unchecked.
+        table = AccumulatorTable(8)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            table.restore_state(state)
+        assert table.total_increment == 0
 
     def test_mismatched_batch_rejected(self):
         with pytest.raises(ValueError):

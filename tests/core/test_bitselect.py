@@ -85,10 +85,6 @@ class TestDynamicBitSelector:
         with pytest.raises(ValueError):
             DynamicBitSelector(bits=6).shift_for(-1)
 
-    def test_negative_counter_rejected(self):
-        with pytest.raises(ValueError):
-            DynamicBitSelector(bits=6).compress(np.array([-1]), 10)
-
     def test_invalid_bits(self):
         with pytest.raises(ConfigurationError):
             DynamicBitSelector(bits=0)

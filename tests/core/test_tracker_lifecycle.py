@@ -1,6 +1,8 @@
 """PhaseTracker lifecycle hooks: reset(), observe_batch(), and the
 TrackerReport wire form — the contracts the service subsystem builds on."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,50 @@ class TestObserveBatch:
             tracker.observe_batch([4096], [10])
 
 
+UNUSABLE_CPIS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+class TestCpiRefusal:
+    """The tracker refuses a CPI it cannot fold into an entry's running
+    mean, once per public call and before any state changes."""
+
+    @pytest.mark.parametrize("cpi", UNUSABLE_CPIS)
+    def test_observe_batch_refuses_before_ingesting(self, cpi):
+        tracker = PhaseTracker(interval_instructions=100)
+        tracker.observe_batch([4096], [60])
+        before = tracker.export_state()
+        with pytest.raises(ValueError, match="cpi"):
+            tracker.observe_batch([4096] * 4, [60] * 4, cpi=cpi)
+        # Nothing ingested, and no boundary left pending.
+        assert tracker.export_state() == before
+        assert len(tracker.observe_batch([4096] * 4, [60] * 4)) == 2
+
+    @pytest.mark.parametrize("cpi", UNUSABLE_CPIS)
+    def test_complete_interval_refuses_and_keeps_the_boundary(self, cpi):
+        tracker = PhaseTracker(interval_instructions=100)
+        assert tracker.observe_branch(4096, 200)
+        before = tracker.export_state()
+        with pytest.raises(ValueError, match="cpi"):
+            tracker.complete_interval(cpi)
+        assert tracker.export_state() == before
+        assert tracker.complete_interval(1.0).interval_index == 0
+
+    def test_refused_nan_keeps_the_adaptive_threshold_halving(self):
+        """A NaN folded into a stable entry's CPI mean would make every
+        later deviation NaN, and the threshold would never halve."""
+        tracker = PhaseTracker(interval_instructions=1000)
+        stable = ([4096, 4100], [500, 500])
+        for _ in range(12):
+            tracker.observe_batch(*stable, cpi=1.0)
+        (entry,) = tracker.classifier.table.entries
+        assert entry.phase_id is not None
+        with pytest.raises(ValueError):
+            tracker.observe_batch(*stable, cpi=float("nan"))
+        for _ in range(5):
+            tracker.observe_batch(*stable, cpi=50.0)
+        assert entry.similarity_threshold == 0.125
+
+
 class TestReportWireForm:
     def test_to_dict_from_dict_round_trip(self):
         tracker = PhaseTracker(interval_instructions=500)
@@ -114,6 +160,12 @@ class TestReportWireForm:
         assert payload["interval_index"] == 0
         assert isinstance(payload["phase_id"], int)
         assert TrackerReport.from_dict(payload) == report
+        # Interval pushes and the benchmark's oracle digests are built
+        # from this dict, so its key order is part of the wire format.
+        assert list(payload) == [
+            field.name for field in dataclasses.fields(TrackerReport)
+        ]
+        assert payload == dataclasses.asdict(report)
 
     def test_to_dict_is_json_safe(self):
         import json

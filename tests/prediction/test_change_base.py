@@ -31,7 +31,7 @@ class TestChangeEntryFrequencies:
         entry = ChangeEntry("top1")
         entry.record_outcome(1)
         entry.record_outcome(2)
-        # Tie: Counter.most_common breaks by insertion order.
+        # Tie: broken by first-seen order.
         assert entry.predicted_outcomes() == (1,)
         entry.record_outcome(2)
         assert entry.predicted_outcomes() == (2,)

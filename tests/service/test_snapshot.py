@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClassifierConfig, PhaseTracker
-from repro.errors import SnapshotError
+from repro.errors import SessionNotFoundError, SnapshotError
 from repro.prediction import MarkovChangePredictor
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
@@ -139,3 +139,85 @@ class TestFailureModes:
             loads("{broken")
         with pytest.raises(SnapshotError):
             loads("[1,2]")
+
+
+def driven_snapshot():
+    """A snapshot with a populated table and a mid-interval accumulator."""
+    pcs, counts = two_region_stream()
+    tracker = PhaseTracker(interval_instructions=5_000)
+    drive(tracker, pcs[:2510], counts[:2510])
+    document = snapshot_tracker(tracker)
+    state = document["tracker"]["classifier"]
+    assert state["table"]["entries"]
+    assert any(state["accumulator"]["counters"])
+    return document
+
+
+def _negative_counter(state):
+    state["accumulator"]["counters"][0] = -1
+
+
+def _negative_total(state):
+    state["accumulator"]["total"] = -1
+
+
+def _entry_missing_a_value(state):
+    state["table"]["entries"][0]["values"].pop()
+
+
+def _entry_with_wrong_bits(state):
+    state["table"]["entries"][0]["bits"] += 1
+
+
+def _more_entries_than_the_table_holds(state):
+    entries = state["table"]["entries"]
+    while len(entries) <= state["config"]["table_entries"]:
+        entries.append(dict(entries[0]))
+
+
+UNRUNNABLE = [
+    _negative_counter,
+    _negative_total,
+    _entry_missing_a_value,
+    _entry_with_wrong_bits,
+    _more_entries_than_the_table_holds,
+]
+
+
+class TestUnrunnableSnapshotsRefused:
+    """A snapshot the tracker could not run is refused when it is
+    restored. Accepted, it used to fail the session's first boundary as
+    ``internal`` and leave the session wedged, boundary pending."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        from repro.service import start_in_thread
+
+        handle = start_in_thread()
+        yield handle
+        handle.stop()
+
+    @pytest.mark.parametrize("corrupt", UNRUNNABLE)
+    def test_restore_tracker_refuses(self, corrupt):
+        document = driven_snapshot()
+        corrupt(document["tracker"]["classifier"])
+        with pytest.raises(SnapshotError, match="malformed"):
+            restore_tracker(document)
+
+    @pytest.mark.parametrize("corrupt", UNRUNNABLE)
+    def test_open_session_fails_with_the_snapshot_code(self, service,
+                                                       corrupt):
+        from repro.service import PhaseServiceClient
+
+        document = driven_snapshot()
+        corrupt(document["tracker"]["classifier"])
+        with PhaseServiceClient(port=service.port) as client:
+            with pytest.raises(SnapshotError):
+                client.open_session(session="restored", snapshot=document)
+            with pytest.raises(SessionNotFoundError):
+                client.observe("restored", [4096], [10])
+            # The intact document still opens and serves.
+            client.open_session(session="restored",
+                                snapshot=driven_snapshot())
+            assert client.observe("restored", [4096] * 200, [100] * 200)
+            client.close_session("restored")
