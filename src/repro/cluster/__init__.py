@@ -27,7 +27,6 @@ from repro.cluster.routing import DEFAULT_SHARDS, ShardMap, shard_of
 from repro.cluster.supervisor import (
     ClusterSupervisor,
     WorkerHandle,
-    WorkerSpec,
     worker_data_dir,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "SessionMigrator",
     "ShardMap",
     "WorkerHandle",
-    "WorkerSpec",
     "shard_of",
     "start_cluster_in_thread",
     "worker_data_dir",

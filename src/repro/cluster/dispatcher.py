@@ -83,6 +83,10 @@ _PUSH_PREFIX = b'{"push"'
 
 _NOT_FOUND_MARKER = b'"code":"session_not_found"'
 
+#: Seconds a worker channel keeps reconnecting and resending before a
+#: request fails: long enough to ride out a supervised worker restart.
+RETRY_WINDOW = 20.0
+
 
 class _WorkerChannel:
     """One Unix-socket connection from the dispatcher to a worker.
@@ -95,15 +99,9 @@ class _WorkerChannel:
     worker may already have executed them.
     """
 
-    def __init__(
-        self,
-        worker_id: str,
-        uds_path: str,
-        retry_window: float = 20.0,
-    ) -> None:
+    def __init__(self, worker_id: str, uds_path: str) -> None:
         self.worker_id = worker_id
         self.uds_path = uds_path
-        self.retry_window = retry_window
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -154,7 +152,7 @@ class _WorkerChannel:
     ) -> Tuple[List[bytes], bytes]:
         """Send one request line; returns ``(push_lines, response_line)``."""
         async with self._lock:
-            deadline = time.monotonic() + self.retry_window
+            deadline = time.monotonic() + RETRY_WINDOW
             while True:
                 try:
                     await self._ensure_connected(deadline)
@@ -236,6 +234,13 @@ class ClusterDispatcher(NdjsonServer):
     capacity) are new. ``data_root=None`` runs a RAM-only cluster; with
     a data root each worker persists to ``<data_root>/<worker_id>`` and
     recovers it on restart.
+
+    This is the one place cluster options become a worker's
+    :class:`~repro.service.server.PhaseService` arguments:
+    ``worker_max_sessions``, ``idle_ttl``, ``queue_size``, ``sync``,
+    ``checkpoint_interval``, and ``max_connections`` plus 8: headroom
+    for the dispatcher's own control and readiness connections beside
+    one channel per client connection.
     """
 
     _connection_type = _ClientConnection
@@ -251,7 +256,6 @@ class ClusterDispatcher(NdjsonServer):
         num_shards: int = DEFAULT_SHARDS,
         queue_size: int = 32,
         max_connections: int = 64,
-        drain_timeout: float = 30.0,
         telemetry=None,
         http_host: Optional[str] = None,
         http_port: Optional[int] = None,
@@ -259,16 +263,11 @@ class ClusterDispatcher(NdjsonServer):
         sync: str = "batch",
         checkpoint_interval: float = 30.0,
         idle_ttl: Optional[float] = None,
-        max_restarts: int = 5,
-        ready_timeout: float = 60.0,
-        retry_window: float = 20.0,
-        migration_timeout: float = 30.0,
     ) -> None:
         super().__init__(
             host, port,
             max_connections=max_connections,
             queue_size=queue_size,
-            drain_timeout=drain_timeout,
             telemetry=telemetry,
             http_host=http_host,
             http_port=http_port,
@@ -284,19 +283,17 @@ class ClusterDispatcher(NdjsonServer):
             )
         telemetry = self._telemetry
         self.initial_workers = workers
-        self.retry_window = retry_window
-        self.migration_timeout = migration_timeout
         self.supervisor = ClusterSupervisor(
             runtime_dir,
             data_root=data_root,
-            sync=sync,
-            checkpoint_interval=checkpoint_interval,
-            max_sessions=worker_max_sessions,
-            idle_ttl=idle_ttl,
-            queue_size=queue_size,
-            max_connections=max_connections + 8,
-            max_restarts=max_restarts,
-            ready_timeout=ready_timeout,
+            service={
+                "max_sessions": worker_max_sessions,
+                "idle_ttl": idle_ttl,
+                "max_connections": max_connections + 8,
+                "queue_size": queue_size,
+                "checkpoint_interval": checkpoint_interval,
+                "sync": sync,
+            },
             telemetry=telemetry,
         )
         self.shard_map = ShardMap(num_shards=num_shards)
@@ -415,18 +412,17 @@ class ClusterDispatcher(NdjsonServer):
     def _admit_worker(self, handle: WorkerHandle) -> None:
         self.shard_map.add_worker(handle.worker_id)
         self._control[handle.worker_id] = _WorkerChannel(
-            handle.worker_id, handle.uds_path, self.retry_window
+            handle.worker_id, handle.uds_path
         )
 
-    async def _stop_backend(self, drain: bool) -> None:
+    async def _stop_backend(self) -> None:
         """Stop the workers gracefully (each drains and checkpoints)."""
-        await self.supervisor.stop_all(timeout=self.drain_timeout)
+        await self.supervisor.stop_all()
         for channel in self._control.values():
             await channel.close()
         self._control.clear()
         self._emit(
-            "cluster_stop", drained=drain,
-            requests=self.requests_served,
+            "cluster_stop", requests=self.requests_served,
             migrations=self.migrations_completed,
         )
 
@@ -491,9 +487,7 @@ class ClusterDispatcher(NdjsonServer):
             handle = self.supervisor.workers.get(worker_id)
             if handle is None:
                 raise ClusterError(f"no such worker: {worker_id!r}")
-            channel = _WorkerChannel(
-                worker_id, handle.uds_path, self.retry_window
-            )
+            channel = _WorkerChannel(worker_id, handle.uds_path)
             connection.channels[worker_id] = channel
         return channel
 

@@ -49,6 +49,10 @@ from repro.errors import ClusterError, ReproError
 from repro.service import protocol
 from repro.cluster.supervisor import UP
 
+#: Seconds a migrating session's in-flight requests have to finish
+#: before the migration gives up.
+MIGRATION_TIMEOUT = 30.0
+
 
 class SessionMigrator:
     """Moves live sessions between the dispatcher's workers."""
@@ -152,12 +156,12 @@ class SessionMigrator:
         """Wait for the session's in-flight requests to finish (new
         ones are already gated)."""
         d = self._dispatcher
-        deadline = time.monotonic() + d.migration_timeout
+        deadline = time.monotonic() + MIGRATION_TIMEOUT
         while d._inflight.get(session, 0):
             if time.monotonic() >= deadline:
                 raise ClusterError(
                     f"session {session!r} did not quiesce within "
-                    f"{d.migration_timeout:.0f}s"
+                    f"{MIGRATION_TIMEOUT:.0f}s"
                 )
             await asyncio.sleep(0.005)
 
@@ -191,7 +195,7 @@ class SessionMigrator:
             d._emit("cluster_drain_failed", worker=worker_id,
                     migrated=migrated)
             raise
-        await d.supervisor.stop_worker(worker_id, timeout=d.drain_timeout)
+        await d.supervisor.stop_worker(worker_id)
         channel = d._control.pop(worker_id, None)
         if channel is not None:
             await channel.close()

@@ -3,7 +3,8 @@
 :class:`ClusterSupervisor` owns the worker *processes*; the dispatcher
 owns the *routing*. The split keeps the failure story simple: the
 supervisor only knows how to (re)launch ``python -m repro.cluster.worker``
-with the right flags and how to tell when one is ready or dead; the
+(:func:`repro.cluster.worker.command`) with the service options the
+dispatcher gave it, and how to tell when one is ready or dead; the
 dispatcher decides what a death means for in-flight sessions.
 
 Readiness is end-to-end, not a banner grep: a worker is ready when its
@@ -28,14 +29,14 @@ import asyncio
 import os
 import signal
 import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ClusterError
 from repro.service import protocol
+from repro.service.server import DRAIN_TIMEOUT
 
 #: Worker process states.
 STARTING = "starting"
@@ -43,60 +44,28 @@ UP = "up"
 DOWN = "down"      # exited unexpectedly; restart pending or exhausted
 STOPPED = "stopped"  # deliberately stopped (drained); never restarted
 
-
-@dataclass
-class WorkerSpec:
-    """Everything needed to (re)launch one worker identically."""
-
-    worker_id: str
-    uds_path: str
-    data_dir: Optional[str] = None
-    sync: str = "batch"
-    checkpoint_interval: float = 30.0
-    max_sessions: int = 1024
-    queue_size: int = 32
-    max_connections: int = 1024
-    idle_ttl: Optional[float] = None
-    drain_timeout: float = 30.0
-
-    def argv(self, parent_pid: int) -> List[str]:
-        argv = [
-            sys.executable, "-m", "repro.cluster.worker",
-            "--uds", self.uds_path,
-            "--worker-id", self.worker_id,
-            "--sync", self.sync,
-            "--checkpoint-interval", str(self.checkpoint_interval),
-            "--max-sessions", str(self.max_sessions),
-            "--queue-size", str(self.queue_size),
-            "--max-connections", str(self.max_connections),
-            "--drain-timeout", str(self.drain_timeout),
-            "--parent-pid", str(parent_pid),
-        ]
-        if self.data_dir is not None:
-            argv += ["--data-dir", self.data_dir]
-        if self.idle_ttl is not None:
-            argv += ["--idle-ttl", str(self.idle_ttl)]
-        return argv
+#: Crash restarts per worker before it is left ``down``: routing to it
+#: then fails loudly instead of thrashing on a crash loop.
+MAX_RESTARTS = 5
+#: Seconds a (re)started worker has to answer a ping.
+READY_TIMEOUT = 60.0
+#: Seconds of back-off before restart number ``n``: ``n`` times this,
+#: capped at 2 s.
+RESTART_BACKOFF = 0.2
 
 
 @dataclass
 class WorkerHandle:
     """One supervised worker process (identity survives restarts)."""
 
-    spec: WorkerSpec
+    worker_id: str
+    uds_path: str
+    data_dir: Optional[str]
     log_path: str
     process: Optional[subprocess.Popen] = None
     state: str = STARTING
     restarts: int = 0
     started_at: float = field(default_factory=time.monotonic)
-
-    @property
-    def worker_id(self) -> str:
-        return self.spec.worker_id
-
-    @property
-    def uds_path(self) -> str:
-        return self.spec.uds_path
 
     @property
     def pid(self) -> Optional[int]:
@@ -115,7 +84,7 @@ class WorkerHandle:
             "pid": self.pid,
             "restarts": self.restarts,
             "uds_path": self.uds_path,
-            "data_dir": self.spec.data_dir,
+            "data_dir": self.data_dir,
         }
 
 
@@ -140,12 +109,10 @@ class ClusterSupervisor:
     data_root:
         When given, workers are durable: worker ``wN`` persists to
         ``<data_root>/wN`` and recovers it on every (re)start.
-    max_restarts:
-        Crash-restart budget *per worker*. Exhausting it leaves the
-        worker ``down`` — routing to it fails loudly rather than
-        thrashing on a crash loop.
-    ready_timeout:
-        Seconds to wait for a spawned worker to answer a ping.
+    service:
+        :class:`~repro.service.server.PhaseService` keyword arguments
+        every worker gets; the supervisor adds each worker's own
+        ``uds_path`` and ``data_dir``.
     """
 
     def __init__(
@@ -153,54 +120,38 @@ class ClusterSupervisor:
         runtime_dir: str,
         *,
         data_root: Optional[str] = None,
-        sync: str = "batch",
-        checkpoint_interval: float = 30.0,
-        max_sessions: int = 1024,
-        queue_size: int = 32,
-        max_connections: int = 1024,
-        idle_ttl: Optional[float] = None,
-        drain_timeout: float = 30.0,
-        max_restarts: int = 5,
-        ready_timeout: float = 30.0,
-        restart_backoff: float = 0.2,
+        service: Optional[Mapping[str, object]] = None,
         telemetry=None,
     ) -> None:
         self.runtime_dir = Path(runtime_dir)
         self.runtime_dir.mkdir(parents=True, exist_ok=True)
         self.data_root = data_root
-        self.sync = sync
-        self.checkpoint_interval = checkpoint_interval
-        self.max_sessions = max_sessions
-        self.queue_size = queue_size
-        self.max_connections = max_connections
-        self.idle_ttl = idle_ttl
-        self.drain_timeout = drain_timeout
-        self.max_restarts = max_restarts
-        self.ready_timeout = ready_timeout
-        self.restart_backoff = restart_backoff
+        self.service = dict(service or {})
         self._telemetry = telemetry
         self._next_index = 0
         self.workers: Dict[str, WorkerHandle] = {}
 
     # -- spawn / readiness -----------------------------------------------------
 
-    def _make_spec(self, worker_id: str) -> WorkerSpec:
+    def _paths(self, worker_id: str) -> Tuple[str, Optional[str]]:
+        """The worker's socket and data dir, the same across restarts."""
         data_dir = (
             worker_data_dir(self.data_root, worker_id)
             if self.data_root is not None else None
         )
-        return WorkerSpec(
-            worker_id=worker_id,
-            uds_path=str(self.runtime_dir / f"{worker_id}.sock"),
-            data_dir=data_dir,
-            sync=self.sync,
-            checkpoint_interval=self.checkpoint_interval,
-            max_sessions=self.max_sessions,
-            queue_size=self.queue_size,
-            max_connections=self.max_connections,
-            idle_ttl=self.idle_ttl,
-            drain_timeout=self.drain_timeout,
-        )
+        return str(self.runtime_dir / f"{worker_id}.sock"), data_dir
+
+    def command(self, worker_id: str) -> List[str]:
+        """The command line that (re)launches worker ``worker_id``."""
+        # Imported here, not at module level: ``python -m
+        # repro.cluster.worker`` imports this package first, and must
+        # not find the worker module already imported.
+        from repro.cluster import worker
+
+        uds_path, data_dir = self._paths(worker_id)
+        return worker.command(worker_id, os.getpid(), dict(
+            self.service, uds_path=uds_path, data_dir=data_dir,
+        ))
 
     def allocate_worker_id(self) -> str:
         """The next never-used worker id (``w0``, ``w1``, …)."""
@@ -222,7 +173,7 @@ class ClusterSupervisor:
         log = open(handle.log_path, "ab")
         try:
             handle.process = subprocess.Popen(
-                handle.spec.argv(parent_pid=os.getpid()),
+                self.command(handle.worker_id),
                 stdout=log,
                 stderr=subprocess.STDOUT,
                 env=env,
@@ -235,7 +186,7 @@ class ClusterSupervisor:
                    pid=handle.pid, restarts=handle.restarts)
 
     async def _wait_ready(self, handle: WorkerHandle) -> None:
-        deadline = time.monotonic() + self.ready_timeout
+        deadline = time.monotonic() + READY_TIMEOUT
         ping = protocol.encode(
             protocol.request_payload(protocol.PingRequest(id=1))
         )
@@ -274,7 +225,7 @@ class ClusterSupervisor:
             await asyncio.sleep(0.05)
         raise ClusterError(
             f"worker {handle.worker_id} did not become ready within "
-            f"{self.ready_timeout:.0f}s (log: {handle.log_path})"
+            f"{READY_TIMEOUT:.0f}s (log: {handle.log_path})"
         )
 
     async def start_worker(self, worker_id: Optional[str] = None) -> WorkerHandle:
@@ -282,9 +233,11 @@ class ClusterSupervisor:
         worker_id = worker_id or self.allocate_worker_id()
         if worker_id in self.workers:
             raise ClusterError(f"worker {worker_id!r} already exists")
-        spec = self._make_spec(worker_id)
+        uds_path, data_dir = self._paths(worker_id)
         handle = WorkerHandle(
-            spec=spec,
+            worker_id=worker_id,
+            uds_path=uds_path,
+            data_dir=data_dir,
             log_path=str(self.runtime_dir / f"{worker_id}.log"),
         )
         self.workers[worker_id] = handle
@@ -301,15 +254,13 @@ class ClusterSupervisor:
                 f"worker {worker_id} was deliberately stopped; "
                 f"it is not restartable"
             )
-        if handle.restarts >= self.max_restarts:
+        if handle.restarts >= MAX_RESTARTS:
             raise ClusterError(
                 f"worker {worker_id} exhausted its restart budget "
-                f"({self.max_restarts})"
+                f"({MAX_RESTARTS})"
             )
         handle.restarts += 1
-        await asyncio.sleep(
-            min(self.restart_backoff * handle.restarts, 2.0)
-        )
+        await asyncio.sleep(min(RESTART_BACKOFF * handle.restarts, 2.0))
         self._launch(handle)
         await self._wait_ready(handle)
         self._emit("cluster_worker_restarted", worker=worker_id,
@@ -318,12 +269,11 @@ class ClusterSupervisor:
 
     # -- stop ------------------------------------------------------------------
 
-    async def stop_worker(
-        self, worker_id: str, timeout: float = 30.0
-    ) -> None:
+    async def stop_worker(self, worker_id: str) -> None:
         """SIGTERM the worker (graceful drain + final checkpoint) and
-        wait for exit; escalate to SIGKILL only past ``timeout``. The
-        worker moves to ``stopped`` and is never restarted."""
+        wait for exit; escalate to SIGKILL only past
+        :data:`~repro.service.server.DRAIN_TIMEOUT`. The worker moves to
+        ``stopped`` and is never restarted."""
         handle = self._get(worker_id)
         handle.state = STOPPED
         process = handle.process
@@ -333,7 +283,7 @@ class ClusterSupervisor:
             process.send_signal(signal.SIGTERM)
         except OSError:
             return
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while time.monotonic() < deadline:
             if process.poll() is not None:
                 return
@@ -341,10 +291,9 @@ class ClusterSupervisor:
         process.kill()
         process.wait()
 
-    async def stop_all(self, timeout: float = 30.0) -> None:
+    async def stop_all(self) -> None:
         await asyncio.gather(*(
-            self.stop_worker(worker_id, timeout)
-            for worker_id in list(self.workers)
+            self.stop_worker(worker_id) for worker_id in list(self.workers)
         ))
 
     # -- health ----------------------------------------------------------------

@@ -7,9 +7,16 @@ in the cluster's private runtime directory and ``max_connections`` is
 sized for the dispatcher's per-client channels, not the public
 internet.
 
+This module owns the worker's command line: :func:`command` builds it
+and :func:`build_arg_parser` parses it. Its three arguments are the
+worker id, the parent pid, and ``--service``, one JSON object of
+:class:`~repro.service.server.PhaseService` keyword arguments (the
+socket path and data dir among them) that :func:`main` passes to the
+constructor unchanged.
+
 The process contract with :class:`~repro.cluster.supervisor.ClusterSupervisor`:
 
-- construction recovers any persisted sessions from ``--data-dir``
+- construction recovers any persisted sessions from the data dir
   *before* binding, so the READY line implies recovery is complete;
 - ``CLUSTER-WORKER READY <path>`` is printed to stdout (and flushed)
   once the socket is accepting;
@@ -23,9 +30,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.service.server import PhaseService
 
@@ -36,6 +44,31 @@ READY_BANNER = "CLUSTER-WORKER READY"
 _PARENT_POLL_SECONDS = 1.0
 
 
+def command(
+    worker_id: str, parent_pid: int, service: Dict[str, object]
+) -> List[str]:
+    """The command line that launches one worker: ``service`` holds its
+    :class:`PhaseService` keyword arguments, ``uds_path`` included."""
+    return [
+        sys.executable, "-m", "repro.cluster.worker",
+        "--worker-id", worker_id,
+        "--parent-pid", str(parent_pid),
+        "--service", json.dumps(service, sort_keys=True),
+    ]
+
+
+def _service_options(text: str) -> dict:
+    try:
+        options = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise argparse.ArgumentTypeError(f"not JSON: {error}") from None
+    if not isinstance(options, dict) or "uds_path" not in options:
+        raise argparse.ArgumentTypeError(
+            "must be a JSON object with a 'uds_path'"
+        )
+    return options
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.worker",
@@ -44,44 +77,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "domain socket, supervised by a cluster dispatcher."
         ),
     )
-    parser.add_argument("--uds", required=True, metavar="PATH",
-                        help="Unix socket path to listen on")
-    parser.add_argument("--worker-id", default="w0",
+    parser.add_argument("--worker-id", required=True,
                         help="stable worker id for logs and telemetry")
-    parser.add_argument("--data-dir", default=None, metavar="DIR",
-                        help="per-worker durable session directory")
-    parser.add_argument("--sync", default="batch",
-                        choices=("none", "batch", "always"),
-                        help="journal sync mode (with --data-dir)")
-    parser.add_argument("--checkpoint-interval", type=float, default=30.0,
-                        help="seconds between checkpoint sweeps")
-    parser.add_argument("--max-sessions", type=int, default=1024,
-                        help="session table capacity")
-    parser.add_argument("--queue-size", type=int, default=32,
-                        help="per-connection ingest queue depth")
-    parser.add_argument("--max-connections", type=int, default=1024,
-                        help="connection cap (dispatcher channels)")
-    parser.add_argument("--idle-ttl", type=float, default=None,
-                        help="seconds of idleness before eviction")
     parser.add_argument("--parent-pid", type=int, default=None,
                         help="exit when this pid is gone (orphan guard)")
-    parser.add_argument("--drain-timeout", type=float, default=30.0,
-                        help="per-connection drain bound at shutdown")
+    parser.add_argument("--service", type=_service_options, required=True,
+                        metavar="JSON",
+                        help="PhaseService keyword arguments as a JSON "
+                        "object, including uds_path (and data_dir)")
     return parser
-
-
-def build_service(args: argparse.Namespace) -> PhaseService:
-    return PhaseService(
-        uds_path=args.uds,
-        max_sessions=args.max_sessions,
-        idle_ttl=args.idle_ttl,
-        max_connections=args.max_connections,
-        queue_size=args.queue_size,
-        drain_timeout=args.drain_timeout,
-        data_dir=args.data_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        sync=args.sync,
-    )
 
 
 async def _watch_parent(parent_pid: int, service: PhaseService) -> None:
@@ -92,19 +96,19 @@ async def _watch_parent(parent_pid: int, service: PhaseService) -> None:
             # Reparented to init: the dispatcher/supervisor died
             # without stopping us. Drain so persisted sessions get a
             # final checkpoint, then exit.
-            await service.shutdown(drain=True)
+            await service.shutdown()
             return
 
 
 async def run_worker(args: argparse.Namespace) -> int:
-    service = build_service(args)
+    service = PhaseService(**args.service)
     await service.start()
-    print(f"{READY_BANNER} {args.uds}", flush=True)
+    print(f"{READY_BANNER} {service.uds_path}", flush=True)
     if service.sessions_recovered:
         print(
             f"worker {args.worker_id}: recovered "
             f"{service.sessions_recovered} session(s) from "
-            f"{args.data_dir}",
+            f"{args.service.get('data_dir')}",
             flush=True,
         )
 

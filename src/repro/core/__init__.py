@@ -36,12 +36,7 @@ from repro.core.config import ClassifierConfig, TRANSITION_PHASE_ID
 from repro.core.online import PhaseTracker, TrackerReport
 from repro.core.distance import manhattan_distance, relative_distance
 from repro.core.events import ClassificationResult, ClassificationRun
-from repro.core.pool import (
-    ClassifierPool,
-    PooledTracker,
-    TrackerPool,
-    classify_traces_batched,
-)
+from repro.core.pool import ClassifierPool, PooledTracker, TrackerPool
 from repro.core.signature import Signature
 from repro.core.signature_table import SignatureTable, TableEntry
 
@@ -63,7 +58,6 @@ __all__ = [
     "TableEntry",
     "TrackerPool",
     "TrackerReport",
-    "classify_traces_batched",
     "manhattan_distance",
     "relative_distance",
 ]

@@ -25,8 +25,6 @@ in shared numpy arrays instead:
   :class:`~repro.core.online.PhaseTracker`, so library code written
   against one tracker (observe, predict, snapshot) can drive a pool
   slot unchanged.
-- :func:`classify_traces_batched` — the experiment engine's opt-in
-  fast path: classify many whole traces in lockstep interval rounds.
 
 Equivalence contract
 --------------------
@@ -62,14 +60,13 @@ from repro.core.config import (
     ClassifierConfig,
 )
 from repro.core.distance import Normalizer, max_normalizer, sum_normalizer
-from repro.core.events import ClassificationResult, ClassificationRun
 from repro.core.online import PhaseChangeListener, TrackerReport
 from repro.errors import ConfigurationError, PoolError, PredictionError
 from repro.prediction import change_predictor_from_spec
 from repro.prediction.composite import CompositePhasePredictor
 from repro.prediction.length import PhaseLengthPredictor
 from repro.prediction.rle import RLEChangePredictor
-from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS, IntervalTrace
+from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 #: Sentinel larger than any real tick / record index / target.
 _BIG = np.iinfo(np.int64).max
@@ -1315,61 +1312,3 @@ class PooledTracker:
     def telemetry(self):
         """Pooled trackers do not carry per-slot telemetry."""
         return None
-
-
-def classify_traces_batched(
-    traces: Sequence[IntervalTrace],
-    config: Optional[ClassifierConfig] = None,
-) -> List[ClassificationRun]:
-    """Classify many traces in lockstep interval rounds on one pool.
-
-    Value-identical to running
-    :meth:`~repro.core.classifier.PhaseClassifier.classify_trace`
-    per trace (each slot is an independent classifier), but each round
-    ingests and classifies every still-running trace's next interval in
-    one vectorized pass — the experiment engine's opt-in fast path.
-    """
-    if not traces:
-        return []
-    pool = ClassifierPool(len(traces), config)
-    results: List[List[ClassificationResult]] = [[] for _ in traces]
-    lengths = [len(trace) for trace in traces]
-    for interval_index in range(max(lengths)):
-        ready = [
-            position for position, length in enumerate(lengths)
-            if interval_index < length
-        ]
-        intervals = [traces[position][interval_index] for position in ready]
-        slot_repeats = np.repeat(
-            np.asarray(ready, dtype=np.int64),
-            [interval.branch_pcs.size for interval in intervals],
-        )
-        pool.ingest(
-            slot_repeats,
-            np.concatenate([i.branch_pcs for i in intervals]),
-            np.concatenate([i.instr_counts for i in intervals]),
-        )
-        verdict = pool.classify(
-            np.asarray(ready, dtype=np.int64),
-            np.asarray([i.cpi for i in intervals], dtype=np.float64),
-        )
-        for row, position in enumerate(ready):
-            results[position].append(ClassificationResult(
-                phase_id=int(verdict["phase_id"][row]),
-                matched=bool(verdict["matched"][row]),
-                distance=float(verdict["distance"][row]),
-                threshold_tightened=bool(
-                    verdict["threshold_tightened"][row]
-                ),
-                new_phase_allocated=bool(
-                    verdict["new_phase_allocated"][row]
-                ),
-            ))
-    return [
-        ClassificationRun(
-            results=results[position],
-            num_phases=int(pool.phases_allocated[position]),
-            evictions=int(pool.evictions[position]),
-        )
-        for position in range(len(traces))
-    ]

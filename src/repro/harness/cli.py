@@ -278,9 +278,8 @@ def _finalize_telemetry(args, telemetry) -> None:
         print(f"[events written to {args.events}]")
 
 
-def _serve_main(argv: List[str]) -> int:
-    """The ``repro-phases serve`` subcommand: run the NDJSON phase
-    service until SIGINT/SIGTERM, then drain gracefully."""
+def build_serve_parser() -> argparse.ArgumentParser:
+    """The ``repro-phases serve`` command line."""
     parser = argparse.ArgumentParser(
         prog="repro-phases serve",
         description=(
@@ -374,6 +373,13 @@ def _serve_main(argv: List[str]) -> int:
         help="fixed shard count sessions hash into (default 64; "
         "needs --workers)",
     )
+    return parser
+
+
+def _serve_main(argv: List[str]) -> int:
+    """The ``repro-phases serve`` subcommand: run the NDJSON phase
+    service until SIGINT/SIGTERM, then drain gracefully."""
+    parser = build_serve_parser()
     args = parser.parse_args(argv)
     if args.workers is not None and args.no_evict:
         # Cluster workers always evict the LRU session; without a data

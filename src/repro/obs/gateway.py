@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
@@ -294,22 +295,13 @@ class HttpGateway:
         self, request: HttpRequest
     ) -> HttpResponse:
         body = _require_object(request.json())
-        session = body.get("session")
-        if session is not None and not isinstance(session, str):
-            raise HttpError(400, "'session' must be a string")
-        config = body.get("config")
-        if config is not None and not isinstance(config, dict):
-            raise HttpError(400, "'config' must be an object")
-        interval = body.get("interval_instructions")
-        if interval is not None and not isinstance(interval, int):
-            raise HttpError(400, "'interval_instructions' must be an int")
-        snapshot = body.get("snapshot")
-        if snapshot is not None and not isinstance(snapshot, dict):
-            raise HttpError(400, "'snapshot' must be an object")
-        result, _ = self._execute(protocol.OpenRequest(
-            id=0, session=session, config=config,
-            interval_instructions=interval, snapshot=snapshot,
-        ))
+        # The NDJSON surface's own validator, so both refuse the same
+        # bodies.
+        try:
+            open_request = protocol.open_request(0, body)
+        except ProtocolError as error:
+            raise HttpError(400, str(error)) from None
+        result, _ = self._execute(open_request)
         return HttpResponse.json(result, status=201)
 
     async def _route_get_session(
@@ -359,8 +351,13 @@ class HttpGateway:
     async def _route_drain(self, request: HttpRequest) -> HttpResponse:
         body = _require_object(request.json())
         grace = body.get("grace", 0.5)
-        if not isinstance(grace, (int, float)) or isinstance(grace, bool):
-            raise HttpError(400, "'grace' must be a number")
+        # json.loads also yields NaN and Infinity. An infinite grace
+        # would refuse all new work and never stop the service.
+        if (
+            not isinstance(grace, (int, float)) or isinstance(grace, bool)
+            or not 0 <= grace <= sys.float_info.max
+        ):
+            raise HttpError(400, "'grace' must be a finite number >= 0")
         self.service.begin_drain(grace=float(grace))
         return HttpResponse.json({"draining": True, "grace": float(grace)})
 

@@ -22,6 +22,8 @@ An observe's ``pcs`` and ``counts`` are equal-length lists of JSON
 integers in ``[0, 2**63)`` and its ``cpi`` a finite positive number;
 :func:`observe_request` decodes them once into int64 arrays, for both
 this protocol and the HTTP gateway's observe-batch body.
+:func:`open_request` is likewise the one check of an ``open``'s fields,
+for this protocol and the gateway's ``POST /v1/sessions``.
 
 Responses::
 
@@ -437,6 +439,50 @@ def observe_request(
     )
 
 
+def open_request(request_id: int, payload: dict) -> OpenRequest:
+    """Validate an open's ``session``/``config``/
+    ``interval_instructions``/``snapshot`` fields, taken from a decoded
+    JSON object, into an :class:`OpenRequest`.
+
+    The one open validator behind both wire surfaces: NDJSON lines
+    (:func:`parse_request`) and the HTTP gateway's open body. Raises
+    :class:`~repro.errors.ProtocolError` on any refusal.
+    """
+    session = payload.get("session")
+    if session is not None and (not isinstance(session, str) or not session):
+        raise ProtocolError(
+            "open 'session' must be a non-empty string when given"
+        )
+    config = payload.get("config")
+    if config is not None and not isinstance(config, dict):
+        raise ProtocolError("open 'config' must be an object")
+    interval = payload.get("interval_instructions")
+    if interval is not None and (
+        not isinstance(interval, int) or isinstance(interval, bool)
+        or interval <= 0
+    ):
+        raise ProtocolError(
+            "open 'interval_instructions' must be a positive integer"
+        )
+    snapshot = payload.get("snapshot")
+    if snapshot is not None:
+        if not isinstance(snapshot, dict):
+            raise ProtocolError("open 'snapshot' must be an object")
+        if config is not None or interval is not None:
+            raise ProtocolError(
+                "open with 'snapshot' must not also carry 'config' "
+                "or 'interval_instructions' (they travel inside the "
+                "snapshot)"
+            )
+    return OpenRequest(
+        id=request_id,
+        session=session,
+        config=config,
+        interval_instructions=interval,
+        snapshot=snapshot,
+    )
+
+
 def parse_request(line: Union[str, bytes]) -> Request:
     """Decode and validate one request line.
 
@@ -457,41 +503,7 @@ def parse_request(line: Union[str, bytes]) -> Request:
     if op == "stats":
         return StatsRequest(id=request_id)
     if op == "open":
-        session = payload.get("session")
-        if session is not None and (
-            not isinstance(session, str) or not session
-        ):
-            raise ProtocolError(
-                "open 'session' must be a non-empty string when given"
-            )
-        config = payload.get("config")
-        if config is not None and not isinstance(config, dict):
-            raise ProtocolError("open 'config' must be an object")
-        interval = payload.get("interval_instructions")
-        if interval is not None and (
-            not isinstance(interval, int) or isinstance(interval, bool)
-            or interval <= 0
-        ):
-            raise ProtocolError(
-                "open 'interval_instructions' must be a positive integer"
-            )
-        snapshot = payload.get("snapshot")
-        if snapshot is not None:
-            if not isinstance(snapshot, dict):
-                raise ProtocolError("open 'snapshot' must be an object")
-            if config is not None or interval is not None:
-                raise ProtocolError(
-                    "open with 'snapshot' must not also carry 'config' "
-                    "or 'interval_instructions' (they travel inside the "
-                    "snapshot)"
-                )
-        return OpenRequest(
-            id=request_id,
-            session=session,
-            config=config,
-            interval_instructions=interval,
-            snapshot=snapshot,
-        )
+        return open_request(request_id, payload)
     if op == "observe":
         return observe_request(
             request_id, _require_session(payload), payload

@@ -18,11 +18,12 @@ Admission control: the session cap refuses/evicts at ``open`` (see the
 registry), a connection cap closes surplus sockets at accept, and during
 shutdown new requests are refused with ``shutting_down``.
 
-Graceful drain: :meth:`NdjsonServer.shutdown` (``drain=True``) stops
-accepting connections and new request lines, but every request already
-queued is still executed and its responses/pushes flushed before sockets
-close — no interval is lost or double-classified across a drain, which
-the test suite proves by snapshotting at shutdown and replaying.
+Graceful drain: :meth:`NdjsonServer.shutdown` stops accepting
+connections and new request lines, but every request already queued is
+still executed and its responses/pushes flushed before sockets close —
+no interval is lost or double-classified across a drain, which the test
+suite proves by snapshotting at shutdown and replaying. Every shutdown
+drains; :data:`DRAIN_TIMEOUT` bounds each of its waits.
 
 The connection lifecycle (admission, the read loop, the drain order,
 signals, thread hosting) lives in :class:`NdjsonServer`, which the
@@ -68,6 +69,15 @@ SERVER_REQUESTS = (
     protocol.StatsRequest,
     protocol.ClusterRequest,
 )
+
+#: Seconds a drain waits, per connection, for queued work to finish, so
+#: a stalled client cannot wedge a shutdown. Both front ends use it, and
+#: a cluster supervisor SIGKILLs a worker that has not exited after it.
+DRAIN_TIMEOUT = 30.0
+
+#: The longest the idle sweep sleeps between passes, in seconds. A TTL
+#: under 20 s is swept every quarter of the TTL instead.
+SWEEP_INTERVAL = 5.0
 
 
 class _Connection:
@@ -116,7 +126,6 @@ class NdjsonServer:
         *,
         max_connections: int,
         queue_size: int,
-        drain_timeout: float,
         telemetry: "Optional[Telemetry]",
         uds_path: Optional[str] = None,
         http_host: Optional[str] = None,
@@ -147,7 +156,6 @@ class NdjsonServer:
         self.http_port = http_port
         self.max_connections = max_connections
         self.queue_size = queue_size
-        self.drain_timeout = drain_timeout
         self.requests_served = 0
         self.errors_returned = 0
         self.connections_refused = 0
@@ -194,7 +202,7 @@ class NdjsonServer:
         """Execute queued items until the ``None`` sentinel."""
         raise NotImplementedError
 
-    async def _stop_backend(self, drain: bool) -> None:
+    async def _stop_backend(self) -> None:
         """Tear down what serves requests, once every client connection
         is closed."""
         raise NotImplementedError
@@ -277,10 +285,7 @@ class NdjsonServer:
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
                 loop.add_signal_handler(
-                    signum,
-                    lambda: asyncio.ensure_future(
-                        self.shutdown(drain=True)
-                    ),
+                    signum, lambda: asyncio.ensure_future(self.shutdown())
                 )
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
@@ -299,7 +304,7 @@ class NdjsonServer:
 
         async def _later() -> None:
             await asyncio.sleep(grace)
-            await self.shutdown(drain=True)
+            await self.shutdown()
 
         self._drain_task = asyncio.ensure_future(_later())
 
@@ -311,14 +316,13 @@ class NdjsonServer:
         assert self._stopped is not None
         await self._stopped.wait()
 
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop the server.
+    async def shutdown(self) -> None:
+        """Drain and stop the server.
 
-        With ``drain=True`` (the default): stop accepting connections,
-        stop reading new request lines, execute everything already
-        queued, flush all responses and interval pushes, then close the
-        sockets. With ``drain=False``: cancel everything immediately.
-        Either way the backend stops next and the HTTP gateway last.
+        Stop accepting connections, stop reading new request lines,
+        execute everything already queued, flush all responses and
+        interval pushes, then close the sockets. The backend stops next
+        and the HTTP gateway last.
         """
         if self._server is None:
             return
@@ -341,36 +345,34 @@ class NdjsonServer:
             task.cancel()
 
         connections = list(self._connections.values())
-        if drain:
-            # Stop the readers (no new requests), then let each worker
-            # finish its queue. The sentinel wakes idle workers; both
-            # waits are bounded so a stalled client cannot wedge the
-            # shutdown.
-            for connection in connections:
-                for task in connection.tasks[:1]:  # the reader
-                    task.cancel()
-            for connection in connections:
+        # Stop the readers (no new requests), then let each worker
+        # finish its queue. The sentinel wakes idle workers; both waits
+        # are bounded so a stalled client cannot wedge the shutdown.
+        for connection in connections:
+            for task in connection.tasks[:1]:  # the reader
+                task.cancel()
+        for connection in connections:
+            try:
+                await asyncio.wait_for(
+                    connection.queue.put(None), DRAIN_TIMEOUT
+                )
+            except asyncio.TimeoutError:
+                pass
+        for connection in connections:
+            for task in connection.tasks[1:]:  # the worker
                 try:
                     await asyncio.wait_for(
-                        connection.queue.put(None), self.drain_timeout
+                        asyncio.shield(task), DRAIN_TIMEOUT
                     )
-                except asyncio.TimeoutError:
+                except (asyncio.CancelledError, Exception):
                     pass
-            for connection in connections:
-                for task in connection.tasks[1:]:  # the worker
-                    try:
-                        await asyncio.wait_for(
-                            asyncio.shield(task), self.drain_timeout
-                        )
-                    except (asyncio.CancelledError, Exception):
-                        pass
         for connection in connections:
             for task in connection.tasks:
                 task.cancel()
             await self._close_connection(connection)
         self._connections.clear()
 
-        await self._stop_backend(drain)
+        await self._stop_backend()
         if self._gateway is not None:
             # The gateway goes down last so /healthz and /readyz stay
             # observable for the whole drain — a load balancer sees the
@@ -476,20 +478,15 @@ class PhaseService(NdjsonServer):
         Bind address; ``port=0`` picks a free port, exposed as
         :attr:`port` after :meth:`start`.
     max_sessions, idle_ttl, evict_lru:
-        Session registry policy (see :class:`SessionRegistry`).
+        Session registry policy (see :class:`SessionRegistry`). With an
+        ``idle_ttl``, idle sessions are swept every quarter of it, and
+        at least every :data:`SWEEP_INTERVAL` seconds.
     max_connections:
         Concurrent-connection cap; surplus accepts are closed
         immediately.
     queue_size:
         Per-connection ingest queue bound — the backpressure depth, in
         requests.
-    sweep_interval:
-        Seconds between idle-session sweeps (only meaningful with an
-        ``idle_ttl``).
-    drain_timeout:
-        Upper bound, per connection, on waiting for queued work to
-        finish during a graceful shutdown — a stalled client cannot
-        wedge the drain.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` hub; the service
         records request/error counters, ingest- and request-latency
@@ -532,8 +529,6 @@ class PhaseService(NdjsonServer):
         evict_lru: bool = True,
         max_connections: int = 64,
         queue_size: int = 32,
-        sweep_interval: float = 5.0,
-        drain_timeout: float = 30.0,
         telemetry: "Optional[Telemetry]" = None,
         data_dir: Optional[str] = None,
         checkpoint_interval: float = 30.0,
@@ -546,7 +541,6 @@ class PhaseService(NdjsonServer):
             host, port,
             max_connections=max_connections,
             queue_size=queue_size,
-            drain_timeout=drain_timeout,
             telemetry=telemetry,
             uds_path=uds_path,
             http_host=http_host,
@@ -558,7 +552,6 @@ class PhaseService(NdjsonServer):
                 f"got {checkpoint_interval}"
             )
         telemetry = self._telemetry
-        self.sweep_interval = sweep_interval
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
             idle_ttl=idle_ttl,
@@ -663,7 +656,7 @@ class PhaseService(NdjsonServer):
         backing this service, or ``None`` when RAM-only."""
         return self._persistence
 
-    async def _stop_backend(self, drain: bool) -> None:
+    async def _stop_backend(self) -> None:
         if self._persistence is not None:
             # Final checkpoint so a graceful stop leaves the data dir
             # ready to recover every session — the registry teardown
@@ -673,13 +666,14 @@ class PhaseService(NdjsonServer):
             self._persistence.close()
         closed = self.registry.close_all()
         self._emit(
-            "service_stop", drained=drain, sessions_closed=closed,
+            "service_stop", sessions_closed=closed,
             requests=self.requests_served,
         )
 
     async def _sweep_idle(self) -> None:
+        interval = min(SWEEP_INTERVAL, self.registry.idle_ttl / 4)
         while True:
-            await asyncio.sleep(self.sweep_interval)
+            await asyncio.sleep(interval)
             self.registry.expire_idle()
 
     async def _checkpoint_loop(self) -> None:
@@ -1012,19 +1006,24 @@ def _best_effort_id(line: bytes) -> Optional[int]:
 
 # -- thread hosting -----------------------------------------------------------
 
+#: Seconds :meth:`ServiceHandle.start` waits for the server to bind.
+_START_TIMEOUT = 120.0
+#: Seconds :meth:`ServiceHandle.stop` waits for the drain, and then for
+#: the thread.
+_STOP_TIMEOUT = 60.0
+
 
 class ServiceHandle:
     """A running server — a :class:`PhaseService` or a cluster
     dispatcher — on a background thread (tests, demos, benchmarks).
     Use as a context manager or call :meth:`stop`.
 
-    The timeouts only bound waits, so their defaults are sized for a
+    Its waits only bound how long it blocks, so they are sized for a
     cluster, whose workers take seconds to start and to drain.
     """
 
-    def __init__(self, service: NdjsonServer, drain: bool = True) -> None:
+    def __init__(self, service: NdjsonServer) -> None:
         self.service = service
-        self.drain = drain
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
@@ -1038,12 +1037,12 @@ class ServiceHandle:
     def host(self) -> str:
         return self.service.host
 
-    def start(self, timeout: float = 120.0) -> "ServiceHandle":
+    def start(self) -> "ServiceHandle":
         self._thread = threading.Thread(
             target=self._run, name="repro-phase-service", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout):
+        if not self._started.wait(_START_TIMEOUT):
             raise ServiceUnavailableError(
                 "service failed to start within the timeout"
             )
@@ -1070,21 +1069,19 @@ class ServiceHandle:
         finally:
             loop.close()
 
-    def stop(self, drain: Optional[bool] = None, timeout: float = 60.0) -> None:
-        """Shut the service down (draining by default) and join the
-        thread. Idempotent."""
+    def stop(self) -> None:
+        """Drain the service and join the thread. Idempotent."""
         loop, thread = self._loop, self._thread
         if loop is None or thread is None or not thread.is_alive():
             return
-        should_drain = self.drain if drain is None else drain
         future = asyncio.run_coroutine_threadsafe(
-            self.service.shutdown(drain=should_drain), loop
+            self.service.shutdown(), loop
         )
         try:
-            future.result(timeout)
+            future.result(_STOP_TIMEOUT)
         except Exception:
             pass
-        thread.join(timeout)
+        thread.join(_STOP_TIMEOUT)
 
     def __enter__(self) -> "ServiceHandle":
         return self

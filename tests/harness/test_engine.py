@@ -195,39 +195,6 @@ class TestParallelEnsure:
         assert report.computed == report.units - 1
 
 
-class TestPooledEnsure:
-    def test_pooled_results_equal_sequential(self):
-        sequential = ExperimentEngine(jobs=1)
-        sequential.ensure(_units())
-        expected = {
-            name: cached_classified(name, CONFIG, SCALE) for name in NAMES
-        }
-
-        clear_cache()
-        pooled = ExperimentEngine(pooled=True)
-        report = pooled.ensure(_units())
-        assert report.computed == report.units
-        for name in NAMES:
-            assert cached_classified(name, CONFIG, SCALE) == expected[name]
-
-    def test_pooled_repeat_is_all_memory(self):
-        engine = ExperimentEngine(pooled=True)
-        engine.ensure(_units())
-        report = engine.ensure(_units())
-        assert report.from_memory == report.units
-        assert report.computed == 0
-
-    def test_pooled_falls_back_for_infinite_table(self):
-        config = ClassifierConfig(table_entries=None)
-        engine = ExperimentEngine(pooled=True)
-        engine.ensure(_units(names=NAMES[:1], config=config))
-        pooled_run = peek_classified(NAMES[0], config, SCALE)
-        reference = PhaseClassifier(config).classify_trace(
-            cached_trace(NAMES[0], SCALE)
-        )
-        assert pooled_run.results == reference.results
-
-
 class TestStoreIntegration:
     def test_engine_store_survives_cache_clear(self, tmp_path):
         store = ResultStore(root=tmp_path / "store")

@@ -15,7 +15,9 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core import PhaseTracker
 from repro.service import PhaseServiceClient, start_in_thread
+from repro.service.snapshot import snapshot_tracker
 from repro.telemetry import parse_prometheus_text
 
 BASE_A, BASE_B = 0x400000, 0x900000
@@ -263,6 +265,47 @@ class TestOneObserveValidator:
         assert [s["branches"] for s in answer["sessions"]] == [0]
 
 
+#: Open bodies both wire surfaces must refuse, with code ``protocol``
+#: over NDJSON and status 400 over HTTP.
+BAD_OPENS = {
+    "zero-interval": {"session": "z", "interval_instructions": 0},
+    "negative-interval": {"session": "z", "interval_instructions": -5},
+    "bool-interval": {"session": "z", "interval_instructions": True},
+    "empty-name": {"session": ""},
+    # A valid snapshot carries its own config and interval.
+    "snapshot-with-config": {
+        "session": "z", "config": {}, "interval_instructions": 3_000,
+        "snapshot": snapshot_tracker(PhaseTracker()),
+    },
+}
+
+
+class TestOneOpenValidator:
+    """``POST /v1/sessions`` bodies go through the NDJSON open
+    validator, so the two surfaces refuse exactly the same opens."""
+
+    @pytest.mark.parametrize(
+        "body", BAD_OPENS.values(), ids=BAD_OPENS.keys()
+    )
+    def test_both_surfaces_refuse(self, service, base, body):
+        status, answer = call(base, "POST", "/v1/sessions", body)
+        assert status == 400, answer
+        assert answer["error"]["message"]
+
+        payload = dict(body, op="open", id=9)
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10
+        ) as sock:
+            sock.sendall(json.dumps(payload).encode() + b"\n")
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["id"] == 9 and reply["ok"] is False
+        assert reply["error"]["code"] == "protocol", reply
+
+        # Neither refusal opened a session.
+        status, answer = call(base, "GET", "/v1/sessions")
+        assert answer["sessions"] == []
+
+
 class TestMetrics:
     def test_metrics_round_trip_with_request_counters(self, base):
         call(base, "GET", "/healthz")
@@ -451,3 +494,14 @@ class TestDrain:
             assert body["error"]["code"] == "shutting_down"
         finally:
             handle.stop()
+
+    @pytest.mark.parametrize("grace", [
+        float("inf"), float("nan"), float("-inf"), -1, -0.5, 10 ** 400,
+        True, "1",
+    ], ids=["inf", "nan", "-inf", "-1", "-0.5", "10**400", "true", "str"])
+    def test_unusable_grace_is_refused_before_draining(self, base, grace):
+        status, body = call(base, "POST", "/v1/drain", {"grace": grace})
+        assert status == 400, body
+        assert "grace" in body["error"]["message"]
+        status, body = call(base, "GET", "/readyz")
+        assert status == 200 and body == {"ready": True}

@@ -250,5 +250,8 @@ def test_removed_ingest_options_are_refused(option, capsys):
     assert serve_exit.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     with pytest.raises(SystemExit) as worker_exit:
-        build_arg_parser().parse_args(["--uds", "w0.sock", *option])
+        build_arg_parser().parse_args([
+            "--worker-id", "w0", "--service", '{"uds_path": "w0.sock"}',
+            *option,
+        ])
     assert worker_exit.value.code == 2

@@ -286,7 +286,7 @@ class TestClusterGracefulDrain(OneWorkerCluster, TestGracefulDrain):
 
 class TestIdleSweep:
     def test_idle_sessions_are_swept_in_the_background(self):
-        handle = start_in_thread(idle_ttl=0.2, sweep_interval=0.05)
+        handle = start_in_thread(idle_ttl=0.2)
         try:
             with PhaseServiceClient(port=handle.port) as client:
                 client.open_session(session="sleepy")
