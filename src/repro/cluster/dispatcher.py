@@ -61,6 +61,7 @@ from repro.service.server import (
     ServiceHandle,
     _best_effort_id,
     _Connection,
+    prediction_scoreboard,
 )
 from repro.cluster.migration import SessionMigrator
 from repro.cluster.routing import DEFAULT_SHARDS, ShardMap
@@ -310,76 +311,21 @@ class ClusterDispatcher(NdjsonServer):
         self._names = itertools.count(1)
         self.migrations_completed = 0
         self.migrations_failed = 0
-        self._init_metrics()
-
-    def _init_metrics(self) -> None:
-        telemetry = self._telemetry
-        self._g_workers = self._g_migrations = None
-        self._worker_gauges: Dict[str, dict] = {}
-        if telemetry is None:
-            return
-        self._g_workers = telemetry.gauge(
-            "repro_cluster_workers", "Live workers in the shard map"
-        )
-        self._m_migrations = telemetry.counter(
-            "repro_cluster_migrations_total",
-            "Completed live session migrations",
-        )
-        self._m_migrations_failed = telemetry.counter(
-            "repro_cluster_migrations_failed_total",
-            "Session migrations that failed and rolled back",
-        )
-
-    def _worker_metrics(self, worker_id: str) -> Optional[dict]:
-        """Per-worker labeled gauge handles, created on first use."""
-        if self._telemetry is None:
-            return None
-        gauges = self._worker_gauges.get(worker_id)
-        if gauges is None:
-            labels = {"worker": worker_id}
-            telemetry = self._telemetry
-            gauges = {
-                "up": telemetry.gauge(
-                    "repro_cluster_worker_up",
-                    "1 when the worker process is up", labels=labels,
-                ),
-                "sessions": telemetry.gauge(
-                    "repro_cluster_worker_sessions",
-                    "Sessions routed to the worker", labels=labels,
-                ),
-                "shards": telemetry.gauge(
-                    "repro_cluster_worker_shards",
-                    "Shards the worker owns", labels=labels,
-                ),
-                "restarts": telemetry.gauge(
-                    "repro_cluster_worker_restarts_total",
-                    "Times the supervisor restarted the worker",
-                    labels=labels,
-                ),
-            }
-            self._worker_gauges[worker_id] = gauges
-        return gauges
-
-    def refresh_cluster_metrics(self) -> None:
-        """Recompute the ``repro_cluster_*`` gauges (called on scrape
-        and after topology changes)."""
-        if self._telemetry is None:
-            return
-        self._g_workers.set(len(self.shard_map))
-        occupancy = (
-            self.shard_map.occupancy() if len(self.shard_map) else {}
-        )
-        sessions_per_worker: Dict[str, int] = {}
-        for owner in self._sessions.values():
-            sessions_per_worker[owner] = (
-                sessions_per_worker.get(owner, 0) + 1
+        if telemetry is not None:
+            telemetry.gauge(
+                "repro_cluster_workers", "Live workers in the shard map",
+                read=lambda: len(self.shard_map),
             )
-        for worker_id, handle in self.supervisor.workers.items():
-            gauges = self._worker_metrics(worker_id)
-            gauges["up"].set(1.0 if handle.state == UP else 0.0)
-            gauges["sessions"].set(sessions_per_worker.get(worker_id, 0))
-            gauges["shards"].set(occupancy.get(worker_id, 0))
-            gauges["restarts"].set(handle.restarts)
+            telemetry.counter(
+                "repro_cluster_migrations_total",
+                "Completed live session migrations",
+                read=lambda: self.migrations_completed,
+            )
+            telemetry.counter(
+                "repro_cluster_migrations_failed_total",
+                "Session migrations that failed and rolled back",
+                read=lambda: self.migrations_failed,
+            )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -396,7 +342,6 @@ class ClusterDispatcher(NdjsonServer):
             self._admit_worker(handle)
         await super().start()
         self._tasks.append(asyncio.ensure_future(self._health_loop()))
-        self.refresh_cluster_metrics()
         self._emit(
             "cluster_start", host=self.host, port=self.port,
             workers=list(self.shard_map.workers),
@@ -410,10 +355,28 @@ class ClusterDispatcher(NdjsonServer):
         return ClusterGateway(self, host=self.http_host, port=self.http_port)
 
     def _admit_worker(self, handle: WorkerHandle) -> None:
-        self.shard_map.add_worker(handle.worker_id)
-        self._control[handle.worker_id] = _WorkerChannel(
-            handle.worker_id, handle.uds_path
-        )
+        worker_id = handle.worker_id
+        self.shard_map.add_worker(worker_id)
+        self._control[worker_id] = _WorkerChannel(worker_id, handle.uds_path)
+        if self._telemetry is None:
+            return
+        # The handle survives restarts, and a stopped worker keeps its
+        # series (up 0), as it keeps its entry in ``cluster status``.
+        for name, help, read in (
+            ("repro_cluster_worker_up", "1 when the worker process is up",
+             lambda: handle.state == UP),
+            ("repro_cluster_worker_sessions",
+             "Sessions routed to the worker",
+             lambda: list(self._sessions.values()).count(worker_id)),
+            ("repro_cluster_worker_shards", "Shards the worker owns",
+             lambda: len(self.shard_map.shards_of(worker_id))),
+            ("repro_cluster_worker_restarts_total",
+             "Times the supervisor restarted the worker",
+             lambda: handle.restarts),
+        ):
+            self._telemetry.gauge(
+                name, help, labels={"worker": worker_id}, read=read
+            )
 
     async def _stop_backend(self) -> None:
         """Stop the workers gracefully (each drains and checkpoints)."""
@@ -453,7 +416,6 @@ class ClusterDispatcher(NdjsonServer):
             )
         finally:
             self._restarting.discard(worker_id)
-            self.refresh_cluster_metrics()
 
     # -- routing ---------------------------------------------------------------
 
@@ -539,8 +501,6 @@ class ClusterDispatcher(NdjsonServer):
             if item is None:
                 break
             self.requests_served += 1
-            if self._telemetry is not None:
-                self._m_requests.inc()
             kind, request_id = item[0], item[1]
             try:
                 if kind == "bad":
@@ -556,8 +516,6 @@ class ClusterDispatcher(NdjsonServer):
                     payloads = await self._forward(connection, *item[2:])
             except Exception as error:
                 self.errors_returned += 1
-                if self._telemetry is not None:
-                    self._m_errors.inc()
                 payloads = [protocol.encode(protocol.error_response(
                     request_id if request_id is not None else -1,
                     protocol.error_code_for(error),
@@ -717,7 +675,6 @@ class ClusterDispatcher(NdjsonServer):
             handle = await self.supervisor.start_worker()
             self._admit_worker(handle)
             added.append(handle.worker_id)
-        self.refresh_cluster_metrics()
         self._emit("cluster_grown", added=added,
                    workers=list(self.shard_map.workers))
         return {
@@ -753,7 +710,7 @@ class ClusterDispatcher(NdjsonServer):
                 "in_progress": len(self._gates),
             },
             "draining": self._draining,
-            "uptime_seconds": self.touch_uptime(),
+            "uptime_seconds": self.uptime_seconds,
         }
 
     async def _gather_from_workers(
@@ -793,27 +750,10 @@ class ClusterDispatcher(NdjsonServer):
             totals[key] = sum(
                 stats.get(key, 0) or 0 for stats in per_worker.values()
             )
-        prediction = {
-            key: sum(
-                (stats.get("predictions") or {}).get(key, 0) or 0
-                for stats in per_worker.values()
-            )
-            for key in (
-                "scored", "correct", "confident_scored",
-                "confident_correct",
-            )
-        }
-        scored = prediction["scored"]
-        confident = prediction["confident_scored"]
-        prediction["accuracy"] = (
-            prediction["correct"] / scored if scored else None
-        )
-        prediction["confident_accuracy"] = (
-            prediction["confident_correct"] / confident
-            if confident else None
-        )
-        totals["predictions"] = prediction
-        totals["uptime_seconds"] = self.touch_uptime()
+        totals["predictions"] = prediction_scoreboard(*(
+            stats.get("predictions") for stats in per_worker.values()
+        ))
+        totals["uptime_seconds"] = self.uptime_seconds
         totals["cluster"] = {
             "workers": len(self.shard_map),
             "dispatcher_requests": self.requests_served,
@@ -835,10 +775,6 @@ class ClusterDispatcher(NdjsonServer):
         )
         occupancy: Dict[str, int] = {}
         registry: Dict[str, object] = {}
-        prediction = {
-            "scored": 0, "correct": 0,
-            "confident_scored": 0, "confident_correct": 0,
-        }
         queue_depth = self.ingest_queue_depth()
         requests = errors = 0
         for diag in per_worker.values():
@@ -847,23 +783,9 @@ class ClusterDispatcher(NdjsonServer):
             for key, value in (diag.get("registry") or {}).items():
                 if isinstance(value, (int, float)):
                     registry[key] = (registry.get(key, 0) or 0) + value
-            for key in prediction:
-                prediction[key] += (
-                    (diag.get("prediction") or {}).get(key, 0) or 0
-                )
             queue_depth += diag.get("ingest_queue_depth", 0) or 0
             requests += diag.get("requests", 0) or 0
             errors += diag.get("errors", 0) or 0
-        scored = prediction["scored"]
-        confident = prediction["confident_scored"]
-        prediction_out = dict(prediction)
-        prediction_out["accuracy"] = (
-            prediction["correct"] / scored if scored else None
-        )
-        prediction_out["confident_accuracy"] = (
-            prediction["confident_correct"] / confident
-            if confident else None
-        )
         status = self.cluster_status()
         status["per_worker"] = {
             worker_id: {
@@ -875,7 +797,7 @@ class ClusterDispatcher(NdjsonServer):
             for worker_id, diag in per_worker.items()
         }
         return {
-            "uptime_seconds": self.touch_uptime(),
+            "uptime_seconds": self.uptime_seconds,
             "draining": self._draining,
             "requests": requests,
             "errors": errors,
@@ -883,7 +805,9 @@ class ClusterDispatcher(NdjsonServer):
             "connections_refused": self.connections_refused,
             "ingest_queue_depth": queue_depth,
             "phase_occupancy": occupancy,
-            "prediction": prediction_out,
+            "prediction": prediction_scoreboard(*(
+                diag.get("prediction") for diag in per_worker.values()
+            )),
             "registry": registry,
             "persistence": None,
             "cluster": status,

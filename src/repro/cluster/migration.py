@@ -130,8 +130,6 @@ class SessionMigrator:
                     )
                 )
                 d.migrations_failed += 1
-                if d._telemetry is not None:
-                    d._m_migrations_failed.inc()
                 d._emit("cluster_migration_failed", session=session,
                         source=source, target=target, error=str(error))
                 raise ClusterError(
@@ -140,8 +138,6 @@ class SessionMigrator:
                 ) from None
             d._sessions[session] = target
             d.migrations_completed += 1
-            if d._telemetry is not None:
-                d._m_migrations.inc()
             d._emit("cluster_migration_completed", session=session,
                     source=source, target=target)
             return {
@@ -199,7 +195,6 @@ class SessionMigrator:
         channel = d._control.pop(worker_id, None)
         if channel is not None:
             await channel.close()
-        d.refresh_cluster_metrics()
         d._emit("cluster_worker_drained", worker=worker_id,
                 migrated=len(migrated))
         return {
@@ -226,7 +221,6 @@ class SessionMigrator:
             moved[session] = {
                 "from": summary["from"], "to": summary["to"],
             }
-        d.refresh_cluster_metrics()
         return {"migrated": moved, "count": len(moved)}
 
     # -- helpers ---------------------------------------------------------------

@@ -29,7 +29,9 @@ HTTP statuses (``session_not_found`` -> 404, ``overloaded`` -> 429,
 The gateway instruments itself on the shared telemetry hub: per-route
 request counters and latency histograms, an in-flight gauge, an SSE
 subscriber gauge, and a dropped-events counter — all visible on its
-own ``/metrics``.
+own ``/metrics``. The hub is always there: :class:`NdjsonServer
+<repro.service.server.NdjsonServer>` builds one whenever it is asked
+for a gateway.
 """
 
 from __future__ import annotations
@@ -107,23 +109,22 @@ class HttpGateway:
         ]
         telemetry = service.telemetry
         self._telemetry = telemetry
-        if telemetry is not None:
-            self._g_in_flight = telemetry.gauge(
-                "repro_http_in_flight",
-                "HTTP requests currently being handled",
-            )
-            self._g_subscribers = telemetry.gauge(
-                "repro_http_sse_subscribers",
-                "Open SSE event-stream subscriptions",
-            )
-            self._m_sse_events = telemetry.counter(
-                "repro_http_sse_events_total",
-                "Events delivered over SSE streams",
-            )
-            self._m_sse_dropped = telemetry.counter(
-                "repro_http_sse_dropped_total",
-                "Events dropped from saturated SSE subscriber queues",
-            )
+        self._g_in_flight = telemetry.gauge(
+            "repro_http_in_flight",
+            "HTTP requests currently being handled",
+        )
+        self._g_subscribers = telemetry.gauge(
+            "repro_http_sse_subscribers",
+            "Open SSE event-stream subscriptions",
+        )
+        self._m_sse_events = telemetry.counter(
+            "repro_http_sse_events_total",
+            "Events delivered over SSE streams",
+        )
+        self._m_sse_dropped = telemetry.counter(
+            "repro_http_sse_dropped_total",
+            "Events dropped from saturated SSE subscriber queues",
+        )
         self._sse_tasks = 0
 
     # -- lifecycle ------------------------------------------------------------
@@ -180,38 +181,34 @@ class HttpGateway:
         import time
 
         telemetry = self._telemetry
-        counter = histogram = None
-        if telemetry is not None:
-            counter = telemetry.counter(
-                "repro_http_requests_total",
-                "HTTP requests handled, by route and method",
-                labels={"route": label, "method": request.method},
-            )
-            histogram = telemetry.histogram(
-                "repro_http_request_seconds",
-                "Wall time to handle one HTTP request",
-                labels={"route": label},
-            )
-            self._g_in_flight.inc()
+        counter = telemetry.counter(
+            "repro_http_requests_total",
+            "HTTP requests handled, by route and method",
+            labels={"route": label, "method": request.method},
+        )
+        histogram = telemetry.histogram(
+            "repro_http_request_seconds",
+            "Wall time to handle one HTTP request",
+            labels={"route": label},
+        )
+        self._g_in_flight.inc()
         started = time.perf_counter()
         try:
             return await handler(request, *captured)
         finally:
-            if telemetry is not None:
-                counter.inc()
-                histogram.observe(time.perf_counter() - started)
-                self._g_in_flight.dec()
+            counter.inc()
+            histogram.observe(time.perf_counter() - started)
+            self._g_in_flight.dec()
 
     def _instrumented_error(
         self, label: str, method: str, status: int, message: str,
         code: Optional[str] = None,
     ) -> HttpResponse:
-        if self._telemetry is not None:
-            self._telemetry.counter(
-                "repro_http_requests_total",
-                "HTTP requests handled, by route and method",
-                labels={"route": label, "method": method},
-            ).inc()
+        self._telemetry.counter(
+            "repro_http_requests_total",
+            "HTTP requests handled, by route and method",
+            labels={"route": label, "method": method},
+        ).inc()
         return HttpResponse.error(status, message, code=code)
 
     # -- protocol bridge ------------------------------------------------------
@@ -265,12 +262,8 @@ class HttpGateway:
         return HttpResponse.json({"ready": True})
 
     async def _route_metrics(self, request: HttpRequest) -> HttpResponse:
-        telemetry = self.service.telemetry
-        if telemetry is None:
-            raise HttpError(404, "service has no telemetry hub")
-        self.service.touch_uptime()
         return HttpResponse.text(
-            telemetry.render_metrics("prometheus"),
+            self._telemetry.render_metrics("prometheus"),
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
@@ -364,20 +357,16 @@ class HttpGateway:
     # -- SSE ------------------------------------------------------------------
 
     async def _route_events(self, request: HttpRequest):
-        telemetry = self.service.telemetry
-        if telemetry is None:
-            raise HttpError(404, "service has no telemetry hub")
         types_param = request.query_first("types")
         types = (
             frozenset(t for t in types_param.split(",") if t)
             if types_param else None
         )
-        return StreamingResponse(self._event_stream(telemetry, types))
+        return StreamingResponse(self._event_stream(types))
 
-    async def _event_stream(self, telemetry, types):
-        subscription = telemetry.subscribe(maxlen=SSE_QUEUE_MAXLEN)
-        if self._telemetry is not None:
-            self._g_subscribers.inc()
+    async def _event_stream(self, types):
+        subscription = self._telemetry.subscribe(maxlen=SSE_QUEUE_MAXLEN)
+        self._g_subscribers.inc()
         dropped_seen = 0
         idle = 0.0
         try:
@@ -386,8 +375,7 @@ class HttpGateway:
                 records = subscription.drain()
                 dropped = subscription.dropped
                 if dropped > dropped_seen:
-                    if self._telemetry is not None:
-                        self._m_sse_dropped.inc(dropped - dropped_seen)
+                    self._m_sse_dropped.inc(dropped - dropped_seen)
                     dropped_seen = dropped
                 if records:
                     idle = 0.0
@@ -402,8 +390,7 @@ class HttpGateway:
                             .encode("utf-8")
                         )
                     if chunks:
-                        if self._telemetry is not None:
-                            self._m_sse_events.inc(len(chunks))
+                        self._m_sse_events.inc(len(chunks))
                         yield b"".join(chunks)
                         continue
                 await asyncio.sleep(SSE_POLL_SECONDS)
@@ -413,8 +400,7 @@ class HttpGateway:
                     yield b": heartbeat\n\n"
         finally:
             subscription.close()
-            if self._telemetry is not None:
-                self._g_subscribers.dec()
+            self._g_subscribers.dec()
 
 
 class ClusterGateway(HttpGateway):
@@ -433,10 +419,11 @@ class ClusterGateway(HttpGateway):
       workers; ``POST /v1/cluster`` runs a control-plane action
       (``migrate``, ``drain-worker``, ``rebalance``, ``grow``);
     - the per-session CRUD routes are not served — sessions live on
-      the workers and the NDJSON endpoint is the data plane;
-    - ``/metrics`` refreshes the ``repro_cluster_*`` labeled gauges
-      before rendering, so scrapes always see current per-worker
-      health, session counts, and shard occupancy.
+      the workers and the NDJSON endpoint is the data plane.
+
+    ``/metrics`` is the base route: the ``repro_cluster_*`` series read
+    the dispatcher's own state at every scrape, so they always show
+    current per-worker health, session counts and shard occupancy.
     """
 
     def __init__(
@@ -481,10 +468,6 @@ class ClusterGateway(HttpGateway):
             "sessions": len(dispatcher._sessions),
             "workers": workers,
         })
-
-    async def _route_metrics(self, request: HttpRequest) -> HttpResponse:
-        self.service.refresh_cluster_metrics()
-        return await super()._route_metrics(request)
 
     async def _route_diagnostics(
         self, request: HttpRequest

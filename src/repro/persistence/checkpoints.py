@@ -70,6 +70,22 @@ class CheckpointStore:
         self.read_errors = 0
         self._tmp_serial = 0
         self._telemetry = telemetry
+        if telemetry is not None:
+            telemetry.counter(
+                "repro_persistence_checkpoints_written_total",
+                "Checkpoints published",
+                read=lambda: self.written,
+            )
+            telemetry.counter(
+                "repro_persistence_checkpoints_corrupt_total",
+                "Checkpoints dropped as unreadable",
+                read=lambda: self.corrupt_dropped,
+            )
+            telemetry.counter(
+                "repro_persistence_checkpoint_read_errors_total",
+                "Checkpoint reads that failed transiently",
+                read=lambda: self.read_errors,
+            )
 
     def _count(self, name: str, amount: int = 1, help: str = "") -> None:
         if self._telemetry is not None and amount:
@@ -123,7 +139,6 @@ class CheckpointStore:
                 f"cannot write checkpoint for {name!r}: {error}"
             ) from None
         self.written += 1
-        self._count("checkpoints_written", help="Checkpoints published")
         self._count(
             "checkpoint_bytes_written", len(envelope),
             help="Checkpoint bytes published",
@@ -143,10 +158,6 @@ class CheckpointStore:
             # corruption: count the miss but leave the file in place
             # for a retry or the next recovery.
             self.read_errors += 1
-            self._count(
-                "checkpoint_read_errors",
-                help="Checkpoint reads that failed transiently",
-            )
             if self._telemetry is not None:
                 self._telemetry.emit(
                     "checkpoint_read_error",
@@ -168,10 +179,6 @@ class CheckpointStore:
                 raise ValueError("checkpoint lacks a session name")
         except (UnicodeDecodeError, ValueError, KeyError, TypeError):
             self.corrupt_dropped += 1
-            self._count(
-                "checkpoints_corrupt",
-                help="Checkpoints dropped as unreadable",
-            )
             if self._telemetry is not None:
                 self._telemetry.emit(
                     "checkpoint_corrupt", path=path.name

@@ -348,21 +348,24 @@ class Journal:
         self.fsyncs = 0
         self._telemetry = telemetry
         if telemetry is not None:
-            self._m_records = telemetry.counter(
+            telemetry.counter(
                 "repro_persistence_journal_records_total",
                 "Records appended to the session journal",
+                read=lambda: self.records_appended,
             )
-            self._m_bytes = telemetry.counter(
+            telemetry.counter(
                 "repro_persistence_journal_bytes_total",
                 "Framed bytes appended to the session journal",
+                read=lambda: self.bytes_appended,
             )
             self._h_fsync = telemetry.histogram(
                 "repro_persistence_fsync_seconds",
                 "Wall time of one journal fsync",
             )
-            self._g_lag = telemetry.gauge(
+            telemetry.gauge(
                 "repro_persistence_unsynced_records",
                 "Durability lag: records appended but not yet fsynced",
+                read=lambda: self._unsynced,
             )
 
         # Continue the newest segment when it has headroom; otherwise
@@ -420,15 +423,10 @@ class Journal:
         self._active_bytes += len(frame)
         self.records_appended += 1
         self.bytes_appended += len(frame)
-        if self._telemetry is not None:
-            self._m_records.inc()
-            self._m_bytes.inc(len(frame))
         if self.sync_mode == "always":
             self._flush(fsync=True)
         elif self.sync_mode == "batch":
             self._flush(fsync=self._unsynced >= self.batch_records)
-        if self._telemetry is not None:
-            self._g_lag.set(self._unsynced)
         if self._active_bytes >= self.segment_bytes:
             self._rotate()
         return seq
@@ -437,8 +435,6 @@ class Journal:
         """Flush and ``fsync`` everything appended so far."""
         if self._file is not None:
             self._flush(fsync=True)
-            if self._telemetry is not None:
-                self._g_lag.set(self._unsynced)
 
     def close(self) -> None:
         """Sync and close the active segment. Idempotent."""

@@ -123,19 +123,20 @@ class PersistenceManager:
         self.evict_saves = 0
         self.checkpoints_skipped_clean = 0
         if telemetry is not None:
-            self._m_hydrates = telemetry.counter(
+            telemetry.counter(
                 "repro_persistence_hydrates_total",
                 "Cold sessions restored on demand",
+                read=lambda: self.hydrated,
             )
             self._m_checkpoints = telemetry.counter(
                 "repro_persistence_checkpoint_sessions_total",
                 "Per-session checkpoints written",
             )
-            self._g_cold = telemetry.gauge(
+            telemetry.gauge(
                 "repro_persistence_cold_sessions",
                 "Sessions evicted to disk, hydrate-on-demand",
+                read=lambda: len(self._cold),
             )
-            self._g_cold.set(len(self._cold))
 
     # -- registry wiring ------------------------------------------------------
 
@@ -156,9 +157,7 @@ class PersistenceManager:
             self.recovery.live.values(), key=lambda entry: entry.last_seq
         )
         for entry in recovered:
-            session = Session(
-                entry.name, entry.tracker, self._clock(), recyclable=False
-            )
+            session = Session(entry.name, entry.tracker, self._clock())
             session.intervals_pushed = entry.intervals_pushed
             session.branches_ingested = entry.branches_ingested
             self._session_seqs[entry.name] = entry.last_seq
@@ -231,8 +230,7 @@ class PersistenceManager:
         self._session_seqs.pop(name, None)
         self._checkpoint_seqs.pop(name, None)
         self._first_seqs.pop(name, None)
-        if self._cold.pop(name, None) is not None:
-            self._set_cold_gauge()
+        self._cold.pop(name, None)
         self.checkpoints.delete(name)
         return seq
 
@@ -246,7 +244,6 @@ class PersistenceManager:
         self._checkpoint_seqs.pop(session.name, None)
         self._first_seqs.pop(session.name, None)
         self._cold[session.name] = seq
-        self._set_cold_gauge()
         self.evict_saves += 1
         if self._telemetry is not None:
             self._telemetry.emit(
@@ -273,18 +270,13 @@ class PersistenceManager:
                 # reservation) for a later retry.
                 return None
             self._cold.pop(name, None)
-            self._set_cold_gauge()
             return None
         try:
             session = Session(
-                name,
-                restore_tracker(document["snapshot"]),
-                self._clock(),
-                recyclable=False,
+                name, restore_tracker(document["snapshot"]), self._clock()
             )
         except Exception:
             self._cold.pop(name, None)
-            self._set_cold_gauge()
             self.hydrate_failures += 1
             if self._telemetry is not None:
                 self._telemetry.emit("hydrate_failed", session=name)
@@ -295,10 +287,7 @@ class PersistenceManager:
         self._cold.pop(name, None)
         self._session_seqs[name] = int(document["seq"])
         self._checkpoint_seqs[name] = int(document["seq"])
-        self._set_cold_gauge()
         self.hydrated += 1
-        if self._telemetry is not None:
-            self._m_hydrates.inc()
         return session
 
     def contains_cold(self, name: str) -> bool:
@@ -388,10 +377,6 @@ class PersistenceManager:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _set_cold_gauge(self) -> None:
-        if self._telemetry is not None:
-            self._g_cold.set(len(self._cold))
 
     def stats(self) -> Dict[str, int]:
         """JSON-safe durability counters for the stats endpoint."""

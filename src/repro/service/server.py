@@ -41,12 +41,13 @@ destroying them — they hydrate back on their next touch.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import signal
 import threading
 import time
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.errors import (
     ClusterError,
@@ -78,6 +79,13 @@ DRAIN_TIMEOUT = 30.0
 #: The longest the idle sweep sleeps between passes, in seconds. A TTL
 #: under 20 s is swept every quarter of the TTL instead.
 SWEEP_INTERVAL = 5.0
+
+#: The counts behind a next-phase prediction scoreboard: predictions
+#: scored against the interval that followed, those that matched, and
+#: the same two for predictions marked confident.
+PREDICTION_COUNTS = (
+    "scored", "correct", "confident_scored", "confident_correct",
+)
 
 
 class _Connection:
@@ -170,21 +178,25 @@ class NdjsonServer:
         self._drain_task: Optional["asyncio.Task"] = None
         self._tasks: List["asyncio.Task"] = []
         if telemetry is not None:
-            self._g_uptime = telemetry.gauge(
+            telemetry.gauge(
                 "repro_service_uptime_seconds",
-                "Seconds since service construction (updated on scrape).",
+                "Seconds since service construction",
+                read=lambda: self.uptime_seconds,
             )
-            self._m_requests = telemetry.counter(
+            telemetry.counter(
                 "repro_service_requests_total",
                 "Requests executed by the service (including refusals)",
+                read=lambda: self.requests_served,
             )
-            self._m_errors = telemetry.counter(
+            telemetry.counter(
                 "repro_service_errors_total",
                 "Requests answered with an error response",
+                read=lambda: self.errors_returned,
             )
-            self._g_connections = telemetry.gauge(
+            telemetry.gauge(
                 "repro_service_connections",
                 "Open client connections",
+                read=lambda: len(self._connections),
             )
 
     # -- what a subclass supplies ---------------------------------------------
@@ -262,13 +274,6 @@ class NdjsonServer:
     @property
     def uptime_seconds(self) -> float:
         return time.monotonic() - self._started_mono
-
-    def touch_uptime(self) -> float:
-        """Refresh the uptime gauge (called on scrape) and return it."""
-        uptime = self.uptime_seconds
-        if self._telemetry is not None:
-            self._g_uptime.set(uptime)
-        return uptime
 
     def ingest_queue_depth(self) -> int:
         """Requests currently buffered across all connection queues —
@@ -405,8 +410,6 @@ class NdjsonServer:
             return
         connection = self._connection_type(reader, writer, self.queue_size)
         self._connections[id(connection)] = connection
-        if self._telemetry is not None:
-            self._g_connections.set(len(self._connections))
         reader_task = asyncio.ensure_future(self._read_loop(connection))
         worker_task = asyncio.ensure_future(self._work_loop(connection))
         connection.tasks = [reader_task, worker_task]
@@ -418,8 +421,6 @@ class NdjsonServer:
             reader_task.cancel()
             if self._connections.pop(id(connection), None) is not None:
                 await self._close_connection(connection)
-            if self._telemetry is not None:
-                self._g_connections.set(len(self._connections))
 
     async def _close_connection(self, connection: _Connection) -> None:
         try:
@@ -449,6 +450,11 @@ class NdjsonServer:
                     break  # EOF
                 if not line.strip():
                     continue
+                if not line.endswith(b"\n"):
+                    # The last line before EOF may lack its newline. A
+                    # cluster forwards lines as received, so the worker
+                    # would wait for the rest: complete it here.
+                    line += b"\n"
                 item = self._parse_line(line)
                 if self._draining:
                     request_id = self._work_id(item)
@@ -573,10 +579,9 @@ class PhaseService(NdjsonServer):
                 self.registry
             )
         self.checkpoint_failures = 0
-        self.predictions_scored = 0
-        self.predictions_correct = 0
-        self.confident_scored = 0
-        self.confident_correct = 0
+        #: The next-phase scoreboard's counts, keyed by
+        #: :data:`PREDICTION_COUNTS`.
+        self.prediction_counts = dict.fromkeys(PREDICTION_COUNTS, 0)
         if telemetry is not None:
             from repro import __version__ as _version
 
@@ -589,22 +594,22 @@ class PhaseService(NdjsonServer):
                     "started": int(self.started_at),
                 },
             ).set(1)
-            self._m_pred_scored = telemetry.counter(
-                "repro_service_predictions_total",
-                "Next-phase predictions scored against the next interval",
-            )
-            self._m_pred_correct = telemetry.counter(
-                "repro_service_predictions_correct_total",
-                "Scored next-phase predictions that matched",
-            )
-            self._m_pred_confident = telemetry.counter(
-                "repro_service_predictions_confident_total",
-                "Scored predictions the predictor marked confident",
-            )
-            self._m_pred_confident_correct = telemetry.counter(
-                "repro_service_predictions_confident_correct_total",
-                "Confident scored predictions that matched",
-            )
+            for key, name, help in (
+                ("scored", "repro_service_predictions_total",
+                 "Next-phase predictions scored against the next interval"),
+                ("correct", "repro_service_predictions_correct_total",
+                 "Scored next-phase predictions that matched"),
+                ("confident_scored",
+                 "repro_service_predictions_confident_total",
+                 "Scored predictions the predictor marked confident"),
+                ("confident_correct",
+                 "repro_service_predictions_confident_correct_total",
+                 "Confident scored predictions that matched"),
+            ):
+                telemetry.counter(
+                    name, help,
+                    read=functools.partial(self.prediction_counts.get, key),
+                )
             self._m_branches = telemetry.counter(
                 "repro_service_branches_total",
                 "Branch records ingested via observe",
@@ -621,9 +626,10 @@ class PhaseService(NdjsonServer):
                 "repro_service_ingest_seconds",
                 "Mean per-branch ingest latency, one sample per observe",
             )
-            self._m_checkpoint_failures = telemetry.counter(
+            telemetry.counter(
                 "repro_service_checkpoint_failures_total",
                 "Periodic checkpoint sweeps that raised",
+                read=lambda: self.checkpoint_failures,
             )
 
     # -- lifecycle ------------------------------------------------------------
@@ -687,12 +693,10 @@ class PhaseService(NdjsonServer):
                 # kill the loop: with no checkpoints the journal grows
                 # unboundedly and recovery time degrades silently.
                 self.checkpoint_failures += 1
-                if self._telemetry is not None:
-                    self._telemetry.emit(
-                        "checkpoint_sweep_failed",
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    self._m_checkpoint_failures.inc()
+                self._emit(
+                    "checkpoint_sweep_failed",
+                    error=f"{type(error).__name__}: {error}",
+                )
 
     # -- connection handling ---------------------------------------------------
 
@@ -744,15 +748,12 @@ class PhaseService(NdjsonServer):
                         str(error),
                     )]
                     self.errors_returned += 1
-                    if self._telemetry is not None:
-                        self._m_errors.inc()
                 else:
                     payloads = self._execute(item[1])
                 for payload in payloads:
                     chunks.append(protocol.encode(payload))
                 self.requests_served += 1
                 if self._telemetry is not None:
-                    self._m_requests.inc()
                     self._h_request.observe(time.perf_counter() - started)
             if chunks:
                 try:
@@ -779,8 +780,6 @@ class PhaseService(NdjsonServer):
             )]
         except Exception as error:
             self.errors_returned += 1
-            if self._telemetry is not None:
-                self._m_errors.inc()
             if isinstance(error, ReproError):
                 return [protocol.error_response(
                     request.id, protocol.error_code_for(error), str(error)
@@ -801,7 +800,7 @@ class PhaseService(NdjsonServer):
                 requests=self.requests_served,
                 errors=self.errors_returned,
                 connections=len(self._connections),
-                uptime_seconds=self.touch_uptime(),
+                uptime_seconds=self.uptime_seconds,
                 predictions=self.prediction_accuracy(),
             )
             if self._persistence is not None:
@@ -826,7 +825,7 @@ class PhaseService(NdjsonServer):
                 )
             return {
                 "session": session.name,
-                "restored": not session.recyclable,
+                "restored": request.snapshot is not None,
                 "interval_instructions":
                     session.tracker.interval_instructions,
             }
@@ -926,39 +925,19 @@ class PhaseService(NdjsonServer):
         the interval that just closed, then remember the new one."""
         predicted = session.predicted_next_phase
         if predicted is not None:
-            correct = predicted == report.phase_id
-            self.predictions_scored += 1
-            self.predictions_correct += int(correct)
+            correct = int(predicted == report.phase_id)
+            counts = self.prediction_counts
+            counts["scored"] += 1
+            counts["correct"] += correct
             if session.prediction_confident:
-                self.confident_scored += 1
-                self.confident_correct += int(correct)
-            if self._telemetry is not None:
-                self._m_pred_scored.inc()
-                if correct:
-                    self._m_pred_correct.inc()
-                if session.prediction_confident:
-                    self._m_pred_confident.inc()
-                    if correct:
-                        self._m_pred_confident_correct.inc()
+                counts["confident_scored"] += 1
+                counts["confident_correct"] += correct
         session.predicted_next_phase = report.predicted_next_phase
         session.prediction_confident = report.prediction_confident
 
     def prediction_accuracy(self) -> Dict[str, object]:
         """Service-level next-phase predictor scoreboard."""
-        scored = self.predictions_scored
-        confident = self.confident_scored
-        return {
-            "scored": scored,
-            "correct": self.predictions_correct,
-            "accuracy": (
-                self.predictions_correct / scored if scored else None
-            ),
-            "confident_scored": confident,
-            "confident_correct": self.confident_correct,
-            "confident_accuracy": (
-                self.confident_correct / confident if confident else None
-            ),
-        }
+        return prediction_scoreboard(self.prediction_counts)
 
     def diagnostics(self) -> Dict[str, object]:
         """The operational state the dashboard renders: per-phase
@@ -970,7 +949,7 @@ class PhaseService(NdjsonServer):
             key = "none" if phase is None else str(phase)
             occupancy[key] = occupancy.get(key, 0) + 1
         diagnostics: Dict[str, object] = {
-            "uptime_seconds": self.touch_uptime(),
+            "uptime_seconds": self.uptime_seconds,
             "draining": self._draining,
             "requests": self.requests_served,
             "errors": self.errors_returned,
@@ -988,6 +967,28 @@ class PhaseService(NdjsonServer):
         if self._persistence is not None:
             diagnostics["checkpoint_failures"] = self.checkpoint_failures
         return diagnostics
+
+
+def prediction_scoreboard(
+    *counts: Optional[Mapping[str, object]],
+) -> Dict[str, object]:
+    """The next-phase predictor scoreboard: the :data:`PREDICTION_COUNTS`
+    summed over ``counts`` (one mapping per service; a missing mapping
+    or count reads 0), each with its accuracy."""
+    scored, correct, confident, confident_correct = (
+        sum((each or {}).get(key) or 0 for each in counts)
+        for key in PREDICTION_COUNTS
+    )
+    return {
+        "scored": scored,
+        "correct": correct,
+        "accuracy": correct / scored if scored else None,
+        "confident_scored": confident,
+        "confident_correct": confident_correct,
+        "confident_accuracy": (
+            confident_correct / confident if confident else None
+        ),
+    }
 
 
 def _best_effort_id(line: bytes) -> Optional[int]:

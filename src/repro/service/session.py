@@ -2,7 +2,7 @@
 
 A :class:`Session` owns one :class:`~repro.core.online.PhaseTracker`
 plus activity bookkeeping; the :class:`SessionRegistry` maps names to
-sessions with three protection mechanisms a long-lived service needs:
+sessions with two protection mechanisms a long-lived service needs:
 
 - **capacity cap** — at most ``max_sessions`` live trackers. When the
   cap is hit, opening another session either evicts the
@@ -12,15 +12,16 @@ sessions with three protection mechanisms a long-lived service needs:
   prefer explicit admission control.
 - **idle TTL** — :meth:`SessionRegistry.expire_idle` drops sessions
   untouched for ``idle_ttl`` seconds; the server sweeps periodically.
-- **recycling** — closed/evicted trackers return to a free pool and are
-  :meth:`~repro.core.online.PhaseTracker.reset` on reuse instead of
-  reconstructed, keeping session churn off the allocation path.
+
+Every open builds its own tracker, and a dropped session's tracker goes
+with it.
 
 Reclamation is observable and interceptable: before the LRU cap or the
 idle TTL destroys a session, the optional ``on_evict`` pre-drop hook
 runs (the durable tier uses it to checkpoint the session to disk), and
-the eviction counters split into saved / lost / recycled so durability
-loss shows up in ``stats()`` even with persistence disabled. A miss in
+the eviction counters tell saved, lost and never-used sessions apart,
+so durability loss shows up in ``stats()`` even with persistence
+disabled. A miss in
 :meth:`get` or :meth:`close` consults the optional ``resolver`` hook,
 which lets evicted-to-disk sessions hydrate back on demand; the
 ``name_reserved`` hook keeps their names taken while they are cold.
@@ -57,23 +58,17 @@ class Session:
 
     __slots__ = (
         "name", "tracker", "created_at", "last_active",
-        "intervals_pushed", "branches_ingested", "recyclable",
+        "intervals_pushed", "branches_ingested",
         "predicted_next_phase", "prediction_confident",
     )
 
-    def __init__(
-        self, name: str, tracker: PhaseTracker, now: float,
-        recyclable: bool = True,
-    ) -> None:
+    def __init__(self, name: str, tracker: PhaseTracker, now: float) -> None:
         self.name = name
         self.tracker = tracker
         self.created_at = now
         self.last_active = now
         self.intervals_pushed = 0
         self.branches_ingested = 0
-        # Restored trackers may carry a non-default predictor setup, so
-        # they never enter the homogeneous free pool.
-        self.recyclable = recyclable
         # The last outstanding next-phase prediction this session pushed
         # to its client; the server scores it against the next interval's
         # actual phase (service-level predictor accuracy).
@@ -164,7 +159,6 @@ class SessionRegistry:
         self.name_reserved = name_reserved
         # Most recently active last; OrderedDict gives O(1) LRU updates.
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
-        self._free_trackers: List[PhaseTracker] = []
         self._name_counter = itertools.count(1)
         self.sessions_opened = 0
         self.sessions_closed = 0
@@ -172,8 +166,9 @@ class SessionRegistry:
         self.sessions_expired = 0
         # The reclamation split: every LRU eviction / TTL expiry lands
         # in exactly one bucket, so ``evicted + expired ==
-        # saved + lost + recycled`` and durability loss is visible even
-        # without a persistence tier attached.
+        # saved + lost + recycled`` (``recycled``: dropped before it
+        # held any state) and durability loss is visible even without a
+        # persistence tier attached.
         self.sessions_evicted_saved = 0
         self.sessions_evicted_lost = 0
         self.sessions_evicted_recycled = 0
@@ -181,9 +176,10 @@ class SessionRegistry:
         self.sessions_adopted = 0
         self._telemetry = telemetry
         if telemetry is not None:
-            self._g_sessions = telemetry.gauge(
+            telemetry.gauge(
                 "repro_service_sessions",
                 "Live tracker sessions in the registry",
+                read=self.__len__,
             )
 
     # -- bookkeeping ----------------------------------------------------------
@@ -200,7 +196,6 @@ class SessionRegistry:
 
     def _emit(self, event: str, session: Session, **fields: object) -> None:
         if self._telemetry is not None:
-            self._g_sessions.set(len(self._sessions))
             self._telemetry.emit(
                 event,
                 session=session.name,
@@ -240,13 +235,13 @@ class SessionRegistry:
         if snapshot is not None:
             tracker = restore_tracker(snapshot)
         else:
-            tracker = self._checkout_tracker(
+            tracker = PhaseTracker(
                 build_config(config),
-                interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS,
+                interval_instructions=(
+                    interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS
+                ),
             )
-        session = Session(
-            name, tracker, self.clock(), recyclable=snapshot is None
-        )
+        session = Session(name, tracker, self.clock())
         self._sessions[name] = session
         self.sessions_opened += 1
         self._emit(
@@ -292,7 +287,7 @@ class SessionRegistry:
         return session
 
     def close(self, name: str) -> Session:
-        """Close a session, recycling its tracker into the free pool.
+        """Close a session.
 
         Closing an evicted-to-disk session works too: the ``resolver``
         hook materializes it just long enough to account for it.
@@ -304,7 +299,6 @@ class SessionRegistry:
             raise SessionNotFoundError(f"session {name!r} does not exist")
         self.sessions_closed += 1
         self._emit("session_closed", session)
-        self._recycle(session)
         return session
 
     def close_all(self) -> int:
@@ -333,7 +327,6 @@ class SessionRegistry:
                 "session_expired", session, saved=saved,
                 idle_seconds=round(session.idle_seconds(now), 3),
             )
-            self._recycle(session)
         return expired
 
     # -- internals ------------------------------------------------------------
@@ -363,11 +356,10 @@ class SessionRegistry:
         self.sessions_evicted += 1
         saved = self._pre_drop(session, "evicted")
         self._emit("session_evicted", session, saved=saved)
-        self._recycle(session)
 
     def _pre_drop(self, session: Session, reason: str) -> bool:
         """Run the ``on_evict`` hook and bucket the drop as saved /
-        lost / recycled; returns whether state was saved."""
+        lost / never used; returns whether state was saved."""
         saved = False
         if self.on_evict is not None:
             try:
@@ -423,27 +415,6 @@ class SessionRegistry:
         self.sessions_hydrated += 1
         self._emit("session_hydrated", session)
         return session
-
-    def _checkout_tracker(
-        self, config: ClassifierConfig, interval_instructions: int
-    ) -> PhaseTracker:
-        """Reuse a freed tracker of the right shape, else build one."""
-        for index, tracker in enumerate(self._free_trackers):
-            if tracker.classifier.config == config:
-                del self._free_trackers[index]
-                tracker.reset()
-                tracker.interval_instructions = interval_instructions
-                return tracker
-        return PhaseTracker(
-            config, interval_instructions=interval_instructions
-        )
-
-    def _recycle(self, session: Session) -> None:
-        # Cap the pool at the session cap; beyond that, drop trackers.
-        if session.recyclable and (
-            len(self._free_trackers) < self.max_sessions
-        ):
-            self._free_trackers.append(session.tracker)
 
     # -- inspection -----------------------------------------------------------
 

@@ -134,14 +134,16 @@ class Telemetry:
     def counter(
         self, name: str, help: str = "",
         labels: Optional[Mapping[str, object]] = None,
+        read: Optional[Callable[[], float]] = None,
     ) -> Counter:
-        return self.metrics.counter(name, help=help, labels=labels)
+        return self.metrics.counter(name, help=help, labels=labels, read=read)
 
     def gauge(
         self, name: str, help: str = "",
         labels: Optional[Mapping[str, object]] = None,
+        read: Optional[Callable[[], float]] = None,
     ) -> Gauge:
-        return self.metrics.gauge(name, help=help, labels=labels)
+        return self.metrics.gauge(name, help=help, labels=labels, read=read)
 
     def histogram(self, name: str, help: str = "", **kwargs) -> Histogram:
         return self.metrics.histogram(name, help=help, **kwargs)

@@ -20,6 +20,16 @@ independently under the shared metric name. Label names follow the
 Prometheus label grammar; label values are arbitrary strings (the
 exporter escapes quotes, backslashes and newlines). Re-registering one
 name with different *kinds* is refused across all of its label sets.
+
+A counter or gauge registered with ``read=`` (a zero-argument callable)
+is a **callback series**: it stores nothing, and every snapshot calls
+``read`` for its value. A series that reports state its owner already
+keeps (a live-session count, a journal's durability lag) is registered
+this way, so it cannot drift from that state and needs no write on any
+path; only events (a branch ingested, a request's latency) are counted.
+``inc``/``dec``/``set`` on a callback series raise
+:class:`TelemetryError`, and registering ``read`` for an existing
+series rebinds it, so the newest owner of a name reports it.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import TelemetryError
 
@@ -102,12 +112,15 @@ def render_labels(labels: Mapping[str, str], extra: str = "") -> str:
     return "{" + ",".join(pairs) + "}"
 
 
-class Counter:
-    """A monotonically increasing count (events, branches, hits)."""
+class _Scalar:
+    """What a counter and a gauge share: one float behind a lock, or,
+    once the registry binds a ``read`` callable to it, no stored value
+    at all — :attr:`value` and :meth:`snapshot` call ``read`` and writes
+    raise :class:`TelemetryError`."""
 
-    kind = "counter"
+    kind = ""
 
-    __slots__ = ("name", "help", "labels", "_value", "_lock")
+    __slots__ = ("name", "help", "labels", "_value", "_lock", "_read")
 
     def __init__(
         self,
@@ -120,9 +133,40 @@ class Counter:
         self.labels = validate_labels(labels)
         self._value = 0.0
         self._lock = threading.Lock()
+        self._read: Optional[Callable[[], float]] = None
+
+    def _writable(self) -> None:
+        if self._read is not None:
+            raise TelemetryError(
+                f"{self.kind} {self.name} reads its value from a "
+                "callable and cannot be written"
+            )
+
+    @property
+    def value(self) -> float:
+        read = self._read
+        return self._value if read is None else float(read())
+
+    def snapshot(self) -> Dict[str, object]:
+        return {
+            "name": self.name,
+            "type": self.kind,
+            "help": self.help,
+            "labels": dict(self.labels),
+            "value": self.value,
+        }
+
+
+class Counter(_Scalar):
+    """A monotonically increasing count (events, branches, hits)."""
+
+    kind = "counter"
+
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative) to the counter."""
+        self._writable()
         if amount < 0:
             raise TelemetryError(
                 f"counter {self.name} cannot decrease (inc by {amount})"
@@ -130,63 +174,28 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    @property
-    def value(self) -> float:
-        return self._value
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "type": self.kind,
-            "help": self.help,
-            "labels": dict(self.labels),
-            "value": self._value,
-        }
-
-
-class Gauge:
+class Gauge(_Scalar):
     """A value that can go up and down (occupancy, queue depth)."""
 
     kind = "gauge"
 
-    __slots__ = ("name", "help", "labels", "_value", "_lock")
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        self.name = validate_metric_name(name)
-        self.help = help
-        self.labels = validate_labels(labels)
-        self._value = 0.0
-        self._lock = threading.Lock()
+    __slots__ = ()
 
     def set(self, value: float) -> None:
+        self._writable()
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
+        self._writable()
         with self._lock:
             self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
+        self._writable()
         with self._lock:
             self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "type": self.kind,
-            "help": self.help,
-            "labels": dict(self.labels),
-            "value": self._value,
-        }
 
 
 #: Default histogram geometry: 1µs first bound, ×4 per bucket, 14
@@ -319,6 +328,8 @@ class MetricsRegistry:
     asking for an existing name as a different kind (under any label
     set) raises :class:`TelemetryError`. Each label set is its own
     series; :meth:`get` addresses a series by name plus labels.
+    ``counter``/``gauge`` with ``read=`` return the series bound to
+    that callable (see the module docstring).
     """
 
     def __init__(self) -> None:
@@ -352,17 +363,25 @@ class MetricsRegistry:
             self._kinds[name] = kind.kind
             return metric
 
+    def _scalar(self, kind: type, name: str, help: str, labels, read):
+        metric = self._get_or_create(kind, name, labels=labels, help=help)
+        if read is not None:
+            metric._read = read
+        return metric
+
     def counter(
         self, name: str, help: str = "",
         labels: Optional[Mapping[str, object]] = None,
+        read: Optional[Callable[[], float]] = None,
     ) -> Counter:
-        return self._get_or_create(Counter, name, labels=labels, help=help)
+        return self._scalar(Counter, name, help, labels, read)
 
     def gauge(
         self, name: str, help: str = "",
         labels: Optional[Mapping[str, object]] = None,
+        read: Optional[Callable[[], float]] = None,
     ) -> Gauge:
-        return self._get_or_create(Gauge, name, labels=labels, help=help)
+        return self._scalar(Gauge, name, help, labels, read)
 
     def histogram(
         self,

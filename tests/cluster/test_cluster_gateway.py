@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster import start_cluster_in_thread
 from repro.service import PhaseServiceClient
+from repro.telemetry import parse_prometheus_text
 
 
 def call(base, method, path, body=None):
@@ -95,6 +96,45 @@ class TestClusterEndpoints:
         for worker in cluster.service.shard_map.workers:
             assert f'repro_cluster_worker_up{{worker="{worker}"}} 1' in text
             assert f'repro_cluster_worker_shards{{worker="{worker}"}}' in text
+
+    def test_cluster_series_read_what_status_reports(self, base, cluster):
+        dispatcher = cluster.service
+        with PhaseServiceClient(port=cluster.port, timeout=30.0) as c:
+            names = ("st-a", "st-b", "st-c")
+            for name in names:
+                c.open_session(session=name, interval_instructions=5000)
+            source = dispatcher._sessions["st-a"]
+            target = next(
+                worker
+                for worker in dispatcher.shard_map.workers
+                if worker != source
+            )
+            c.cluster("migrate", session="st-a", worker=target)
+            with urllib.request.urlopen(base + "/metrics", timeout=10) as r:
+                series = parse_prometheus_text(r.read().decode())
+            status = c.cluster("status")
+            for name in names:
+                c.close_session(name)
+        expected = {
+            "repro_cluster_workers": len(status["shard_map"]["workers"]),
+            "repro_cluster_migrations_total":
+                status["migrations"]["completed"],
+            "repro_cluster_migrations_failed_total":
+                status["migrations"]["failed"],
+        }
+        for worker_id, worker in status["workers"].items():
+            labels = f'{{worker="{worker_id}"}}'
+            expected.update({
+                "repro_cluster_worker_up" + labels:
+                    float(worker["state"] == "up"),
+                "repro_cluster_worker_sessions" + labels: worker["sessions"],
+                "repro_cluster_worker_shards" + labels: worker["shards"],
+                "repro_cluster_worker_restarts_total" + labels:
+                    worker["restarts"],
+            })
+        assert {key: series[key] for key in expected} == expected
+        assert status["migrations"]["completed"] >= 1
+        assert status["workers"][target]["sessions"] >= 1
 
     def test_diagnostics_have_cluster_section(self, base):
         status, body = call(base, "GET", "/v1/diagnostics")

@@ -348,6 +348,98 @@ class TestMetrics:
         assert len(parse_prometheus_text(text)) == len(sample_lines)
 
 
+class TestStateSeries:
+    """Every single-process series that reports kept state reads the
+    value ``stats`` reports for it, after a run that moves each one."""
+
+    def test_series_read_what_stats_reports(self, tmp_path):
+        handle = start_in_thread(
+            max_sessions=1, data_dir=str(tmp_path / "data"), http_port=0,
+        )
+        try:
+            service = handle.service
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10
+            ) as sock:
+                lines = sock.makefile("rb")
+
+                def request(op, **fields):
+                    fields.update(op=op, id=len(sent) + 1)
+                    sent.append(fields)
+                    sock.sendall(json.dumps(fields).encode() + b"\n")
+                    while True:
+                        message = json.loads(lines.readline())
+                        if "push" not in message:
+                            return message
+
+                sent = []
+                sock.sendall(b"not json\n")
+                assert json.loads(lines.readline())["ok"] is False
+                # With room for one session, each open evicts the last
+                # one to disk.
+                for name in ("a", "b", "c"):
+                    request("open", session=name,
+                            interval_instructions=INTERVAL)
+                    for pcs, counts in branch_batches(seed=3, batches=8):
+                        request("observe", session=name, pcs=pcs,
+                                counts=counts)
+                checkpoints = service.persistence.checkpoints
+                checkpoints.path_for("b").write_bytes(b"not a checkpoint")
+                refused = request("predict", session="b")
+                assert refused["error"]["code"] == "session_not_found"
+                assert request("predict", session="a")["ok"]  # hydrates
+                base = f"http://{service.http_host}:{service.http_port}"
+                with urllib.request.urlopen(base + "/metrics") as answer:
+                    series = parse_prometheus_text(answer.read().decode())
+                stats = request("stats")["result"]
+        finally:
+            handle.stop()
+
+        predictions = stats["predictions"]
+        persistence = stats["persistence"]
+        expected = {
+            "repro_service_requests_total": stats["requests"],
+            "repro_service_errors_total": stats["errors"],
+            "repro_service_connections": stats["connections"],
+            "repro_service_predictions_total": predictions["scored"],
+            "repro_service_predictions_correct_total":
+                predictions["correct"],
+            "repro_service_predictions_confident_total":
+                predictions["confident_scored"],
+            "repro_service_predictions_confident_correct_total":
+                predictions["confident_correct"],
+            "repro_service_checkpoint_failures_total":
+                stats["checkpoint_failures"],
+            "repro_service_sessions": stats["live"],
+            "repro_persistence_hydrates_total": persistence["hydrated"],
+            "repro_persistence_cold_sessions": persistence["cold"],
+            "repro_persistence_journal_records_total":
+                persistence["journal_records"],
+            "repro_persistence_journal_bytes_total":
+                persistence["journal_bytes"],
+            "repro_persistence_unsynced_records":
+                persistence["journal_unsynced"],
+            "repro_persistence_checkpoints_written_total":
+                persistence["checkpoints_written"],
+            "repro_persistence_checkpoints_corrupt_total":
+                checkpoints.corrupt_dropped,
+            "repro_persistence_checkpoint_read_errors_total":
+                checkpoints.read_errors,
+        }
+        assert {name: series[name] for name in expected} == expected
+        assert 0 < series["repro_service_uptime_seconds"] <= (
+            stats["uptime_seconds"]
+        )
+        # The run moved what it set out to move.
+        # Every request before the stats one, plus the bad line.
+        assert stats["requests"] == len(sent)
+        assert stats["errors"] == 2 and stats["connections"] == 1
+        assert predictions["correct"] > 0
+        assert persistence["hydrated"] == persistence["cold"] == 1
+        assert persistence["checkpoints_written"] == 3
+        assert checkpoints.corrupt_dropped == 1
+
+
 class TestDiagnostics:
     def test_shape_reflects_live_state(self, base):
         call(base, "POST", "/v1/sessions",

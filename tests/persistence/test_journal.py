@@ -368,6 +368,33 @@ class TestTelemetry:
             fsync = metrics.get("repro_persistence_fsync_seconds")
             assert fsync.count >= 1
 
+    def test_lag_gauge_reads_the_journal_across_rotation_and_close(
+        self, tmp_path
+    ):
+        """A rotation fsyncs the segment it retires and ``close``
+        fsyncs the active one; the lag gauge follows both."""
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        journal = Journal(
+            tmp_path, sync="batch", batch_records=100, segment_bytes=256,
+            telemetry=telemetry,
+        )
+        lag = telemetry.metrics.get("repro_persistence_unsynced_records")
+        first_segment = journal.active_path
+        appended = 0
+        while journal.active_path == first_segment:
+            append_n(journal, 1, start=appended)
+            appended += 1
+        assert appended > 1
+        assert journal.unsynced_records == 0
+        assert lag.value == journal.unsynced_records
+        append_n(journal, 1, start=appended)
+        assert lag.value == journal.unsynced_records == 1
+        journal.close()
+        assert journal.unsynced_records == 0
+        assert lag.value == journal.unsynced_records
+
     def test_torn_tail_emits_event(self, tmp_path):
         import io
 

@@ -1,8 +1,8 @@
 """The asyncio server: protocol behaviour over real sockets, admission
 control, backpressure, and the graceful-drain zero-loss guarantee.
 
-Admission control and drain are shared lifecycle code, so those cases
-also run against a one-worker cluster's dispatcher."""
+Line framing, admission control and drain are shared lifecycle code, so
+those cases also run against a one-worker cluster's dispatcher."""
 
 import functools
 import json
@@ -171,6 +171,40 @@ class TestRequestHandling:
         assert ack["id"] == 2 and ack["result"]["intervals"] == 2
         raw.close()
 
+    def test_open_reports_whether_it_restored_a_snapshot(self, service):
+        raw = RawConnection(service.port)
+        raw.send({"op": "open", "id": 1, "session": "fresh"})
+        fresh = raw.read_message()["result"]
+        raw.send({"op": "snapshot", "id": 2, "session": "fresh"})
+        snapshot = raw.read_message()["result"]["snapshot"]
+        raw.send({"op": "open", "id": 3, "session": "copy",
+                  "snapshot": snapshot})
+        copy = raw.read_message()["result"]
+        raw.close()
+        assert fresh["restored"] is False
+        assert copy["restored"] is True
+
+
+class TestLineFraming:
+    def test_final_line_without_newline_is_answered(self, start):
+        """A request whose line ends at the client's EOF instead of a
+        newline is still answered, and the connection then closes."""
+        handle = start()
+        try:
+            raw = RawConnection(handle.port)
+            raw.send({"op": "open", "id": 1, "session": "s"})
+            assert raw.read_message()["ok"] is True
+            # The canonical wire form, which a cluster forwards as is.
+            raw.sock.sendall(b'{"op":"predict","id":2,"session":"s"}')
+            raw.sock.shutdown(socket.SHUT_WR)
+            answer = raw.read_message()
+            assert answer["id"] == 2 and answer["ok"] is True
+            assert answer["result"]["session"] == "s"
+            assert raw.read_message() is None
+            raw.close()
+        finally:
+            handle.stop()
+
 
 class TestAdmissionControl:
     def test_connection_cap_closes_surplus_sockets(self, start):
@@ -274,6 +308,10 @@ class TestGracefulDrain:
         handle = start()
         handle.stop()
         handle.stop()
+
+
+class TestClusterLineFraming(OneWorkerCluster, TestLineFraming):
+    pass
 
 
 class TestClusterAdmissionControl(OneWorkerCluster, TestAdmissionControl):

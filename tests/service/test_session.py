@@ -1,8 +1,8 @@
-"""The session registry: caps, TTL, recycling, lifecycle telemetry."""
+"""The session registry: caps, TTL, lifecycle telemetry."""
 
 import pytest
 
-from repro.core import ClassifierConfig, PhaseTracker
+from repro.core import PhaseTracker
 from repro.errors import (
     ConfigurationError,
     ServiceOverloadedError,
@@ -10,7 +10,6 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.service.session import SessionRegistry
-from repro.service.snapshot import snapshot_tracker
 from repro.telemetry import EventLog, Telemetry, read_events
 
 
@@ -121,41 +120,6 @@ class TestIdleTTL:
         registry.open()
         clock.advance(1e9)
         assert registry.expire_idle() == []
-
-
-class TestRecycling:
-    def test_closed_tracker_is_reused_for_matching_config(self):
-        registry = SessionRegistry()
-        first = registry.open(name="a", interval_instructions=1000)
-        tracker = first.tracker
-        tracker.observe_batch([4096] * 5, [300] * 5, cpi=1.0)
-        registry.close("a")
-        second = registry.open(name="b", interval_instructions=2000)
-        assert second.tracker is tracker               # pooled, not rebuilt
-        assert second.tracker.intervals_observed == 0  # and reset
-        assert second.tracker.instructions_into_interval == 0
-        assert second.tracker.interval_instructions == 2000
-
-    def test_different_config_builds_fresh_tracker(self):
-        registry = SessionRegistry()
-        first = registry.open(name="a", config={"num_counters": 16})
-        registry.close("a")
-        second = registry.open(name="b", config={"num_counters": 64})
-        assert second.tracker is not first.tracker
-
-    def test_restored_sessions_never_enter_the_pool(self):
-        source = PhaseTracker(
-            ClassifierConfig.paper_default(), interval_instructions=1000
-        )
-        registry = SessionRegistry()
-        restored = registry.open(
-            name="r", snapshot=snapshot_tracker(source)
-        )
-        assert not restored.recyclable
-        tracker = restored.tracker
-        registry.close("r")
-        fresh = registry.open(name="f", interval_instructions=1000)
-        assert fresh.tracker is not tracker
 
 
 class TestTelemetry:
@@ -283,7 +247,7 @@ class TestReclamationHooks:
         def resolver(name):
             if name != "phoenix":
                 return None
-            session = Session(name, PhaseTracker(), 0.0, recyclable=False)
+            session = Session(name, PhaseTracker(), 0.0)
             made.append(session)
             return session
 
@@ -303,9 +267,7 @@ class TestReclamationHooks:
 
         registry = SessionRegistry(
             max_sessions=1,
-            resolver=lambda name: Session(
-                name, PhaseTracker(), 0.0, recyclable=False
-            ),
+            resolver=lambda name: Session(name, PhaseTracker(), 0.0),
         )
         registry.open(name="a")
         registry.get("phoenix")      # hydrating evicts "a"
@@ -315,11 +277,7 @@ class TestReclamationHooks:
     def test_refused_hydration_hands_the_session_back(self):
         from repro.service.session import Session
 
-        shelf = {
-            "phoenix": Session(
-                "phoenix", PhaseTracker(), 0.0, recyclable=False
-            )
-        }
+        shelf = {"phoenix": Session("phoenix", PhaseTracker(), 0.0)}
         returned = []
         registry = SessionRegistry(
             max_sessions=1, evict_lru=False,
@@ -339,9 +297,7 @@ class TestReclamationHooks:
 
         registry = SessionRegistry(
             max_sessions=4,
-            resolver=lambda name: Session(
-                name, PhaseTracker(), 0.0, recyclable=False
-            ),
+            resolver=lambda name: Session(name, PhaseTracker(), 0.0),
         )
         closed = registry.close("phoenix")
         assert closed.name == "phoenix"

@@ -150,6 +150,89 @@ class TestRegistry:
         assert registry.get("y") is None
 
 
+class TestCallbackSeries:
+    """A counter or gauge registered with ``read=`` reports what the
+    callable returns at snapshot time and refuses writes."""
+
+    def test_value_and_snapshot_read_the_callable(self):
+        registry = MetricsRegistry()
+        state = {"live": 3}
+        gauge = registry.gauge("live", "Live things",
+                               read=lambda: state["live"])
+        assert gauge.value == 3
+        state["live"] = 5
+        assert gauge.value == 5
+        (snap,) = registry.snapshot()
+        assert snap == {"name": "live", "type": "gauge",
+                        "help": "Live things", "labels": {}, "value": 5.0}
+
+    def test_exporters_render_the_current_value(self):
+        from repro.telemetry import Telemetry, parse_prometheus_text
+
+        telemetry = Telemetry()
+        served = [0]
+        telemetry.counter("served_total", read=lambda: served[0])
+        served[0] = 7
+        samples = parse_prometheus_text(telemetry.render_metrics())
+        assert samples["served_total"] == 7
+        assert '"value": 7.0' in telemetry.render_metrics("json")
+
+    @pytest.mark.parametrize("write", [
+        lambda metric: metric.inc(),
+        lambda metric: metric.inc(0),
+    ])
+    def test_counter_writes_refused(self, write):
+        counter = MetricsRegistry().counter("c_total", read=lambda: 1)
+        with pytest.raises(TelemetryError, match="callable"):
+            write(counter)
+        assert counter.value == 1
+
+    @pytest.mark.parametrize("write", [
+        lambda metric: metric.set(2),
+        lambda metric: metric.inc(),
+        lambda metric: metric.dec(),
+    ])
+    def test_gauge_writes_refused(self, write):
+        gauge = MetricsRegistry().gauge("g", read=lambda: 1)
+        with pytest.raises(TelemetryError, match="callable"):
+            write(gauge)
+        assert gauge.value == 1
+
+    def test_registering_again_rebinds_the_series(self):
+        registry = MetricsRegistry()
+        first = registry.gauge("owner", read=lambda: 1)
+        second = registry.gauge("owner", read=lambda: 2)
+        assert first is second and first.value == 2
+        # Asking without a callable returns the bound series unchanged.
+        assert registry.gauge("owner").value == 2
+        assert len(registry) == 1
+
+    def test_binding_an_existing_plain_series(self):
+        registry = MetricsRegistry()
+        plain = registry.counter("events_total")
+        plain.inc(4)
+        registry.counter("events_total", read=lambda: 9)
+        assert plain.value == 9
+        with pytest.raises(TelemetryError):
+            plain.inc()
+
+    def test_labeled_series_bind_independently(self):
+        registry = MetricsRegistry()
+        registry.gauge("up", labels={"worker": "w0"}, read=lambda: 1)
+        registry.gauge("up", labels={"worker": "w1"}, read=lambda: 0)
+        values = {
+            snap["labels"]["worker"]: snap["value"]
+            for snap in registry.snapshot()
+        }
+        assert values == {"w0": 1.0, "w1": 0.0}
+
+    def test_kind_conflict_still_refused(self):
+        registry = MetricsRegistry()
+        registry.gauge("thing", read=lambda: 1)
+        with pytest.raises(TelemetryError):
+            registry.counter("thing", read=lambda: 1)
+
+
 class TestLabels:
     def test_validate_sorts_and_stringifies(self):
         normalized = validate_labels({"b": 2, "a": "x"})
