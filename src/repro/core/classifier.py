@@ -194,7 +194,7 @@ class PhaseClassifier:
 
     def reset(self) -> None:
         """Return to the just-constructed state without rebuilding the
-        accumulator, table or bit-selector objects (session recycling)."""
+        accumulator, table or bit-selector objects."""
         self.accumulator.clear()
         self.table.clear()
         self._next_phase_id = TRANSITION_PHASE_ID + 1

@@ -240,7 +240,6 @@ class PhaseTracker:
             count=14,
         )
         self._evictions_seen = 0
-        self._last_prediction: Optional[NextPhasePrediction] = None
         self._observe_window_start: Optional[float] = None
         telemetry.emit(
             "tracker_start",
@@ -366,6 +365,9 @@ class PhaseTracker:
             result = self.classifier.classify_signature(signature, cpi)
             prediction = self._update_predictors(result.phase_id)
         else:
+            # The prediction this interval is scored against; a
+            # restored snapshot carries it too.
+            evaluated = self.next_phase.pending_prediction
             now = telemetry.tracer.clock()
             if (
                 self._observe_window_start is not None
@@ -413,7 +415,7 @@ class PhaseTracker:
 
         if telemetry is not None:
             self._record_interval_telemetry(
-                telemetry, report, result, prediction, cpi,
+                telemetry, report, result, evaluated, cpi,
                 interval_instructions, interval_branches,
             )
 
@@ -429,10 +431,10 @@ class PhaseTracker:
         Clears the classifier (accumulator, signature table, phase-ID
         allocation), both predictors, interval bookkeeping and the
         registered listeners — without reconstructing any of those
-        objects, so a session pool can recycle trackers cheaply. A
-        reset tracker produces the same classification stream as a new
-        one built with the same configuration. An attached telemetry
-        hub stays attached; its cumulative counters are not rewound.
+        objects. A reset tracker produces the same classification
+        stream as a new one built with the same configuration. An
+        attached telemetry hub stays attached; its cumulative counters
+        are not rewound.
         """
         self.classifier.reset()
         self.next_phase.reset()
@@ -445,7 +447,6 @@ class PhaseTracker:
         self._listeners.clear()
         if self._telemetry is not None:
             self._evictions_seen = 0
-            self._last_prediction = None
             self._observe_window_start = None
 
     # -- snapshot hooks --------------------------------------------------------
@@ -524,7 +525,7 @@ class PhaseTracker:
         telemetry: "Telemetry",
         report: TrackerReport,
         result: ClassificationResult,
-        prediction: Optional[NextPhasePrediction],
+        evaluated: Optional[NextPhasePrediction],
         cpi: float,
         interval_instructions: int,
         interval_branches: int,
@@ -552,7 +553,6 @@ class PhaseTracker:
 
         # Score the prediction made at the previous boundary against
         # the phase this interval actually landed in.
-        evaluated = self._last_prediction
         if evaluated is not None:
             correct = evaluated.phase_id == report.phase_id
             self._m_pred_total.inc()
@@ -562,7 +562,6 @@ class PhaseTracker:
                 self._m_pred_confident.inc()
                 if correct:
                     self._m_pred_confident_correct.inc()
-        self._last_prediction = prediction
 
         telemetry.emit(
             "interval",

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
+import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
@@ -83,32 +84,32 @@ class HttpGateway:
     ) -> None:
         self.service = service
         self._http = HttpServer(self._dispatch, host=host, port=port)
-        # (method, pattern, route-label, handler, mutating)
-        self._routes: List[Tuple[str, str, str, object, bool]] = [
-            ("GET", "/", "/", self._route_dashboard, False),
-            ("GET", "/healthz", "/healthz", self._route_healthz, False),
-            ("GET", "/readyz", "/readyz", self._route_readyz, False),
-            ("GET", "/metrics", "/metrics", self._route_metrics, False),
-            ("GET", "/v1/sessions", "/v1/sessions",
-             self._route_list_sessions, False),
-            ("POST", "/v1/sessions", "/v1/sessions",
-             self._route_open_session, True),
-            ("GET", "/v1/sessions/{id}", "/v1/sessions/{id}",
-             self._route_get_session, False),
-            ("DELETE", "/v1/sessions/{id}", "/v1/sessions/{id}",
-             self._route_close_session, True),
+        # (method, pattern, handler, mutating); the pattern is also the
+        # route's metric label.
+        self._routes: List[Tuple[str, str, object, bool]] = [
+            ("GET", "/", self._route_dashboard, False),
+            ("GET", "/healthz", self._route_healthz, False),
+            ("GET", "/readyz", self._route_readyz, False),
+            ("GET", "/metrics", self._route_metrics, False),
+            ("GET", "/v1/sessions", self._route_list_sessions, False),
+            ("POST", "/v1/sessions", self._route_open_session, True),
+            ("GET", "/v1/sessions/{id}", self._route_get_session, False),
+            ("DELETE", "/v1/sessions/{id}", self._route_close_session, True),
             ("POST", "/v1/sessions/{id}/observe-batch",
-             "/v1/sessions/{id}/observe-batch",
              self._route_observe_batch, True),
-            ("GET", "/v1/sessions/{id}/snapshot",
-             "/v1/sessions/{id}/snapshot", self._route_snapshot, False),
-            ("GET", "/v1/diagnostics", "/v1/diagnostics",
-             self._route_diagnostics, False),
-            ("GET", "/v1/events", "/v1/events", self._route_events, False),
-            ("POST", "/v1/drain", "/v1/drain", self._route_drain, True),
+            ("GET", "/v1/sessions/{id}/snapshot", self._route_snapshot,
+             False),
+            ("GET", "/v1/diagnostics", self._route_diagnostics, False),
+            ("GET", "/v1/events", self._route_events, False),
+            ("POST", "/v1/drain", self._route_drain, True),
         ]
         telemetry = service.telemetry
         self._telemetry = telemetry
+        # Each (route, method) counter and route histogram, resolved on
+        # first use: the labels are bounded by the route table and the
+        # methods the HTTP parser accepts.
+        self._request_counters: Dict[Tuple[str, str], object] = {}
+        self._request_histograms: Dict[str, object] = {}
         self._g_in_flight = telemetry.gauge(
             "repro_http_in_flight",
             "HTTP requests currently being handled",
@@ -146,12 +147,12 @@ class HttpGateway:
     # -- dispatch -------------------------------------------------------------
 
     async def _dispatch(self, request: HttpRequest):
-        matched_path = False
-        for method, pattern, label, handler, mutating in self._routes:
+        matched = None
+        for method, pattern, handler, mutating in self._routes:
             captured = route_pattern_match(pattern, request.path)
             if captured is None:
                 continue
-            matched_path = True
+            matched = matched or pattern
             if request.method != method and not (
                 request.method == "HEAD" and method == "GET"
             ):
@@ -160,16 +161,16 @@ class HttpGateway:
                 # Mirror the NDJSON read loop: once a drain begins no
                 # new work is accepted, with a typed refusal.
                 return self._instrumented_error(
-                    label, request.method, 503,
+                    pattern, request.method, 503,
                     "service is draining; no new work is accepted",
                     code="shutting_down",
                 )
             return await self._run_route(
-                label, handler, request, captured
+                pattern, handler, request, captured
             )
-        if matched_path:
+        if matched is not None:
             return self._instrumented_error(
-                request.path, request.method, 405,
+                matched, request.method, 405,
                 f"method {request.method} not allowed for {request.path}",
             )
         return self._instrumented_error(
@@ -177,20 +178,29 @@ class HttpGateway:
             f"no route for {request.path}",
         )
 
-    async def _run_route(self, label, handler, request, captured):
-        import time
+    def _request_counter(self, route: str, method: str):
+        counter = self._request_counters.get((route, method))
+        if counter is None:
+            counter = self._request_counters[route, method] = (
+                self._telemetry.counter(
+                    "repro_http_requests_total",
+                    "HTTP requests handled, by route and method",
+                    labels={"route": route, "method": method},
+                )
+            )
+        return counter
 
-        telemetry = self._telemetry
-        counter = telemetry.counter(
-            "repro_http_requests_total",
-            "HTTP requests handled, by route and method",
-            labels={"route": label, "method": request.method},
-        )
-        histogram = telemetry.histogram(
-            "repro_http_request_seconds",
-            "Wall time to handle one HTTP request",
-            labels={"route": label},
-        )
+    async def _run_route(self, route, handler, request, captured):
+        counter = self._request_counter(route, request.method)
+        histogram = self._request_histograms.get(route)
+        if histogram is None:
+            histogram = self._request_histograms[route] = (
+                self._telemetry.histogram(
+                    "repro_http_request_seconds",
+                    "Wall time to handle one HTTP request",
+                    labels={"route": route},
+                )
+            )
         self._g_in_flight.inc()
         started = time.perf_counter()
         try:
@@ -201,14 +211,10 @@ class HttpGateway:
             self._g_in_flight.dec()
 
     def _instrumented_error(
-        self, label: str, method: str, status: int, message: str,
+        self, route: str, method: str, status: int, message: str,
         code: Optional[str] = None,
     ) -> HttpResponse:
-        self._telemetry.counter(
-            "repro_http_requests_total",
-            "HTTP requests handled, by route and method",
-            labels={"route": label, "method": method},
-        ).inc()
+        self._request_counter(route, method).inc()
         return HttpResponse.error(status, message, code=code)
 
     # -- protocol bridge ------------------------------------------------------
@@ -434,18 +440,15 @@ class ClusterGateway(HttpGateway):
     ) -> None:
         super().__init__(dispatcher, host=host, port=port)
         self._routes = [
-            ("GET", "/", "/", self._route_dashboard, False),
-            ("GET", "/healthz", "/healthz", self._route_healthz, False),
-            ("GET", "/readyz", "/readyz", self._route_readyz, False),
-            ("GET", "/metrics", "/metrics", self._route_metrics, False),
-            ("GET", "/v1/cluster", "/v1/cluster",
-             self._route_cluster, False),
-            ("POST", "/v1/cluster", "/v1/cluster",
-             self._route_cluster_action, True),
-            ("GET", "/v1/diagnostics", "/v1/diagnostics",
-             self._route_diagnostics, False),
-            ("GET", "/v1/events", "/v1/events", self._route_events, False),
-            ("POST", "/v1/drain", "/v1/drain", self._route_drain, True),
+            ("GET", "/", self._route_dashboard, False),
+            ("GET", "/healthz", self._route_healthz, False),
+            ("GET", "/readyz", self._route_readyz, False),
+            ("GET", "/metrics", self._route_metrics, False),
+            ("GET", "/v1/cluster", self._route_cluster, False),
+            ("POST", "/v1/cluster", self._route_cluster_action, True),
+            ("GET", "/v1/diagnostics", self._route_diagnostics, False),
+            ("GET", "/v1/events", self._route_events, False),
+            ("POST", "/v1/drain", self._route_drain, True),
         ]
 
     async def _route_healthz(self, request: HttpRequest) -> HttpResponse:
@@ -485,16 +488,14 @@ class ClusterGateway(HttpGateway):
         from repro.errors import ReproError
 
         body = _require_object(request.json())
-        action = body.get("action")
-        if not isinstance(action, str) or not action:
-            raise HttpError(400, "'action' must be a non-empty string")
-        params = body.get("params", {})
-        if not isinstance(params, dict):
-            raise HttpError(400, "'params' must be an object")
+        # The NDJSON surface's own validator, so both refuse the same
+        # bodies.
         try:
-            result = await self.service._execute_cluster(
-                protocol.ClusterRequest(id=0, action=action, params=params)
-            )
+            cluster_request = protocol.cluster_request(0, body)
+        except ProtocolError as error:
+            raise HttpError(400, str(error)) from None
+        try:
+            result = await self.service._execute_cluster(cluster_request)
         except ReproError as error:
             code = protocol.error_code_for(error)
             raise HttpError(

@@ -39,11 +39,7 @@ from repro.persistence.journal import (
     replay_journal,
 )
 from repro.persistence.manager import PersistenceManager
-from repro.persistence.recovery import (
-    RecoveredSession,
-    RecoveryResult,
-    recover_state,
-)
+from repro.persistence.recovery import RecoveryResult, recover_state
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -51,7 +47,6 @@ __all__ = [
     "Journal",
     "JournalReplay",
     "PersistenceManager",
-    "RecoveredSession",
     "RecoveryResult",
     "ReplayStats",
     "SYNC_MODES",

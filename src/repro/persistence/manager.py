@@ -24,7 +24,11 @@ registry exposes, plus the logging calls the server makes:
   the registry's own eviction policy push overflow back to disk.
 - **checkpoint + compact** — :meth:`checkpoint_all` snapshots dirty
   sessions (the server runs it on a timer and at shutdown), after
-  which :meth:`compact` drops journal segments nobody needs.
+  which :meth:`compact` drops journal segments nobody needs. Both read
+  the journal positions each live
+  :class:`~repro.service.session.Session` carries, which the logging
+  calls and checkpoints move; the manager itself keeps only the cold
+  sessions' covered seqs.
 
 The layout under ``data_dir``::
 
@@ -44,9 +48,13 @@ from repro.errors import PersistenceError
 from repro.persistence.checkpoints import CheckpointStore
 from repro.persistence.compaction import compact_journal
 from repro.persistence.journal import Journal
-from repro.persistence.recovery import RecoveryResult, recover_state
+from repro.persistence.recovery import (
+    RecoveryResult,
+    recover_state,
+    session_from_checkpoint,
+)
 from repro.service.session import Session, SessionRegistry
-from repro.service.snapshot import restore_tracker, snapshot_tracker
+from repro.service.snapshot import snapshot_tracker
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
@@ -74,7 +82,8 @@ class PersistenceManager:
         durability-lag gauge, the fsync-latency histogram, and
         lifecycle events.
     clock:
-        Monotonic time source for hydrated sessions' activity stamps.
+        Monotonic time source for recovered and hydrated sessions'
+        activity stamps.
     """
 
     def __init__(
@@ -111,13 +120,8 @@ class PersistenceManager:
             self.checkpoints.delete(name)
 
         #: Cold sessions on disk: name -> the seq their checkpoint covers.
+        #: Live sessions carry their own journal positions.
         self._cold: Dict[str, int] = dict(self.recovery.cold)
-        #: Live sessions' last journaled seq.
-        self._session_seqs: Dict[str, int] = {}
-        #: Live sessions' last checkpointed seq.
-        self._checkpoint_seqs: Dict[str, int] = {}
-        #: Live sessions' ``open`` record seq (until first checkpoint).
-        self._first_seqs: Dict[str, int] = {}
         self.hydrated = 0
         self.hydrate_failures = 0
         self.evict_saves = 0
@@ -152,42 +156,34 @@ class PersistenceManager:
         registry.on_evict = self.save_session
         registry.resolver = self.resolve
         registry.name_reserved = self.contains_cold
-        installed = 0
         recovered = sorted(
-            self.recovery.live.values(), key=lambda entry: entry.last_seq
+            self.recovery.live.values(), key=lambda session: session.last_seq
         )
-        for entry in recovered:
-            session = Session(entry.name, entry.tracker, self._clock())
-            session.intervals_pushed = entry.intervals_pushed
-            session.branches_ingested = entry.branches_ingested
-            self._session_seqs[entry.name] = entry.last_seq
-            if entry.checkpoint_seq is not None:
-                self._checkpoint_seqs[entry.name] = entry.checkpoint_seq
-            if entry.first_seq is not None:
-                self._first_seqs[entry.name] = entry.first_seq
+        for session in recovered:
+            session.last_active = self._clock()
             registry.adopt(session)
-            installed += 1
-        return installed
+        return len(recovered)
 
     # -- write-ahead logging --------------------------------------------------
 
     def log_open(
         self,
-        name: str,
+        session: Session,
         config: Optional[dict] = None,
         interval_instructions: Optional[int] = None,
         snapshot: Optional[dict] = None,
     ) -> int:
-        """Journal a successful ``open``; returns the record's seq.
+        """Journal a successful ``open``; returns the record's seq,
+        which becomes ``session``'s ``last_seq`` and ``replay_from``.
 
         A restore snapshot too large for one journal frame does not
         travel inline: the open record carries a marker instead and the
-        snapshot is published as the session's first checkpoint,
-        covering the open record itself.
+        session is checkpointed at once, covering the open record
+        itself (so ``replay_from`` moves one past it).
         """
         record = {
             "kind": "open",
-            "session": name,
+            "session": session.name,
             "config": config,
             "interval_instructions": interval_instructions,
             "snapshot": snapshot,
@@ -199,37 +195,26 @@ class PersistenceManager:
                 raise
             record.update(snapshot=None, snapshot_ref="checkpoint")
             seq = self.journal.append(record)
-            self.checkpoints.write(name, {
-                "seq": seq,
-                "snapshot": snapshot,
-                "meta": {"interval_instructions": interval_instructions},
-            })
-            self._session_seqs[name] = seq
-            self._first_seqs[name] = seq
-            self._checkpoint_seqs[name] = seq
-            return seq
-        self._session_seqs[name] = seq
-        self._first_seqs[name] = seq
-        self._checkpoint_seqs.pop(name, None)
+            session.last_seq = session.replay_from = seq
+            return self.checkpoint_session(session)
+        session.last_seq = session.replay_from = seq
         return seq
 
-    def log_observe(self, name: str, pcs, counts, cpi: float = 1.0) -> int:
+    def log_observe(
+        self, session: Session, pcs, counts, cpi: float = 1.0
+    ) -> int:
         """Journal one applied observe batch as a binary record, its
         ``pcs`` and ``counts`` as int64 columns; returns the record's
-        seq."""
-        seq = self.journal.append(
-            {"kind": "observe", "session": name, "cpi": float(cpi)},
+        seq, which becomes ``session``'s last."""
+        session.last_seq = self.journal.append(
+            {"kind": "observe", "session": session.name, "cpi": float(cpi)},
             arrays={"pcs": pcs, "counts": counts},
         )
-        self._session_seqs[name] = seq
-        return seq
+        return session.last_seq
 
     def log_close(self, name: str) -> int:
         """Journal a ``close`` and delete the session's durable state."""
         seq = self.journal.append({"kind": "close", "session": name})
-        self._session_seqs.pop(name, None)
-        self._checkpoint_seqs.pop(name, None)
-        self._first_seqs.pop(name, None)
         self._cold.pop(name, None)
         self.checkpoints.delete(name)
         return seq
@@ -240,9 +225,6 @@ class PersistenceManager:
         """The registry's ``on_evict`` pre-drop hook: checkpoint the
         session and register it cold instead of losing its state."""
         seq = self.checkpoint_session(session)
-        self._session_seqs.pop(session.name, None)
-        self._checkpoint_seqs.pop(session.name, None)
-        self._first_seqs.pop(session.name, None)
         self._cold[session.name] = seq
         self.evict_saves += 1
         if self._telemetry is not None:
@@ -272,21 +254,14 @@ class PersistenceManager:
             self._cold.pop(name, None)
             return None
         try:
-            session = Session(
-                name, restore_tracker(document["snapshot"]), self._clock()
-            )
+            session = session_from_checkpoint(document, self._clock())
         except Exception:
             self._cold.pop(name, None)
             self.hydrate_failures += 1
             if self._telemetry is not None:
                 self._telemetry.emit("hydrate_failed", session=name)
             return None
-        meta = document.get("meta") or {}
-        session.intervals_pushed = int(meta.get("intervals_pushed", 0))
-        session.branches_ingested = int(meta.get("branches_ingested", 0))
         self._cold.pop(name, None)
-        self._session_seqs[name] = int(document["seq"])
-        self._checkpoint_seqs[name] = int(document["seq"])
         self.hydrated += 1
         return session
 
@@ -304,34 +279,31 @@ class PersistenceManager:
     # -- checkpoint + compact -------------------------------------------------
 
     def checkpoint_session(self, session: Session) -> int:
-        """Snapshot one live session; returns the seq it covers.
+        """Snapshot one live session at its last journal record;
+        returns that seq and moves the session's ``replay_from`` past
+        it.
 
         The journal is synced first: a published checkpoint covering
         seq N asserts the on-disk journal reaches N, so recovery's
         seq accounting stays consistent after a machine crash.
         """
-        seq = self._session_seqs.get(session.name, 0)
+        seq = session.last_seq
         if self.journal.unsynced_records:
             self.journal.sync()
         self.checkpoints.write(session.name, {
             "seq": seq,
             "snapshot": snapshot_tracker(session.tracker),
-            "meta": {
-                "intervals_pushed": session.intervals_pushed,
-                "branches_ingested": session.branches_ingested,
-                "interval_instructions":
-                    session.tracker.interval_instructions,
-            },
+            "meta": {"branches_ingested": session.branches_ingested},
         })
-        self._checkpoint_seqs[session.name] = seq
-        self._first_seqs.pop(session.name, None)
+        session.replay_from = seq + 1
         if self._telemetry is not None:
             self._m_checkpoints.inc()
         return seq
 
     def checkpoint_all(self, sessions: Iterable[Session]) -> int:
-        """Checkpoint every *dirty* live session (journaled past its
-        last checkpoint); returns the number written.
+        """Checkpoint every *dirty* session of ``sessions`` (the live
+        ones: journaled past its last checkpoint, or never
+        checkpointed); returns the number written.
 
         The journal is fsynced *before* any checkpoint publishes (and
         unconditionally, so each sweep also bounds durability lag even
@@ -341,23 +313,20 @@ class PersistenceManager:
         self.journal.sync()
         written = 0
         for session in sessions:
-            current = self._session_seqs.get(session.name, 0)
-            if self._checkpoint_seqs.get(session.name) == current:
+            if session.replay_from > session.last_seq:
                 self.checkpoints_skipped_clean += 1
                 continue
             self.checkpoint_session(session)
             written += 1
         return written
 
-    def compact(self) -> int:
-        """Drop journal segments every session has checkpointed past."""
+    def compact(self, sessions: Iterable[Session]) -> int:
+        """Drop journal segments that neither a cold session nor any
+        journaled session of ``sessions`` (the live ones) still needs."""
         needed = [seq + 1 for seq in self._cold.values()]
-        for name in self._session_seqs:
-            checkpointed = self._checkpoint_seqs.get(name)
-            if checkpointed is not None:
-                needed.append(checkpointed + 1)
-            else:
-                needed.append(self._first_seqs.get(name, 1))
+        needed += [
+            session.replay_from for session in sessions if session.last_seq
+        ]
         min_needed = min(needed) if needed else self.journal.next_seq
         return compact_journal(
             self.journal_root,

@@ -32,36 +32,19 @@ dropped and counted otherwise.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, TYPE_CHECKING, Union
 
-from repro.core.online import PhaseTracker
 from repro.errors import PersistenceError, ReproError
 from repro.persistence.checkpoints import CheckpointStore
 from repro.persistence.journal import ReplayStats, replay_journal
-from repro.service.session import build_config
+from repro.service.session import Session, build_tracker
 from repro.service.snapshot import restore_tracker
-from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
-
-
-@dataclass
-class RecoveredSession:
-    """One session materialized during replay."""
-
-    name: str
-    tracker: PhaseTracker
-    intervals_pushed: int = 0
-    branches_ingested: int = 0
-    #: Highest journal seq applied to (or covering) this session.
-    last_seq: int = 0
-    #: The checkpoint seq it was fast-forwarded from, if any.
-    checkpoint_seq: Optional[int] = None
-    #: Its ``open`` record's seq, when it was built from one.
-    first_seq: Optional[int] = None
 
 
 @dataclass
@@ -69,7 +52,7 @@ class RecoveryResult:
     """Everything :func:`recover_state` reconstructed and counted."""
 
     #: Materialized sessions (had journal records past their checkpoint).
-    live: Dict[str, RecoveredSession] = field(default_factory=dict)
+    live: Dict[str, Session] = field(default_factory=dict)
     #: Checkpoint-current sessions left on disk: name -> covered seq.
     cold: Dict[str, int] = field(default_factory=dict)
     #: Sessions closed in the journal whose checkpoint files linger.
@@ -88,40 +71,19 @@ class RecoveryResult:
         return len(self.live) + len(self.cold)
 
 
-def _materialize_open(record: dict) -> PhaseTracker:
-    """Build the tracker an ``open`` record describes, exactly as the
-    registry's open path would."""
-    snapshot = record.get("snapshot")
-    if snapshot is not None:
-        return restore_tracker(snapshot)
-    if record.get("snapshot_ref") == "checkpoint":
-        # The restore snapshot was too large to travel inline and was
-        # published as a checkpoint covering this record. Reaching
-        # here means that checkpoint is gone — a fresh tracker would
-        # silently impersonate the restored one.
-        raise PersistenceError(
-            "open record references a checkpointed snapshot that no "
-            "longer exists"
-        )
-    return PhaseTracker(
-        build_config(record.get("config")),
-        interval_instructions=(
-            record.get("interval_instructions")
-            or DEFAULT_INTERVAL_INSTRUCTIONS
-        ),
+def session_from_checkpoint(document: dict, now: float) -> Session:
+    """The live session a checkpoint document describes, its journal
+    positions just past the checkpoint. Hydration builds its sessions
+    here too."""
+    seq = int(document["seq"])
+    session = Session(
+        document["session"], restore_tracker(document["snapshot"]), now
     )
-
-
-def _materialize_checkpoint(document: dict) -> RecoveredSession:
     meta = document.get("meta") or {}
-    return RecoveredSession(
-        name=document["session"],
-        tracker=restore_tracker(document["snapshot"]),
-        intervals_pushed=int(meta.get("intervals_pushed", 0)),
-        branches_ingested=int(meta.get("branches_ingested", 0)),
-        last_seq=int(document["seq"]),
-        checkpoint_seq=int(document["seq"]),
-    )
+    session.branches_ingested = int(meta.get("branches_ingested", 0))
+    session.last_seq = seq
+    session.replay_from = seq + 1
+    return session
 
 
 def recover_state(
@@ -165,15 +127,28 @@ def recover_state(
                 result.skipped_records += 1
                 continue
             try:
-                tracker = _materialize_open(record)
+                if record.get("snapshot_ref") == "checkpoint":
+                    # The restore snapshot was too large to travel
+                    # inline and was published as a checkpoint covering
+                    # this record. Reaching here means that checkpoint
+                    # is gone — a fresh tracker would silently
+                    # impersonate the restored one.
+                    raise PersistenceError(
+                        "open record references a checkpointed snapshot "
+                        "that no longer exists"
+                    )
+                tracker = build_tracker(
+                    record.get("config"),
+                    record.get("interval_instructions"),
+                    record.get("snapshot"),
+                )
             except ReproError:
                 result.damaged_sessions += 1
                 dead.add(name)
                 continue
             dead.discard(name)
-            live[name] = RecoveredSession(
-                name=name, tracker=tracker, last_seq=seq, first_seq=seq
-            )
+            session = live[name] = Session(name, tracker, time.monotonic())
+            session.last_seq = session.replay_from = seq
             result.replayed_records += 1
 
         elif kind == "observe":
@@ -192,14 +167,16 @@ def recover_state(
                     result.skipped_records += 1
                     continue
                 try:
-                    session = _materialize_checkpoint(documents[name])
+                    session = session_from_checkpoint(
+                        documents[name], time.monotonic()
+                    )
                 except (ReproError, KeyError, TypeError, ValueError):
                     result.damaged_sessions += 1
                     dead.add(name)
                     continue
                 live[name] = session
             try:
-                reports = session.tracker.observe_batch(
+                session.tracker.observe_batch(
                     record["pcs"],
                     record["counts"],
                     cpi=record.get("cpi", 1.0),
@@ -218,7 +195,6 @@ def recover_state(
                         session=name, record_seq=seq,
                     )
                 continue
-            session.intervals_pushed += len(reports)
             session.branches_ingested += len(record["pcs"])
             session.last_seq = seq
             result.replayed_records += 1

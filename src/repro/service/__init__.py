@@ -5,8 +5,8 @@ behind a newline-delimited-JSON TCP protocol:
 
 - :mod:`repro.service.protocol` — typed request/response/push messages
   and the wire encoding;
-- :mod:`repro.service.session` — the session registry (LRU capping,
-  idle-TTL expiry, tracker recycling);
+- :mod:`repro.service.session` — the session record and registry (LRU
+  capping, idle-TTL expiry, evict-to-disk and hydrate hooks);
 - :mod:`repro.service.snapshot` — full tracker serialize/restore, so
   sessions survive restarts and migrate between hosts;
 - :mod:`repro.service.server` — the asyncio TCP server with bounded

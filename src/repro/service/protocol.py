@@ -483,6 +483,24 @@ def open_request(request_id: int, payload: dict) -> OpenRequest:
     )
 
 
+def cluster_request(request_id: int, payload: dict) -> ClusterRequest:
+    """Validate a cluster request's ``action``/``params`` fields, taken
+    from a decoded JSON object, into a :class:`ClusterRequest`.
+
+    The one cluster validator behind both wire surfaces: NDJSON lines
+    (:func:`parse_request`) and the cluster gateway's
+    ``POST /v1/cluster`` body. Raises
+    :class:`~repro.errors.ProtocolError` on any refusal.
+    """
+    action = payload.get("action")
+    if not isinstance(action, str) or not action:
+        raise ProtocolError("cluster 'action' must be a non-empty string")
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ProtocolError("cluster 'params' must be an object")
+    return ClusterRequest(id=request_id, action=action, params=params)
+
+
 def parse_request(line: Union[str, bytes]) -> Request:
     """Decode and validate one request line.
 
@@ -509,15 +527,7 @@ def parse_request(line: Union[str, bytes]) -> Request:
             request_id, _require_session(payload), payload
         )
     if op == "cluster":
-        action = payload.get("action")
-        if not isinstance(action, str) or not action:
-            raise ProtocolError(
-                "cluster 'action' must be a non-empty string"
-            )
-        params = payload.get("params", {})
-        if not isinstance(params, dict):
-            raise ProtocolError("cluster 'params' must be an object")
-        return ClusterRequest(id=request_id, action=action, params=params)
+        return cluster_request(request_id, payload)
     session = _require_session(payload)
     if op == "close":
         return CloseRequest(id=request_id, session=session)

@@ -667,8 +667,9 @@ class PhaseService(NdjsonServer):
             # Final checkpoint so a graceful stop leaves the data dir
             # ready to recover every session — the registry teardown
             # below destroys only the RAM copies.
-            self._persistence.checkpoint_all(self.registry.sessions())
-            self._persistence.compact()
+            sessions = self.registry.sessions()
+            self._persistence.checkpoint_all(sessions)
+            self._persistence.compact(sessions)
             self._persistence.close()
         closed = self.registry.close_all()
         self._emit(
@@ -686,8 +687,9 @@ class PhaseService(NdjsonServer):
         while True:
             await asyncio.sleep(self.checkpoint_interval)
             try:
-                self._persistence.checkpoint_all(self.registry.sessions())
-                self._persistence.compact()
+                sessions = self.registry.sessions()
+                self._persistence.checkpoint_all(sessions)
+                self._persistence.compact(sessions)
             except Exception as error:
                 # One failed sweep (disk full, transient I/O) must not
                 # kill the loop: with no checkpoints the journal grows
@@ -816,7 +818,7 @@ class PhaseService(NdjsonServer):
             )
             if self._persistence is not None:
                 self._persistence.log_open(
-                    session.name,
+                    session,
                     config=request.config,
                     interval_instructions=(
                         session.tracker.interval_instructions
@@ -880,28 +882,29 @@ class PhaseService(NdjsonServer):
         self, request: protocol.ObserveRequest
     ) -> List[dict]:
         session = self.registry.get(request.session)
+        tracker = session.tracker
+        # The prediction the first report is scored against: the one
+        # the tracker holds, which a restored snapshot carries too.
+        pending = tracker.next_phase.pending_prediction
         started = time.perf_counter()
-        reports = session.tracker.observe_batch(
+        reports = tracker.observe_batch(
             request.pcs, request.counts, cpi=request.cpi
         )
         elapsed = time.perf_counter() - started
         if self._telemetry is not None and len(request.pcs):
             self._h_ingest.observe(elapsed / len(request.pcs))
         session.branches_ingested += len(request.pcs)
-        session.intervals_pushed += len(reports)
         if self._persistence is not None and len(request.pcs):
             # Journaled (and flushed per the sync mode) before the ack
             # below is written: an acknowledged batch is as durable as
             # the sync mode promises.
             self._persistence.log_observe(
-                session.name, request.pcs, request.counts,
-                cpi=request.cpi,
+                session, request.pcs, request.counts, cpi=request.cpi,
             )
         if self._telemetry is not None:
             self._m_branches.inc(len(request.pcs))
             self._m_intervals.inc(len(reports))
-        for report in reports:
-            self._score_prediction(session, report)
+        self._score_predictions(pending, reports)
         payloads = []
         for report in reports:
             # Serialized once: the event and the push carry the same
@@ -920,20 +923,24 @@ class PhaseService(NdjsonServer):
         }))
         return payloads
 
-    def _score_prediction(self, session: Session, report) -> None:
-        """Score the session's outstanding next-phase prediction against
-        the interval that just closed, then remember the new one."""
-        predicted = session.predicted_next_phase
-        if predicted is not None:
-            correct = int(predicted == report.phase_id)
-            counts = self.prediction_counts
-            counts["scored"] += 1
-            counts["correct"] += correct
-            if session.prediction_confident:
-                counts["confident_scored"] += 1
-                counts["confident_correct"] += correct
-        session.predicted_next_phase = report.predicted_next_phase
-        session.prediction_confident = report.prediction_confident
+    def _score_predictions(self, pending, reports) -> None:
+        """Score each report's interval against the next-phase
+        prediction outstanding when it closed: ``pending`` (the
+        tracker's before the batch) for the first, and the previous
+        report's for each later one."""
+        counts = self.prediction_counts
+        predicted = pending.phase_id if pending is not None else None
+        confident = pending is not None and pending.confident
+        for report in reports:
+            if predicted is not None:
+                correct = int(predicted == report.phase_id)
+                counts["scored"] += 1
+                counts["correct"] += correct
+                if confident:
+                    counts["confident_scored"] += 1
+                    counts["confident_correct"] += correct
+            predicted = report.predicted_next_phase
+            confident = report.prediction_confident
 
     def prediction_accuracy(self) -> Dict[str, object]:
         """Service-level next-phase predictor scoreboard."""

@@ -1,7 +1,9 @@
 """Session registry: many named trackers behind one service.
 
 A :class:`Session` owns one :class:`~repro.core.online.PhaseTracker`
-plus activity bookkeeping; the :class:`SessionRegistry` maps names to
+plus activity bookkeeping and its journal positions, and is the only
+record of a live session, in the service and in the durable tier
+alike; the :class:`SessionRegistry` maps names to
 sessions with two protection mechanisms a long-lived service needs:
 
 - **capacity cap** — at most ``max_sessions`` live trackers. When the
@@ -13,8 +15,8 @@ sessions with two protection mechanisms a long-lived service needs:
 - **idle TTL** — :meth:`SessionRegistry.expire_idle` drops sessions
   untouched for ``idle_ttl`` seconds; the server sweeps periodically.
 
-Every open builds its own tracker, and a dropped session's tracker goes
-with it.
+Every open builds its own tracker (:func:`build_tracker`, which journal
+replay shares), and a dropped session's tracker goes with it.
 
 Reclamation is observable and interceptable: before the LRU cap or the
 idle TTL destroys a session, the optional ``on_evict`` pre-drop hook
@@ -54,38 +56,37 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
 
 
 class Session:
-    """One client-visible tracking session."""
+    """One client-visible tracking session, and the only record of it.
+
+    Besides its tracker and activity bookkeeping, a session carries its
+    two journal positions, which only a durable service moves:
+    ``last_seq``, the seq of its last journal record, and
+    ``replay_from``, the first seq recovery would still have to replay
+    for it — its ``open`` record's seq, or one past its last
+    checkpoint. Both stay 0 without a journal. Everything else a
+    session knows, the pending next-phase prediction included, lives
+    in its tracker and travels in the tracker's snapshot.
+    """
 
     __slots__ = (
-        "name", "tracker", "created_at", "last_active",
-        "intervals_pushed", "branches_ingested",
-        "predicted_next_phase", "prediction_confident",
+        "name", "tracker", "last_active", "branches_ingested",
+        "last_seq", "replay_from",
     )
 
     def __init__(self, name: str, tracker: PhaseTracker, now: float) -> None:
         self.name = name
         self.tracker = tracker
-        self.created_at = now
         self.last_active = now
-        self.intervals_pushed = 0
         self.branches_ingested = 0
-        # The last outstanding next-phase prediction this session pushed
-        # to its client; the server scores it against the next interval's
-        # actual phase (service-level predictor accuracy).
-        self.predicted_next_phase: Optional[int] = None
-        self.prediction_confident = False
+        self.last_seq = 0
+        self.replay_from = 0
 
     def idle_seconds(self, now: float) -> float:
         return now - self.last_active
 
 
 def build_config(overrides: Optional[dict]) -> ClassifierConfig:
-    """A ClassifierConfig from wire-supplied field overrides.
-
-    Shared with the persistence tier's journal replay, so a recovered
-    session is configured exactly as its ``open`` request configured
-    the original.
-    """
+    """A ClassifierConfig from wire-supplied field overrides."""
     if not overrides:
         return ClassifierConfig.paper_default()
     try:
@@ -94,6 +95,28 @@ def build_config(overrides: Optional[dict]) -> ClassifierConfig:
         # Unknown field names reach the dataclass constructor as
         # unexpected kwargs; surface them as configuration errors.
         raise ConfigurationError(str(error)) from None
+
+
+def build_tracker(
+    config: Optional[dict] = None,
+    interval_instructions: Optional[int] = None,
+    snapshot: Optional[dict] = None,
+) -> PhaseTracker:
+    """The tracker an ``open`` request describes: restored from its
+    snapshot, or built from its config overrides and interval length.
+
+    Shared with the persistence tier's journal replay, so a recovered
+    session is built exactly as its ``open`` request built the
+    original.
+    """
+    if snapshot is not None:
+        return restore_tracker(snapshot)
+    return PhaseTracker(
+        build_config(config),
+        interval_instructions=(
+            interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS
+        ),
+    )
 
 
 class SessionRegistry:
@@ -232,16 +255,11 @@ class SessionRegistry:
 
         self._make_room()
 
-        if snapshot is not None:
-            tracker = restore_tracker(snapshot)
-        else:
-            tracker = PhaseTracker(
-                build_config(config),
-                interval_instructions=(
-                    interval_instructions or DEFAULT_INTERVAL_INSTRUCTIONS
-                ),
-            )
-        session = Session(name, tracker, self.clock())
+        session = Session(
+            name,
+            build_tracker(config, interval_instructions, snapshot),
+            self.clock(),
+        )
         self._sessions[name] = session
         self.sessions_opened += 1
         self._emit(

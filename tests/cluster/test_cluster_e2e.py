@@ -53,7 +53,9 @@ def drive(client, session, pcs, counts, chunk=500):
 
 
 def single_service_reports(sessions):
-    """Ground truth: the same streams through one in-process service."""
+    """Ground truth: the same streams through one in-process service;
+    returns each session's reports and the service's prediction
+    scoreboard."""
     expected = {}
     with start_in_thread(max_sessions=16) as handle:
         with PhaseServiceClient(port=handle.port) as client:
@@ -64,7 +66,8 @@ def single_service_reports(sessions):
                 )
                 expected[name] = drive(client, name, pcs, counts)
                 client.close_session(name)
-    return expected
+            predictions = client.stats()["predictions"]
+    return expected, predictions
 
 
 def wait_for(predicate, timeout=30.0, interval=0.1):
@@ -82,14 +85,15 @@ class TestClusterByteIdentity:
     ):
         """Four sessions through a 2-worker cluster, one of them
         migrated between workers mid-stream, produce byte-identical
-        interval reports to a single-process service."""
+        interval reports and the same prediction scoreboard as a
+        single-process service."""
         sessions = {
             name: branch_stream(seed, 3000)
             for seed, name in enumerate(
                 ["alpha", "bravo", "charlie", "delta"]
             )
         }
-        expected = single_service_reports(sessions)
+        expected, expected_predictions = single_service_reports(sessions)
 
         with start_cluster_in_thread(
             port=0, workers=2, runtime_dir=str(tmp_path / "rt"),
@@ -143,12 +147,17 @@ class TestClusterByteIdentity:
                         client, name, pcs[half:], counts[half:]
                     )
                     client.close_session(name)
+                # The migrated session's target scored its first
+                # interval against the snapshot's pending prediction.
+                predictions = client.stats()["predictions"]
 
         for name in sessions:
             assert got[name] == expected[name], (
                 f"session {name!r} diverged from the single-process "
                 f"service"
             )
+        assert expected_predictions["scored"] > 0
+        assert predictions == expected_predictions
 
     def test_anonymous_opens_and_aggregate_stats(self, tmp_path):
         with start_cluster_in_thread(

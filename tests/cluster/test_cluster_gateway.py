@@ -3,6 +3,7 @@ actions), cluster-wide /healthz and /v1/diagnostics, and the labeled
 per-worker Prometheus gauges."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -88,6 +89,27 @@ class TestClusterEndpoints:
         )
         assert status == 503
         assert "unknown cluster action" in body["error"]["message"]
+
+    @pytest.mark.parametrize("body", [
+        {},
+        {"action": ""},
+        {"action": 5},
+        {"action": "status", "params": []},
+    ])
+    def test_malformed_actions_refused_on_both_surfaces(
+        self, base, cluster, body
+    ):
+        """One validator: HTTP answers 400, NDJSON the protocol code."""
+        status, answer = call(base, "POST", "/v1/cluster", body)
+        assert status == 400, answer
+        line = json.dumps(dict(body, op="cluster", id=7)).encode() + b"\n"
+        with socket.create_connection(
+            ("127.0.0.1", cluster.port), timeout=10
+        ) as sock:
+            sock.sendall(line)
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["id"] == 7 and reply["ok"] is False
+        assert reply["error"]["code"] == "protocol", reply
 
     def test_metrics_have_labeled_worker_gauges(self, base, cluster):
         with urllib.request.urlopen(base + "/metrics", timeout=10) as r:

@@ -76,6 +76,40 @@ class TestTrackerMetrics:
             ).value <= confident <= total
         )
 
+    def test_prediction_counters_continue_across_a_restore(self):
+        """A restored tracker scores its first interval against the
+        prediction its snapshot carries, so one hub's next-phase
+        counters across the restore equal an unbroken tracker's."""
+        from repro.service.snapshot import restore_tracker, snapshot_tracker
+
+        rng = np.random.default_rng(3)
+        region = np.repeat(rng.integers(0, 3, size=40), 300)
+        pcs = 0x400000 + region * 0x10000 + rng.integers(
+            0, 48, size=region.size
+        ) * 4
+        counts = rng.integers(20, 80, size=region.size)
+        names = [
+            f"repro_next_phase_{name}_total"
+            for name in ("predictions", "correct", "confident",
+                         "confident_correct")
+        ]
+
+        unbroken_hub = Telemetry()
+        unbroken = PhaseTracker(
+            interval_instructions=20_000, telemetry=unbroken_hub
+        )
+        unbroken.observe_batch(pcs, counts)
+        expected = [unbroken_hub.metrics.get(name).value for name in names]
+        assert expected[0] == unbroken.next_phase.stats.total > 0
+
+        hub = Telemetry()
+        half = pcs.size // 2
+        first = PhaseTracker(interval_instructions=20_000, telemetry=hub)
+        first.observe_batch(pcs[:half], counts[:half])
+        restored = restore_tracker(snapshot_tracker(first), telemetry=hub)
+        restored.observe_batch(pcs[half:], counts[half:])
+        assert [hub.metrics.get(name).value for name in names] == expected
+
     def test_stage_spans_nested_under_interval(self, telemetry):
         tracker = PhaseTracker(
             interval_instructions=50_000, telemetry=telemetry

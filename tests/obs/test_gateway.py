@@ -337,6 +337,33 @@ class TestMetrics:
         assert len(info_keys) == 1 and samples[info_keys[0]] == 1
         assert 'version="' in info_keys[0] and 'pid="' in info_keys[0]
 
+    def test_refused_methods_count_under_their_route(self, service, base):
+        """A 405 counts under the route pattern its path matched, so
+        paths naming 200 sessions add one series, not 200."""
+        metrics = service.service.telemetry.metrics
+
+        def request_series():
+            return {
+                name for name in metrics.names()
+                if name.startswith("repro_http_requests_total")
+            }
+
+        before = request_series()
+        for index in range(200):
+            status, _ = call(
+                base, "POST", f"/v1/sessions/s{index}/snapshot", {}
+            )
+            assert status == 405
+        added = request_series() - before
+        key = (
+            'repro_http_requests_total'
+            '{method="POST",route="/v1/sessions/{id}/snapshot"}'
+        )
+        assert added == {key}
+        with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
+            samples = parse_prometheus_text(resp.read().decode())
+        assert samples[key] == 200
+
     def test_every_line_of_live_output_parses(self, base):
         call(base, "POST", "/v1/sessions", {"session": "p"})
         with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:

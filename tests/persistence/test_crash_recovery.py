@@ -222,7 +222,7 @@ class TestInThreadServiceDurability:
                 if len(calls) == 1:
                     raise PersistenceError("disk full")
 
-            def compact(self):
+            def compact(self, sessions):
                 return 0
 
         service._persistence = ExplodingPersistence()
@@ -263,3 +263,46 @@ class TestInThreadServiceDurability:
                 assert stats["journal_unsynced"] <= 3
         finally:
             handle.stop()
+
+    def test_scoreboard_counts_restored_and_hydrated_sessions(
+        self, tmp_path
+    ):
+        """A session reopened from its own snapshot mid-stream and one
+        evicted to disk and hydrated score every interval an unbroken
+        session scores: each carries its pending prediction in its
+        tracker, so the service scoreboard equals an unbroken run's."""
+        streams = {
+            "reopened": branch_batches(seed=13, batches=8),
+            "hydrated": branch_batches(seed=14, batches=8),
+        }
+        with start_in_thread(max_sessions=8) as handle:
+            with PhaseServiceClient(port=handle.port) as client:
+                for name, batches in streams.items():
+                    client.open_session(
+                        name, interval_instructions=INTERVAL_INSTRUCTIONS
+                    )
+                    for pcs, counts in batches:
+                        client.observe(name, pcs, counts, cpi=1.0)
+                expected = client.stats()["predictions"]
+        assert expected["scored"] > 0
+
+        with start_in_thread(
+            max_sessions=2, data_dir=tmp_path / "data"
+        ) as handle:
+            with PhaseServiceClient(port=handle.port) as client:
+                for name, batches in streams.items():
+                    client.open_session(
+                        name, interval_instructions=INTERVAL_INSTRUCTIONS
+                    )
+                    for pcs, counts in batches[:4]:
+                        client.observe(name, pcs, counts, cpi=1.0)
+                snapshot = client.snapshot("reopened")
+                client.close_session("reopened")
+                client.open_session("reopened", snapshot=snapshot)
+                client.open_session("filler")  # evicts "hydrated"
+                for name, batches in streams.items():
+                    for pcs, counts in batches[4:]:
+                        client.observe(name, pcs, counts, cpi=1.0)
+                stats = client.stats()
+        assert stats["evicted_saved"] >= 1 and stats["hydrated"] >= 1
+        assert stats["predictions"] == expected

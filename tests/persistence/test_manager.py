@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core import PhaseTracker
-from repro.errors import SessionExistsError, SessionNotFoundError
+from repro.errors import (
+    PersistenceError,
+    SessionExistsError,
+    SessionNotFoundError,
+)
 from repro.persistence import Journal, PersistenceManager, list_segments
+from repro.persistence.journal import segment_first_seq
 from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
@@ -51,7 +56,7 @@ def open_and_drive(manager, registry, name, batches):
         name=name, interval_instructions=INTERVAL_INSTRUCTIONS
     )
     manager.log_open(
-        name, interval_instructions=INTERVAL_INSTRUCTIONS
+        session, interval_instructions=INTERVAL_INSTRUCTIONS
     )
     drive(manager, session, batches)
     return session
@@ -59,10 +64,9 @@ def open_and_drive(manager, registry, name, batches):
 
 def drive(manager, session, batches):
     for pcs, counts in batches:
-        reports = session.tracker.observe_batch(pcs, counts, cpi=1.1)
-        session.intervals_pushed += len(reports)
+        session.tracker.observe_batch(pcs, counts, cpi=1.1)
         session.branches_ingested += len(pcs)
-        manager.log_observe(session.name, pcs, counts, cpi=1.1)
+        manager.log_observe(session, pcs, counts, cpi=1.1)
 
 
 class TestEvictHydrate:
@@ -183,7 +187,7 @@ class TestCrashRecovery:
 
         manager, registry, _ = durable_registry(tmp_path)
         session = registry.open(name="big", snapshot=snapshot)
-        manager.log_open("big", snapshot=snapshot)
+        manager.log_open(session, snapshot=snapshot)
         before = dumps(snapshot_tracker(session.tracker))
         del manager, registry  # kill -9
 
@@ -268,6 +272,51 @@ class TestCrashRecovery:
         assert manager2.stats()["replayed_records"] == 2
         recovered = manager2.recovery.live["a"]
         assert dumps(snapshot_tracker(recovered.tracker)) == before
+
+    def test_checkpoints_with_the_older_meta_still_load(self, tmp_path):
+        """A checkpoint whose ``meta`` also holds ``intervals_pushed``
+        and ``interval_instructions``, as checkpoints did before a
+        session carried its journal positions, hydrates and recovers
+        byte-identically and keeps its ``branches_ingested``."""
+        batches = branch_batches(seed=22, batches=6)
+        reference = PhaseTracker(
+            interval_instructions=INTERVAL_INSTRUCTIONS
+        )
+        for pcs, counts in batches:
+            reference.observe_batch(pcs, counts, cpi=1.1)
+        manager, registry, _ = durable_registry(tmp_path)
+        session = open_and_drive(manager, registry, "a", batches[:3])
+        manager.checkpoints.write("a", {
+            "seq": session.last_seq,
+            "snapshot": snapshot_tracker(session.tracker),
+            "meta": {
+                "intervals_pushed": session.tracker.intervals_observed,
+                "branches_ingested": session.branches_ingested,
+                "interval_instructions": INTERVAL_INSTRUCTIONS,
+            },
+        })
+        before = dumps(snapshot_tracker(session.tracker))
+        manager.close()
+        del manager, registry, session
+
+        # Checkpoint-current: cold, and hydrated on first use.
+        manager, registry, installed = durable_registry(tmp_path)
+        assert installed == 0 and manager.cold_names() == ["a"]
+        session = registry.get("a")
+        assert dumps(snapshot_tracker(session.tracker)) == before
+        assert session.branches_ingested == 3 * 200
+        drive(manager, session, batches[3:])
+        del manager, registry, session  # kill -9: no new checkpoint
+
+        # The same checkpoint plus the journal tail past it.
+        manager, registry, installed = durable_registry(tmp_path)
+        assert installed == 1
+        assert manager.stats()["replayed_records"] == 3
+        recovered = registry.get("a")
+        assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
+            snapshot_tracker(reference)
+        )
+        assert recovered.branches_ingested == 6 * 200
 
     def test_evicted_sessions_survive_restart_cold(self, tmp_path):
         manager, registry, _ = durable_registry(tmp_path, max_sessions=2)
@@ -363,7 +412,7 @@ class TestMaintenance:
         open_and_drive(manager, registry, "a", batches)
         assert len(list_segments(manager.journal_root)) > 2
         manager.checkpoint_all(registry.sessions())
-        removed = manager.compact()
+        removed = manager.compact(registry.sessions())
         assert removed > 0
         # Everything still recovers from checkpoint + remaining tail.
         before = dumps(snapshot_tracker(registry.get("a").tracker))
@@ -386,8 +435,46 @@ class TestMaintenance:
         assert len(segments) > 2
         # "a" was never checkpointed: its open record (seq 1) is still
         # needed, so nothing may be compacted.
-        assert manager.compact() == 0
+        assert manager.compact(registry.sessions()) == 0
         assert list_segments(manager.journal_root) == segments
+
+    def test_lost_eviction_does_not_pin_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        """A session dropped because its evict-to-disk checkpoint could
+        not be written is gone, and compaction stops waiting for it."""
+        manager, registry, _ = durable_registry(
+            tmp_path, max_sessions=2, segment_bytes=2_048
+        )
+        batches = branch_batches(seed=21, batches=20, batch_size=40)
+        open_and_drive(manager, registry, "lost", batches)
+        open_and_drive(manager, registry, "b", batches)
+
+        def disk_full(name, document):
+            raise PersistenceError(
+                f"cannot write checkpoint for {name!r}: [Errno 28] No "
+                "space left on device"
+            )
+
+        monkeypatch.setattr(manager.checkpoints, "write", disk_full)
+        open_and_drive(manager, registry, "c", batches[:1])  # evicts
+        monkeypatch.undo()
+        assert registry.stats()["evicted_lost"] == 1
+        assert "lost" not in registry and manager.cold_sessions == 0
+
+        sessions = registry.sessions()
+        assert manager.checkpoint_all(sessions) == 2
+        segments = list_segments(manager.journal_root)
+        removed = manager.compact(sessions)
+        assert removed > 0
+        # Every segment wholly below what the survivors still need went.
+        needed = min(session.replay_from for session in sessions)
+        remaining = list_segments(manager.journal_root)
+        assert remaining == segments[removed:]
+        assert segment_first_seq(remaining[0]) <= needed
+        assert len(remaining) == 1 or (
+            segment_first_seq(remaining[1]) > needed
+        )
 
     def test_stats_are_json_safe(self, tmp_path):
         import json
@@ -402,7 +489,9 @@ class TestMaintenance:
 
     def test_context_manager_closes_journal(self, tmp_path):
         with PersistenceManager(tmp_path / "data") as manager:
-            manager.log_open("a", interval_instructions=1_000)
+            manager.log_open(
+                SessionRegistry().open(name="a"), interval_instructions=1_000
+            )
         assert manager.journal.closed
 
 

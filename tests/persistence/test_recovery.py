@@ -70,7 +70,8 @@ class TestReplay:
         assert result.cold == {} and result.closed == []
         recovered = result.live["a"]
         assert recovered.branches_ingested == 5 * 200
-        assert recovered.intervals_pushed == reference.intervals_observed
+        # Replay starts at its open record and ends at its last observe.
+        assert (recovered.replay_from, recovered.last_seq) == (1, 6)
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
         )
@@ -118,7 +119,8 @@ class TestReplay:
 
         result = recover_state(journal_root, checkpoints)
         recovered = result.live["a"]
-        assert recovered.checkpoint_seq is not None
+        # One past the checkpoint (seq 4) to the last observe.
+        assert (recovered.replay_from, recovered.last_seq) == (5, 7)
         assert result.replayed_records == 3  # only the tail
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
