@@ -94,7 +94,8 @@ def test_cold_hydrate_latency_flat_at_10k_sessions(tmp_path):
 
     # One warmed tracker, checkpointed under many names: the on-disk
     # population an LRU-capped server accumulates over days.
-    manager = PersistenceManager(tmp_path / "data", sync="none")
+    registry = SessionRegistry(max_sessions=HYDRATE_SAMPLES + 1)
+    manager = PersistenceManager(tmp_path / "data", registry, sync="none")
     tracker = PhaseTracker(interval_instructions=INTERVAL_INSTRUCTIONS)
     pcs, counts = _branch_stream(seed=1, n=3_000)
     tracker.observe_batch(pcs, counts, cpi=1.1)
@@ -107,11 +108,9 @@ def test_cold_hydrate_latency_flat_at_10k_sessions(tmp_path):
     for index in range(COLD_SESSIONS):
         name = f"cold-{index}"
         manager.checkpoints.write(name, document)
-        manager._cold[name] = 0
+        manager._cold.add(name)
     populate = time.perf_counter() - start
 
-    registry = SessionRegistry(max_sessions=HYDRATE_SAMPLES + 1)
-    manager.install_into(registry)
     rng = np.random.default_rng(2)
     picks = rng.choice(COLD_SESSIONS, size=HYDRATE_SAMPLES, replace=False)
     start = time.perf_counter()

@@ -14,11 +14,12 @@ This package makes phase history durable:
 - :mod:`repro.persistence.recovery` — ``kill -9`` recovery: checkpoints
   fast-forward, the journal tail replays through the tracker's own
   vectorized ingest, damage is counted instead of raised;
-- :mod:`repro.persistence.compaction` — drop journal segments every
-  checkpoint has superseded;
+- :mod:`repro.persistence.compaction` — drop every journal segment
+  but the active one once a checkpoint sweep has superseded them;
 - :mod:`repro.persistence.manager` — :class:`PersistenceManager`, the
-  facade the service tier wires in: evict-to-disk, hydrate-on-demand,
-  write-ahead logging, periodic checkpoints.
+  facade built on the service's session registry: evict-to-disk,
+  hydrate-on-demand, write-ahead logging, and checkpoint sweeps that
+  leave the journal one segment.
 
 Enable it on a server with ``repro-phases serve --data-dir PATH``
 (plus ``--sync`` and ``--checkpoint-interval``), or in code via

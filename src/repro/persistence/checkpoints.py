@@ -214,11 +214,16 @@ class CheckpointStore:
     # -- maintenance ----------------------------------------------------------
 
     def delete(self, name: str) -> bool:
-        """Remove ``name``'s checkpoint; returns whether one existed."""
+        """Remove ``name``'s checkpoint; returns whether one existed.
+        Raises :class:`PersistenceError` when it cannot be removed."""
         try:
             self.path_for(name).unlink()
-        except OSError:
+        except FileNotFoundError:
             return False
+        except OSError as error:
+            raise PersistenceError(
+                f"cannot delete checkpoint for {name!r}: {error}"
+            ) from None
         return True
 
     def __len__(self) -> int:

@@ -1,16 +1,16 @@
-"""Journal compaction: drop segments every checkpoint has superseded.
+"""Journal compaction: drop the segments a checkpoint sweep superseded.
 
 A journal segment named ``seg-<F>`` holds records with sequence
 numbers in ``[F, F')`` where ``F'`` is the next segment's first seq.
-Once every session's checkpoint covers seq ``S`` (and sessions without
-a checkpoint still have their ``open`` record at hand), any whole
-segment strictly below the minimum still-needed seq is dead weight:
-recovery would skip all of it. :func:`compact_journal` deletes those
-segments; the active (newest) segment is never touched.
+:meth:`~repro.persistence.manager.PersistenceManager.checkpoint_all`
+leaves every live session checkpointed at its last record, every cold
+session's checkpoint current, and every closed session's checkpoint
+deleted; after that, recovery would skip every record already written,
+so :func:`compact_journal` deletes every segment but the active
+(newest) one.
 
-Deletion order is oldest-first and stops at the first segment still
-needed, so a crash mid-compaction leaves a journal that is merely less
-compacted, never less correct.
+Deletion order is oldest-first, so a crash mid-compaction leaves a
+journal that is merely less compacted, never less correct.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, TYPE_CHECKING, Union
 
-from repro.persistence.journal import list_segments, segment_first_seq
+from repro.persistence.journal import list_segments
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
@@ -26,27 +26,16 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
 
 def compact_journal(
     root: Union[str, Path],
-    min_needed_seq: int,
     active_path: "Optional[Union[str, Path]]" = None,
     telemetry: "Optional[Telemetry]" = None,
 ) -> int:
-    """Delete whole segments whose every record has
-    ``seq < min_needed_seq``; returns how many were removed.
-
-    ``min_needed_seq`` is the smallest sequence number any session
-    still depends on — ``checkpoint seq + 1`` for checkpointed
-    sessions, the ``open`` record's seq for ones never checkpointed,
-    or the journal's ``next_seq`` when no session constrains anything.
+    """Delete every segment older than the active one (the newest
+    when ``active_path`` is not given); returns how many were removed.
     """
     active = Path(active_path) if active_path is not None else None
-    segments = list_segments(root)
     removed = 0
-    for segment, following in zip(segments, segments[1:]):
-        if active is not None and segment == active:
-            break
-        # ``segment`` spans [first(segment), first(following)); it is
-        # disposable only when even its last record is below the need.
-        if segment_first_seq(following) > min_needed_seq:
+    for segment in list_segments(root)[:-1]:
+        if segment == active:
             break
         try:
             segment.unlink()
@@ -58,8 +47,5 @@ def compact_journal(
             "repro_persistence_segments_compacted_total",
             "Journal segments deleted by compaction",
         ).inc(removed)
-        telemetry.emit(
-            "journal_compacted", removed=removed,
-            min_needed_seq=min_needed_seq,
-        )
+        telemetry.emit("journal_compacted", removed=removed)
     return removed

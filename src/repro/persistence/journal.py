@@ -186,7 +186,8 @@ class ReplayStats:
     truncated_bytes: int = 0
     #: Whole segments discarded because they follow a truncation point.
     segments_discarded: int = 0
-    #: One past the highest sequence number seen (the next to assign).
+    #: The next sequence number to assign: one past the highest seen,
+    #: and never below the newest segment's name.
     next_seq: int = 1
 
 
@@ -293,7 +294,11 @@ def replay_journal(
                     "journal_segment_discarded", segment=segment.name
                 )
 
+    # Compaction can leave one empty segment, whose name still holds
+    # the next seq: reusing lower ones would misorder later segments.
     stats.next_seq = last_seq + 1
+    if segments:
+        stats.next_seq = max(stats.next_seq, segment_first_seq(segments[-1]))
     return replay
 
 

@@ -1,8 +1,9 @@
 """The durable session tier behind one handle.
 
 :class:`PersistenceManager` composes the journal, the checkpoint
-store, recovery, and compaction into the three hooks the session
-registry exposes, plus the logging calls the server makes:
+store, recovery, and compaction on the session registry it serves: it
+wires the registry's three hooks, reads its live sessions itself, and
+takes the logging calls the server makes:
 
 - **write path** — the server calls :meth:`log_open` /
   :meth:`log_observe` / :meth:`log_close` after each successful
@@ -19,16 +20,14 @@ registry exposes, plus the logging calls the server makes:
   session's checkpoint is current by construction, because eviction
   wrote it after the session's last observe.
 - **crash recovery** — construction replays the data directory
-  (:func:`~repro.persistence.recovery.recover_state`);
-  :meth:`install_into` re-registers the reconstructed sessions, letting
-  the registry's own eviction policy push overflow back to disk.
-- **checkpoint + compact** — :meth:`checkpoint_all` snapshots dirty
-  sessions (the server runs it on a timer and at shutdown), after
-  which :meth:`compact` drops journal segments nobody needs. Both read
-  the journal positions each live
-  :class:`~repro.service.session.Session` carries, which the logging
-  calls and checkpoints move; the manager itself keeps only the cold
-  sessions' covered seqs.
+  (:func:`~repro.persistence.recovery.recover_state`) and adopts the
+  reconstructed sessions into the registry, letting the registry's own
+  eviction policy push overflow back to disk.
+- **checkpoint + compact** — :meth:`checkpoint_all` (the server runs it
+  on a timer and at shutdown) checkpoints every live
+  :class:`~repro.service.session.Session` marked ``dirty``, then
+  deletes every journal segment but the active one. A cold session is
+  only a name here.
 
 The layout under ``data_dir``::
 
@@ -40,9 +39,9 @@ The layout under ``data_dir``::
 
 from __future__ import annotations
 
-import time
+import contextlib
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, TYPE_CHECKING, Union
+from typing import Dict, Optional, Set, TYPE_CHECKING, Union
 
 from repro.errors import PersistenceError
 from repro.persistence.checkpoints import CheckpointStore
@@ -61,17 +60,21 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
 
 
 class PersistenceManager:
-    """Durable sessions for one data directory.
+    """Durable sessions for one data directory, behind one registry.
 
     Constructing the manager *is* recovery: the journal is replayed
-    (torn tail truncated, a counted non-fatal event) and every session
-    the directory knows is reconstructed — materialized when it had a
-    replay tail, left cold when its checkpoint is current.
+    (torn tail truncated, a counted non-fatal event), every session the
+    directory knows is reconstructed — materialized when it had a
+    replay tail, left cold when its checkpoint is current — and the
+    materialized ones are adopted into ``registry``.
 
     Parameters
     ----------
     data_dir:
         Root of the journal + checkpoint layout (created if missing).
+    registry:
+        The session registry made durable: its hooks are wired here,
+        and its clock stamps recovered and hydrated sessions.
     sync:
         Journal durability mode (:data:`~repro.persistence.journal.SYNC_MODES`).
         ``none`` also skips checkpoint fsyncs.
@@ -81,25 +84,22 @@ class PersistenceManager:
         Optional hub: journal/checkpoint/hydrate counters, the
         durability-lag gauge, the fsync-latency histogram, and
         lifecycle events.
-    clock:
-        Monotonic time source for recovered and hydrated sessions'
-        activity stamps.
     """
 
     def __init__(
         self,
         data_dir: Union[str, Path],
+        registry: SessionRegistry,
         sync: str = "batch",
         segment_bytes: int = 4 * 1024 * 1024,
         batch_records: int = 64,
         telemetry: "Optional[Telemetry]" = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.root = Path(data_dir).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
         self.journal_root = self.root / "journal"
+        self._registry = registry
         self._telemetry = telemetry
-        self._clock = clock
         self.checkpoints = CheckpointStore(
             self.root / "checkpoints",
             fsync=sync != "none",
@@ -116,16 +116,18 @@ class PersistenceManager:
             next_seq=self.recovery.next_seq,
             telemetry=telemetry,
         )
-        for name in self.recovery.closed:
-            self.checkpoints.delete(name)
-
-        #: Cold sessions on disk: name -> the seq their checkpoint covers.
-        #: Live sessions carry their own journal positions.
-        self._cold: Dict[str, int] = dict(self.recovery.cold)
+        #: Names of the sessions evicted to disk.
+        self._cold: Set[str] = set(self.recovery.cold)
+        #: Closed sessions whose checkpoint may still be on disk: only
+        #: their close records keep them closed until it is deleted.
+        self._closed: Set[str] = set(self.recovery.closed).difference(
+            self.recovery.live
+        )
+        with contextlib.suppress(PersistenceError):
+            self._delete_closed()
         self.hydrated = 0
         self.hydrate_failures = 0
         self.evict_saves = 0
-        self.checkpoints_skipped_clean = 0
         if telemetry is not None:
             telemetry.counter(
                 "repro_persistence_hydrates_total",
@@ -142,27 +144,18 @@ class PersistenceManager:
                 read=lambda: len(self._cold),
             )
 
-    # -- registry wiring ------------------------------------------------------
-
-    def install_into(self, registry: SessionRegistry) -> int:
-        """Wire the registry's persistence hooks and re-install the
-        sessions recovery materialized; returns how many went live.
-
-        Installation is oldest-activity-first, so when the recovered
-        population exceeds the registry cap, the registry's own LRU
-        eviction (now persistence-backed) pushes the stalest ones
-        straight back to disk as cold sessions.
-        """
         registry.on_evict = self.save_session
         registry.resolver = self.resolve
-        registry.name_reserved = self.contains_cold
-        recovered = sorted(
+        registry.name_reserved = self._cold.__contains__
+        # Oldest activity first, so when the recovered population
+        # exceeds the registry cap, the registry's own LRU eviction
+        # (persistence-backed by now) pushes the stalest ones straight
+        # back to disk as cold sessions.
+        for session in sorted(
             self.recovery.live.values(), key=lambda session: session.last_seq
-        )
-        for session in recovered:
-            session.last_active = self._clock()
+        ):
+            session.last_active = registry.clock()
             registry.adopt(session)
-        return len(recovered)
 
     # -- write-ahead logging --------------------------------------------------
 
@@ -174,12 +167,12 @@ class PersistenceManager:
         snapshot: Optional[dict] = None,
     ) -> int:
         """Journal a successful ``open``; returns the record's seq,
-        which becomes ``session``'s ``last_seq`` and ``replay_from``.
+        which becomes ``session``'s ``last_seq``, and marks it dirty.
 
         A restore snapshot too large for one journal frame does not
         travel inline: the open record carries a marker instead and the
         session is checkpointed at once, covering the open record
-        itself (so ``replay_from`` moves one past it).
+        itself.
         """
         record = {
             "kind": "open",
@@ -189,34 +182,41 @@ class PersistenceManager:
             "snapshot": snapshot,
         }
         try:
-            seq = self.journal.append(record)
+            session.last_seq = self.journal.append(record)
+            session.dirty = True
         except PersistenceError:
             if snapshot is None or self.journal.closed:
                 raise
             record.update(snapshot=None, snapshot_ref="checkpoint")
-            seq = self.journal.append(record)
-            session.last_seq = session.replay_from = seq
-            return self.checkpoint_session(session)
-        session.last_seq = session.replay_from = seq
-        return seq
+            session.last_seq = self.journal.append(record)
+            self.checkpoint_session(session)
+        # A reopened name's stale checkpoint is the new session's to
+        # overwrite, never a closed session's to delete.
+        self._closed.discard(session.name)
+        return session.last_seq
 
     def log_observe(
         self, session: Session, pcs, counts, cpi: float = 1.0
     ) -> int:
         """Journal one applied observe batch as a binary record, its
         ``pcs`` and ``counts`` as int64 columns; returns the record's
-        seq, which becomes ``session``'s last."""
+        seq, which becomes ``session``'s last, and marks it dirty."""
         session.last_seq = self.journal.append(
             {"kind": "observe", "session": session.name, "cpi": float(cpi)},
             arrays={"pcs": pcs, "counts": counts},
         )
+        session.dirty = True
         return session.last_seq
 
     def log_close(self, name: str) -> int:
-        """Journal a ``close`` and delete the session's durable state."""
+        """Journal a ``close`` and delete the session's checkpoint; a
+        checkpoint that cannot be deleted now is retried by every
+        :meth:`checkpoint_all`."""
         seq = self.journal.append({"kind": "close", "session": name})
-        self._cold.pop(name, None)
-        self.checkpoints.delete(name)
+        self._cold.discard(name)
+        self._closed.add(name)
+        with contextlib.suppress(PersistenceError):
+            self._delete_closed()
         return seq
 
     # -- evict-to-disk / hydrate-on-demand ------------------------------------
@@ -225,7 +225,7 @@ class PersistenceManager:
         """The registry's ``on_evict`` pre-drop hook: checkpoint the
         session and register it cold instead of losing its state."""
         seq = self.checkpoint_session(session)
-        self._cold[session.name] = seq
+        self._cold.add(session.name)
         self.evict_saves += 1
         if self._telemetry is not None:
             self._telemetry.emit(
@@ -240,8 +240,7 @@ class PersistenceManager:
         unreadable (a counted failure — the registry then reports the
         session as not found, the same as any reclaimed session).
         """
-        seq = self._cold.get(name)
-        if seq is None:
+        if name not in self._cold:
             return None
         document = self.checkpoints.load(name)
         if document is None:
@@ -251,23 +250,21 @@ class PersistenceManager:
                 # disk, so keep the cold registration (and the name
                 # reservation) for a later retry.
                 return None
-            self._cold.pop(name, None)
+            self._cold.discard(name)
             return None
         try:
-            session = session_from_checkpoint(document, self._clock())
+            session = session_from_checkpoint(
+                document, self._registry.clock()
+            )
         except Exception:
-            self._cold.pop(name, None)
+            self._cold.discard(name)
             self.hydrate_failures += 1
             if self._telemetry is not None:
                 self._telemetry.emit("hydrate_failed", session=name)
             return None
-        self._cold.pop(name, None)
+        self._cold.discard(name)
         self.hydrated += 1
         return session
-
-    def contains_cold(self, name: str) -> bool:
-        """The registry's ``name_reserved`` hook: cold names stay taken."""
-        return name in self._cold
 
     @property
     def cold_sessions(self) -> int:
@@ -280,8 +277,7 @@ class PersistenceManager:
 
     def checkpoint_session(self, session: Session) -> int:
         """Snapshot one live session at its last journal record;
-        returns that seq and moves the session's ``replay_from`` past
-        it.
+        returns that seq and marks the session clean.
 
         The journal is synced first: a published checkpoint covering
         seq N asserts the on-disk journal reaches N, so recovery's
@@ -295,15 +291,21 @@ class PersistenceManager:
             "snapshot": snapshot_tracker(session.tracker),
             "meta": {"branches_ingested": session.branches_ingested},
         })
-        session.replay_from = seq + 1
+        session.dirty = False
         if self._telemetry is not None:
             self._m_checkpoints.inc()
         return seq
 
-    def checkpoint_all(self, sessions: Iterable[Session]) -> int:
-        """Checkpoint every *dirty* session of ``sessions`` (the live
-        ones: journaled past its last checkpoint, or never
-        checkpointed); returns the number written.
+    def checkpoint_all(self) -> int:
+        """Checkpoint every dirty session of the registry, then delete
+        every journal segment but the active one; returns the number of
+        checkpoints written.
+
+        Recovery then needs no older record: each live session's
+        checkpoint covers its last record, each cold session's is
+        current, and each closed session's is deleted. A checkpoint
+        that cannot be written or deleted raises
+        :class:`PersistenceError` before anything is compacted.
 
         The journal is fsynced *before* any checkpoint publishes (and
         unconditionally, so each sweep also bounds durability lag even
@@ -312,28 +314,24 @@ class PersistenceManager:
         """
         self.journal.sync()
         written = 0
-        for session in sessions:
-            if session.replay_from > session.last_seq:
-                self.checkpoints_skipped_clean += 1
-                continue
-            self.checkpoint_session(session)
-            written += 1
-        return written
-
-    def compact(self, sessions: Iterable[Session]) -> int:
-        """Drop journal segments that neither a cold session nor any
-        journaled session of ``sessions`` (the live ones) still needs."""
-        needed = [seq + 1 for seq in self._cold.values()]
-        needed += [
-            session.replay_from for session in sessions if session.last_seq
-        ]
-        min_needed = min(needed) if needed else self.journal.next_seq
-        return compact_journal(
+        for session in self._registry.sessions():
+            if session.dirty:
+                self.checkpoint_session(session)
+                written += 1
+        self._delete_closed()
+        compact_journal(
             self.journal_root,
-            min_needed,
             active_path=self.journal.active_path,
             telemetry=self._telemetry,
         )
+        return written
+
+    def _delete_closed(self) -> None:
+        """Delete closed sessions' checkpoints; raises while one cannot
+        be removed, and keeps its name for the next try."""
+        for name in sorted(self._closed):
+            self.checkpoints.delete(name)
+            self._closed.discard(name)
 
     # -- lifecycle ------------------------------------------------------------
 

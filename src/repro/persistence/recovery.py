@@ -20,9 +20,10 @@ directory, tolerating everything a ``kill -9`` leaves behind:
    - a ``close`` record drops the session and schedules its checkpoint
      for deletion.
 
-3. Sessions that needed no replay stay **cold**: their checkpoint is
-   current, so they hydrate on first touch instead of occupying RAM —
-   which is what keeps recovery O(journal tail), not O(all sessions).
+3. Sessions that needed no replay stay **cold**, by name only: their
+   checkpoint is current, so they hydrate on first touch instead of
+   occupying RAM — which is what keeps recovery O(journal tail), not
+   O(all sessions). Every materialized session is *dirty*.
 
 Damage beyond the torn tail (a checkpoint that will not restore, a
 record that will not apply) demotes the affected session instead of
@@ -35,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, Set, TYPE_CHECKING, Union
 
 from repro.errors import PersistenceError, ReproError
 from repro.persistence.checkpoints import CheckpointStore
@@ -53,8 +54,8 @@ class RecoveryResult:
 
     #: Materialized sessions (had journal records past their checkpoint).
     live: Dict[str, Session] = field(default_factory=dict)
-    #: Checkpoint-current sessions left on disk: name -> covered seq.
-    cold: Dict[str, int] = field(default_factory=dict)
+    #: Names of the checkpoint-current sessions left on disk.
+    cold: Set[str] = field(default_factory=set)
     #: Sessions closed in the journal whose checkpoint files linger.
     closed: List[str] = field(default_factory=list)
     next_seq: int = 1
@@ -66,23 +67,17 @@ class RecoveryResult:
     damaged_sessions: int = 0
     journal: ReplayStats = field(default_factory=ReplayStats)
 
-    @property
-    def sessions(self) -> int:
-        return len(self.live) + len(self.cold)
-
 
 def session_from_checkpoint(document: dict, now: float) -> Session:
-    """The live session a checkpoint document describes, its journal
-    positions just past the checkpoint. Hydration builds its sessions
-    here too."""
-    seq = int(document["seq"])
+    """The live session a checkpoint document describes: clean, its
+    ``last_seq`` the seq the checkpoint covers. Hydration builds its
+    sessions here too."""
     session = Session(
         document["session"], restore_tracker(document["snapshot"]), now
     )
     meta = document.get("meta") or {}
     session.branches_ingested = int(meta.get("branches_ingested", 0))
-    session.last_seq = seq
-    session.replay_from = seq + 1
+    session.last_seq = int(document["seq"])
     return session
 
 
@@ -148,7 +143,8 @@ def recover_state(
                 continue
             dead.discard(name)
             session = live[name] = Session(name, tracker, time.monotonic())
-            session.last_seq = session.replay_from = seq
+            session.last_seq = seq
+            session.dirty = True
             result.replayed_records += 1
 
         elif kind == "observe":
@@ -197,6 +193,7 @@ def recover_state(
                 continue
             session.branches_ingested += len(record["pcs"])
             session.last_seq = seq
+            session.dirty = True
             result.replayed_records += 1
 
         elif kind == "close":
@@ -216,9 +213,7 @@ def recover_state(
             result.orphaned_records += 1
 
     # Checkpoint-current sessions that never needed replay stay cold.
-    for name, seq in checkpoint_seq.items():
-        if name not in live and name not in dead:
-            result.cold[name] = seq
+    result.cold = set(checkpoint_seq).difference(live, dead)
 
     if telemetry is not None:
         telemetry.emit(

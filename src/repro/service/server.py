@@ -327,7 +327,7 @@ class NdjsonServer:
         Stop accepting connections, stop reading new request lines,
         execute everything already queued, flush all responses and
         interval pushes, then close the sockets. The backend stops next
-        and the HTTP gateway last.
+        and the HTTP gateway last, even if the backend's stop raises.
         """
         if self._server is None:
             return
@@ -377,15 +377,17 @@ class NdjsonServer:
             await self._close_connection(connection)
         self._connections.clear()
 
-        await self._stop_backend()
-        if self._gateway is not None:
-            # The gateway goes down last so /healthz and /readyz stay
-            # observable for the whole drain — a load balancer sees the
-            # not-ready signal before the port disappears.
-            gateway, self._gateway = self._gateway, None
-            await gateway.shutdown()
-        if self._stopped is not None:
-            self._stopped.set()
+        try:
+            await self._stop_backend()
+        finally:
+            if self._gateway is not None:
+                # The gateway goes down last so /healthz and /readyz
+                # stay observable for the whole drain — a load balancer
+                # sees the not-ready signal before the port disappears.
+                gateway, self._gateway = self._gateway, None
+                await gateway.shutdown()
+            if self._stopped is not None:
+                self._stopped.set()
 
     def _emit(self, event: str, **fields: object) -> None:
         if self._telemetry is not None:
@@ -502,8 +504,8 @@ class PhaseService(NdjsonServer):
         checkpoints). Construction recovers whatever the directory
         holds — including after ``kill -9``.
     checkpoint_interval:
-        Seconds between periodic checkpoint-dirty-sessions sweeps
-        (each followed by journal compaction).
+        Seconds between checkpoint sweeps: each checkpoints the dirty
+        sessions and leaves the journal one segment.
     sync:
         Journal durability mode (``none`` / ``batch`` / ``always``);
         see :mod:`repro.persistence.journal`. Only meaningful with a
@@ -573,11 +575,9 @@ class PhaseService(NdjsonServer):
             from repro.persistence import PersistenceManager
 
             self._persistence = PersistenceManager(
-                data_dir, sync=sync, telemetry=telemetry
+                data_dir, self.registry, sync=sync, telemetry=telemetry
             )
-            self.sessions_recovered = self._persistence.install_into(
-                self.registry
-            )
+            self.sessions_recovered = len(self._persistence.recovery.live)
         self.checkpoint_failures = 0
         #: The next-phase scoreboard's counts, keyed by
         #: :data:`PREDICTION_COUNTS`.
@@ -628,7 +628,7 @@ class PhaseService(NdjsonServer):
             )
             telemetry.counter(
                 "repro_service_checkpoint_failures_total",
-                "Periodic checkpoint sweeps that raised",
+                "Checkpoint sweeps that raised",
                 read=lambda: self.checkpoint_failures,
             )
 
@@ -667,9 +667,7 @@ class PhaseService(NdjsonServer):
             # Final checkpoint so a graceful stop leaves the data dir
             # ready to recover every session — the registry teardown
             # below destroys only the RAM copies.
-            sessions = self.registry.sessions()
-            self._persistence.checkpoint_all(sessions)
-            self._persistence.compact(sessions)
+            self._sweep()
             self._persistence.close()
         closed = self.registry.close_all()
         self._emit(
@@ -686,19 +684,20 @@ class PhaseService(NdjsonServer):
     async def _checkpoint_loop(self) -> None:
         while True:
             await asyncio.sleep(self.checkpoint_interval)
-            try:
-                sessions = self.registry.sessions()
-                self._persistence.checkpoint_all(sessions)
-                self._persistence.compact(sessions)
-            except Exception as error:
-                # One failed sweep (disk full, transient I/O) must not
-                # kill the loop: with no checkpoints the journal grows
-                # unboundedly and recovery time degrades silently.
-                self.checkpoint_failures += 1
-                self._emit(
-                    "checkpoint_sweep_failed",
-                    error=f"{type(error).__name__}: {error}",
-                )
+            self._sweep()
+
+    def _sweep(self) -> None:
+        try:
+            self._persistence.checkpoint_all()
+        except Exception as error:
+            # One failed sweep (disk full, transient I/O) must not kill
+            # the loop or the stop: it is counted, and the journal keeps
+            # everything the next sweep or a recovery needs.
+            self.checkpoint_failures += 1
+            self._emit(
+                "checkpoint_sweep_failed",
+                error=f"{type(error).__name__}: {error}",
+            )
 
     # -- connection handling ---------------------------------------------------
 
@@ -817,14 +816,20 @@ class PhaseService(NdjsonServer):
                 snapshot=request.snapshot,
             )
             if self._persistence is not None:
-                self._persistence.log_open(
-                    session,
-                    config=request.config,
-                    interval_instructions=(
-                        session.tracker.interval_instructions
-                    ),
-                    snapshot=request.snapshot,
-                )
+                try:
+                    self._persistence.log_open(
+                        session,
+                        config=request.config,
+                        interval_instructions=(
+                            session.tracker.interval_instructions
+                        ),
+                        snapshot=request.snapshot,
+                    )
+                except Exception:
+                    # An open the journal does not hold would make
+                    # every later observe on the name unrecoverable.
+                    self.registry.close(session.name)
+                    raise
             return {
                 "session": session.name,
                 "restored": request.snapshot is not None,

@@ -1,7 +1,7 @@
 """Session registry: many named trackers behind one service.
 
 A :class:`Session` owns one :class:`~repro.core.online.PhaseTracker`
-plus activity bookkeeping and its journal positions, and is the only
+plus activity bookkeeping and its journal state, and is the only
 record of a live session, in the service and in the durable tier
 alike; the :class:`SessionRegistry` maps names to
 sessions with two protection mechanisms a long-lived service needs:
@@ -59,18 +59,18 @@ class Session:
     """One client-visible tracking session, and the only record of it.
 
     Besides its tracker and activity bookkeeping, a session carries its
-    two journal positions, which only a durable service moves:
-    ``last_seq``, the seq of its last journal record, and
-    ``replay_from``, the first seq recovery would still have to replay
-    for it — its ``open`` record's seq, or one past its last
-    checkpoint. Both stay 0 without a journal. Everything else a
-    session knows, the pending next-phase prediction included, lives
-    in its tracker and travels in the tracker's snapshot.
+    journal state, which only a durable service moves: ``last_seq``,
+    the seq of its last journal record (0 without a journal), and
+    ``dirty``, whether it has journal records its checkpoint does not
+    cover — set by journaling its ``open`` or an ``observe`` and by
+    replaying one, cleared by a checkpoint. Everything else a session
+    knows, the pending next-phase prediction included, lives in its
+    tracker and travels in the tracker's snapshot.
     """
 
     __slots__ = (
         "name", "tracker", "last_active", "branches_ingested",
-        "last_seq", "replay_from",
+        "last_seq", "dirty",
     )
 
     def __init__(self, name: str, tracker: PhaseTracker, now: float) -> None:
@@ -79,7 +79,7 @@ class Session:
         self.last_active = now
         self.branches_ingested = 0
         self.last_seq = 0
-        self.replay_from = 0
+        self.dirty = False
 
     def idle_seconds(self, now: float) -> float:
         return now - self.last_active

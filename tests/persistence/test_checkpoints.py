@@ -49,6 +49,19 @@ class TestRoundTrip:
         assert store.delete("alpha") is False
         assert store.load("alpha") is None
 
+    def test_a_delete_that_fails_raises(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path)
+        store.write("alpha", sample_document())
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(type(tmp_path), "unlink", refuse)
+        with pytest.raises(PersistenceError, match="Permission denied"):
+            store.delete("alpha")
+        monkeypatch.undo()
+        assert store.load("alpha")["seq"] == 7
+
 
 class TestAtomicity:
     def test_no_tmp_files_survive_a_write(self, tmp_path):

@@ -10,6 +10,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from repro.service import PhaseServiceClient, start_in_thread
 from repro.service.snapshot import dumps
@@ -217,13 +218,10 @@ class TestInThreadServiceDurability:
         calls = []
 
         class ExplodingPersistence:
-            def checkpoint_all(self, sessions):
+            def checkpoint_all(self):
                 calls.append("sweep")
                 if len(calls) == 1:
                     raise PersistenceError("disk full")
-
-            def compact(self, sessions):
-                return 0
 
         service._persistence = ExplodingPersistence()
 
@@ -245,6 +243,113 @@ class TestInThreadServiceDurability:
         # The first sweep failed; the loop counted it and kept going.
         assert len(calls) >= 3
         assert service.checkpoint_failures == 1
+
+    def test_a_shutdown_whose_final_sweep_fails_still_stops(self, tmp_path):
+        """A final sweep that cannot write a checkpoint (disk full) is
+        counted like a periodic one, and the stop goes on: the journal
+        and the registry close and ``serve_forever`` returns. The
+        journal still holds every acknowledged batch."""
+        import asyncio
+
+        from repro.errors import PersistenceError
+        from repro.service import protocol
+        from repro.service.server import PhaseService
+
+        batches = branch_batches(seed=15, batches=3)
+        data_dir = str(tmp_path / "data")
+        service = PhaseService(data_dir=data_dir, http_port=0)
+
+        def disk_full(name, document):
+            raise PersistenceError(
+                f"cannot write checkpoint for {name!r}: [Errno 28] No "
+                "space left on device"
+            )
+
+        async def run():
+            await service.start()
+            serving = asyncio.ensure_future(service.serve_forever())
+            requests = [protocol.OpenRequest(
+                id=1, session="alpha",
+                interval_instructions=INTERVAL_INSTRUCTIONS,
+            )] + [
+                protocol.ObserveRequest(
+                    id=2 + index, session="alpha",
+                    pcs=np.array(pcs, dtype=np.int64),
+                    counts=np.array(counts, dtype=np.int64),
+                    cpi=1.2,
+                )
+                for index, (pcs, counts) in enumerate(batches)
+            ]
+            for request in requests:
+                assert service._execute(request)[-1]["ok"]
+            service.persistence.checkpoints.write = disk_full
+            await asyncio.wait_for(service.shutdown(), 10)
+            await asyncio.wait_for(serving, 10)
+
+        asyncio.run(run())
+        assert service.checkpoint_failures == 1
+        assert service.persistence.journal.closed
+        assert len(service.registry) == 0 and service.gateway is None
+
+        reference = PhaseService(data_dir=data_dir)
+        try:
+            assert reference.sessions_recovered == 1
+            recovered = reference.registry.get("alpha")
+            assert recovered.branches_ingested == 3 * 300
+        finally:
+            reference.persistence.close()
+
+    def test_an_open_the_journal_refuses_leaves_no_session(self, tmp_path):
+        """An ``open`` whose record cannot be journaled is undone before
+        the error is answered: the name stays free, and an observe on it
+        is refused instead of acknowledged with no ``open`` journaled
+        before it."""
+        import errno
+
+        from repro.errors import ServiceError, SessionNotFoundError
+
+        batches = branch_batches(seed=16, batches=3)
+        handle = start_in_thread(
+            max_sessions=8, data_dir=tmp_path / "data"
+        )
+        try:
+            journal = handle.service.persistence.journal
+            append = journal.append
+
+            def refuse_opens(record, arrays=None):
+                if record["kind"] == "open":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return append(record, arrays)
+
+            journal.append = refuse_opens
+            with PhaseServiceClient(port=handle.port) as client:
+                with pytest.raises(ServiceError, match="No space left"):
+                    client.open_session(
+                        "alpha", interval_instructions=INTERVAL_INSTRUCTIONS
+                    )
+                stats = client.stats()
+                assert stats["live"] == 0
+                assert stats["opened"] - stats["closed"] == stats["live"]
+                with pytest.raises(SessionNotFoundError):
+                    client.observe("alpha", *batches[0], cpi=1.2)
+                del journal.append  # the disk has room again
+                client.open_session(
+                    "alpha", interval_instructions=INTERVAL_INSTRUCTIONS
+                )
+                for pcs, counts in batches:
+                    client.observe("alpha", pcs, counts, cpi=1.2)
+                expected = dumps(client.snapshot("alpha"))
+        finally:
+            handle.stop()
+
+        handle = start_in_thread(
+            max_sessions=8, data_dir=tmp_path / "data"
+        )
+        try:
+            with PhaseServiceClient(port=handle.port) as client:
+                assert dumps(client.snapshot("alpha")) == expected
+        finally:
+            handle.stop()
 
     def test_observe_batches_are_journaled(self, tmp_path):
         batches = branch_batches(seed=12, batches=2)

@@ -130,6 +130,18 @@ class TestRotation:
         assert len(list_segments(tmp_path)) == 1
         assert replay_journal(tmp_path).stats.records == 6
 
+    def test_an_empty_newest_segment_names_the_next_seq(self, tmp_path):
+        """Compaction can leave one empty segment behind: its name, not
+        the records it no longer has, says where the sequence goes on."""
+        (tmp_path / segment_name(17)).touch()
+        stats = replay_journal(tmp_path).stats
+        assert stats.next_seq == 17
+        with Journal(tmp_path, next_seq=stats.next_seq) as journal:
+            append_n(journal, 3)
+        assert [
+            record["seq"] for record in replay_journal(tmp_path).records
+        ] == [17, 18, 19]
+
 
 class TestTornTails:
     def corrupt_tail(self, tmp_path, cut):

@@ -1,8 +1,10 @@
 """The PersistenceManager end to end through a real SessionRegistry:
 evict-to-disk, hydrate-on-demand byte-identity, in-process crash
-recovery, checkpoint sweeps, and compaction."""
+recovery, and checkpoint sweeps that leave the journal one segment."""
 
+import errno
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.persistence import Journal, PersistenceManager, list_segments
-from repro.persistence.journal import segment_first_seq
 from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
@@ -44,10 +45,9 @@ def frame_payloads(segment):
 
 
 def durable_registry(tmp_path, max_sessions=4, **kwargs):
-    manager = PersistenceManager(tmp_path / "data", **kwargs)
     registry = SessionRegistry(max_sessions=max_sessions)
-    installed = manager.install_into(registry)
-    return manager, registry, installed
+    manager = PersistenceManager(tmp_path / "data", registry, **kwargs)
+    return manager, registry, len(manager.recovery.live)
 
 
 def open_and_drive(manager, registry, name, batches):
@@ -67,6 +67,21 @@ def drive(manager, session, batches):
         session.tracker.observe_batch(pcs, counts, cpi=1.1)
         session.branches_ingested += len(pcs)
         manager.log_observe(session, pcs, counts, cpi=1.1)
+
+
+def disk_full(name, document):
+    raise PersistenceError(
+        f"cannot write checkpoint for {name!r}: [Errno 28] No space left "
+        "on device"
+    )
+
+
+def only_active_segment(manager):
+    return list_segments(manager.journal_root) == [manager.journal.active_path]
+
+
+def state(session):
+    return dumps(snapshot_tracker(session.tracker)), session.branches_ingested
 
 
 class TestEvictHydrate:
@@ -262,7 +277,7 @@ class TestCrashRecovery:
         manager, registry, _ = durable_registry(tmp_path)
         batches = branch_batches(seed=8, batches=6)
         session = open_and_drive(manager, registry, "a", batches[:4])
-        assert manager.checkpoint_all(registry.sessions()) == 1
+        assert manager.checkpoint_all() == 1
         drive(manager, session, batches[4:])
         before = dumps(snapshot_tracker(session.tracker))
         del manager, registry
@@ -359,7 +374,7 @@ class TestCrashRecovery:
         manager, registry, _ = durable_registry(tmp_path)
         batches = branch_batches(seed=11, batches=2)
         open_and_drive(manager, registry, "a", batches)
-        manager.checkpoint_all(registry.sessions())
+        manager.checkpoint_all()
         registry.close("a")
         manager.log_close("a")
         del manager, registry
@@ -398,11 +413,10 @@ class TestMaintenance:
         batches = branch_batches(seed=13, batches=2)
         open_and_drive(manager, registry, "a", batches)
         open_and_drive(manager, registry, "b", batches)
-        assert manager.checkpoint_all(registry.sessions()) == 2
-        assert manager.checkpoint_all(registry.sessions()) == 0
-        assert manager.checkpoints_skipped_clean == 2
+        assert manager.checkpoint_all() == 2
+        assert manager.checkpoint_all() == 0
         drive(manager, registry.get("a"), batches[:1])
-        assert manager.checkpoint_all(registry.sessions()) == 1
+        assert manager.checkpoint_all() == 1
 
     def test_compaction_drops_superseded_segments(self, tmp_path):
         manager, registry, _ = durable_registry(
@@ -411,10 +425,9 @@ class TestMaintenance:
         batches = branch_batches(seed=14, batches=20, batch_size=40)
         open_and_drive(manager, registry, "a", batches)
         assert len(list_segments(manager.journal_root)) > 2
-        manager.checkpoint_all(registry.sessions())
-        removed = manager.compact(registry.sessions())
-        assert removed > 0
-        # Everything still recovers from checkpoint + remaining tail.
+        manager.checkpoint_all()
+        assert only_active_segment(manager)
+        # Everything still recovers from the checkpoint.
         before = dumps(snapshot_tracker(registry.get("a").tracker))
         del registry
         manager.close()
@@ -425,56 +438,190 @@ class TestMaintenance:
             snapshot_tracker(registry2.get("a").tracker)
         ) == before
 
-    def test_compaction_respects_uncheckpointed_sessions(self, tmp_path):
+    def test_compaction_respects_uncheckpointed_sessions(
+        self, tmp_path, monkeypatch
+    ):
+        """A sweep whose checkpoint write fails compacts nothing: the
+        session it could not checkpoint still needs every record."""
         manager, registry, _ = durable_registry(
             tmp_path, segment_bytes=2_048
         )
         batches = branch_batches(seed=15, batches=20, batch_size=40)
-        open_and_drive(manager, registry, "a", batches)
+        session = open_and_drive(manager, registry, "a", batches)
         segments = list_segments(manager.journal_root)
         assert len(segments) > 2
-        # "a" was never checkpointed: its open record (seq 1) is still
-        # needed, so nothing may be compacted.
-        assert manager.compact(registry.sessions()) == 0
+        monkeypatch.setattr(manager.checkpoints, "write", disk_full)
+        with pytest.raises(PersistenceError, match="No space left"):
+            manager.checkpoint_all()
         assert list_segments(manager.journal_root) == segments
+        assert session.dirty
+        before = state(session)
+        del manager, registry, session  # kill -9
+
+        manager2, registry2, installed = durable_registry(
+            tmp_path, segment_bytes=2_048
+        )
+        assert installed == 1
+        assert state(registry2.get("a")) == before
 
     def test_lost_eviction_does_not_pin_compaction(
         self, tmp_path, monkeypatch
     ):
         """A session dropped because its evict-to-disk checkpoint could
-        not be written is gone, and compaction stops waiting for it."""
+        not be written is gone, and compaction does not wait for it."""
         manager, registry, _ = durable_registry(
             tmp_path, max_sessions=2, segment_bytes=2_048
         )
         batches = branch_batches(seed=21, batches=20, batch_size=40)
         open_and_drive(manager, registry, "lost", batches)
         open_and_drive(manager, registry, "b", batches)
-
-        def disk_full(name, document):
-            raise PersistenceError(
-                f"cannot write checkpoint for {name!r}: [Errno 28] No "
-                "space left on device"
-            )
-
         monkeypatch.setattr(manager.checkpoints, "write", disk_full)
         open_and_drive(manager, registry, "c", batches[:1])  # evicts
         monkeypatch.undo()
         assert registry.stats()["evicted_lost"] == 1
         assert "lost" not in registry and manager.cold_sessions == 0
 
-        sessions = registry.sessions()
-        assert manager.checkpoint_all(sessions) == 2
-        segments = list_segments(manager.journal_root)
-        removed = manager.compact(sessions)
-        assert removed > 0
-        # Every segment wholly below what the survivors still need went.
-        needed = min(session.replay_from for session in sessions)
-        remaining = list_segments(manager.journal_root)
-        assert remaining == segments[removed:]
-        assert segment_first_seq(remaining[0]) <= needed
-        assert len(remaining) == 1 or (
-            segment_first_seq(remaining[1]) > needed
+        assert manager.checkpoint_all() == 2
+        assert only_active_segment(manager)
+
+    def test_a_sweep_leaves_one_segment_whatever_the_sessions(
+        self, tmp_path
+    ):
+        """After a sweep that raised nothing, the journal is its active
+        segment alone, with sessions dirty, idle since the last sweep,
+        cold, hydrated and closed; a ``kill -9`` then recovers every
+        open one byte-identically and no closed one."""
+        manager, registry, _ = durable_registry(
+            tmp_path, segment_bytes=2_048
         )
+        batches = branch_batches(seed=24, batches=24, batch_size=40)
+        open_and_drive(manager, registry, "a", batches[:2])
+        open_and_drive(manager, registry, "b", batches[2:4])
+        open_and_drive(manager, registry, "idle", batches[4:5])
+        open_and_drive(manager, registry, "gone", batches[5:6])
+        manager.checkpoint_all()
+        registry.close("gone")
+        manager.log_close("gone")
+        open_and_drive(manager, registry, "busy", batches[6:20])
+        open_and_drive(manager, registry, "c", batches[20:21])  # a cold
+        registry.get("a")  # hydrates a; b goes cold
+        assert manager.cold_names() == ["b"]
+        assert [
+            (session.name, session.dirty) for session in registry.sessions()
+        ] == [("idle", False), ("busy", True), ("c", True), ("a", False)]
+        assert len(list_segments(manager.journal_root)) > 2
+
+        assert manager.checkpoint_all() == 2
+        assert only_active_segment(manager)
+        drive(manager, registry.get("busy"), batches[21:])
+        expected = {
+            name: state(registry.get(name))
+            for name in ("a", "b", "idle", "busy", "c")
+        }
+        del manager, registry  # kill -9
+
+        manager, registry, installed = durable_registry(
+            tmp_path, segment_bytes=2_048
+        )
+        assert installed == 1  # "busy", whose tail follows the sweep
+        assert {
+            name: state(registry.get(name)) for name in expected
+        } == expected
+        with pytest.raises(SessionNotFoundError):
+            registry.get("gone")
+
+    def test_closed_session_stays_closed_while_its_checkpoint_lingers(
+        self, tmp_path, monkeypatch
+    ):
+        """A closed session whose checkpoint cannot be deleted keeps its
+        close record: each sweep retries the delete and compacts nothing
+        until it works, so no restart brings the session back."""
+        manager, registry, _ = durable_registry(
+            tmp_path, segment_bytes=2_048
+        )
+        batches = branch_batches(seed=25, batches=20, batch_size=40)
+        open_and_drive(manager, registry, "a", batches[:2])
+        busy = open_and_drive(manager, registry, "b", batches[2:4])
+        manager.checkpoint_all()
+        unlink = Path.unlink
+
+        def refuse_checkpoints(path, *args, **kwargs):
+            if path.suffix == ".ckpt":
+                raise PermissionError(
+                    errno.EACCES, "Permission denied", str(path)
+                )
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", refuse_checkpoints)
+        registry.close("a")
+        manager.log_close("a")
+        drive(manager, busy, batches[4:])
+        segments = list_segments(manager.journal_root)
+        assert len(segments) > 2
+        with pytest.raises(PersistenceError, match="cannot delete checkpoint"):
+            manager.checkpoint_all()
+        assert list_segments(manager.journal_root) == segments
+        expected = state(busy)
+        del manager, registry, busy  # kill -9, the checkpoint on disk
+
+        manager, registry, _ = durable_registry(
+            tmp_path, segment_bytes=2_048
+        )
+        assert manager.checkpoints.path_for("a").exists()
+        assert manager.cold_names() == ["b"]
+        with pytest.raises(SessionNotFoundError):
+            registry.get("a")
+        with pytest.raises(PersistenceError, match="cannot delete checkpoint"):
+            manager.checkpoint_all()
+        monkeypatch.undo()
+        manager.checkpoint_all()
+        assert only_active_segment(manager)
+        assert not manager.checkpoints.path_for("a").exists()
+        del manager, registry  # kill -9
+
+        manager, registry, _ = durable_registry(
+            tmp_path, segment_bytes=2_048
+        )
+        with pytest.raises(SessionNotFoundError):
+            registry.get("a")
+        assert state(registry.get("b")) == expected
+
+    def test_restart_after_compacting_to_an_empty_segment(self, tmp_path):
+        """A sweep right after a rotation leaves one empty segment; the
+        restarted journal continues its seqs from that segment's name,
+        so its later segments sort after it and replay keeps them all.
+        """
+        manager, registry, _ = durable_registry(
+            tmp_path, segment_bytes=300
+        )
+        for index in range(8):
+            session = registry.open(name=f"x{index}")
+            manager.log_open(session, interval_instructions=1_000)
+            registry.close(session.name)
+            manager.log_close(session.name)
+        manager.checkpoint_all()
+        (segment,) = list_segments(manager.journal_root)
+        assert segment.stat().st_size == 0
+        next_seq = manager.journal.next_seq
+        manager.close()
+
+        manager, registry, _ = durable_registry(
+            tmp_path, segment_bytes=300
+        )
+        assert manager.journal.next_seq == next_seq
+        session = open_and_drive(
+            manager, registry, "kept", branch_batches(seed=26, batches=6,
+                                                      batch_size=10)
+        )
+        expected = state(session)
+        del manager, registry, session  # kill -9
+
+        manager, registry, installed = durable_registry(
+            tmp_path, segment_bytes=300
+        )
+        assert installed == 1
+        assert manager.recovery.journal.torn_tails == 0
+        assert state(registry.get("kept")) == expected
 
     def test_stats_are_json_safe(self, tmp_path):
         import json
@@ -488,9 +635,10 @@ class TestMaintenance:
         assert stats["cold"] == 0
 
     def test_context_manager_closes_journal(self, tmp_path):
-        with PersistenceManager(tmp_path / "data") as manager:
+        registry = SessionRegistry()
+        with PersistenceManager(tmp_path / "data", registry) as manager:
             manager.log_open(
-                SessionRegistry().open(name="a"), interval_instructions=1_000
+                registry.open(name="a"), interval_instructions=1_000
             )
         assert manager.journal.closed
 
@@ -503,9 +651,10 @@ class TestTelemetry:
 
         stream = io.StringIO()
         telemetry = Telemetry(events=EventLog(stream=stream))
-        manager = PersistenceManager(tmp_path / "data", telemetry=telemetry)
         registry = SessionRegistry(max_sessions=2, telemetry=telemetry)
-        manager.install_into(registry)
+        manager = PersistenceManager(
+            tmp_path / "data", registry, telemetry=telemetry
+        )
         batches = branch_batches(seed=17, batches=1)
         open_and_drive(manager, registry, "victim", batches)
         open_and_drive(manager, registry, "b", batches)

@@ -1,6 +1,6 @@
 """Crash recovery and compaction: checkpoints fast-forward, the
 journal tail replays byte-identically, damage demotes instead of
-raising, and compaction never deletes a segment anyone still needs."""
+raising, and compaction keeps only the active segment."""
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from repro.persistence import (
     recover_state,
     replay_journal,
 )
-from repro.persistence.journal import segment_first_seq
 from repro.service.snapshot import dumps, snapshot_tracker
 
 INTERVAL_INSTRUCTIONS = 2_000
@@ -67,11 +66,11 @@ class TestReplay:
 
         result = recover_state(journal_root, checkpoints)
         assert list(result.live) == ["a"]
-        assert result.cold == {} and result.closed == []
+        assert result.cold == set() and result.closed == []
         recovered = result.live["a"]
         assert recovered.branches_ingested == 5 * 200
-        # Replay starts at its open record and ends at its last observe.
-        assert (recovered.replay_from, recovered.last_seq) == (1, 6)
+        # Replayed up to its last observe, which no checkpoint covers.
+        assert (recovered.dirty, recovered.last_seq) == (True, 6)
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
         )
@@ -94,7 +93,7 @@ class TestReplay:
 
         result = recover_state(journal_root, checkpoints)
         assert result.live == {}
-        assert result.cold == {"a": last}
+        assert result.cold == {"a"}
         assert result.replayed_records == 0
         assert result.skipped_records == 1 + len(batches)
 
@@ -119,8 +118,8 @@ class TestReplay:
 
         result = recover_state(journal_root, checkpoints)
         recovered = result.live["a"]
-        # One past the checkpoint (seq 4) to the last observe.
-        assert (recovered.replay_from, recovered.last_seq) == (5, 7)
+        # Past the checkpoint (seq 4), up to the last observe.
+        assert (recovered.dirty, recovered.last_seq) == (True, 7)
         assert result.replayed_records == 3  # only the tail
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
@@ -137,7 +136,7 @@ class TestReplay:
             journal.append({"kind": "close", "session": "a"})  # seq 3
 
         result = recover_state(journal_root, checkpoints)
-        assert result.live == {} and result.cold == {}
+        assert result.live == {} and result.cold == set()
         assert result.closed == ["a"]  # its checkpoint file lingers
 
     def test_close_keeps_newer_incarnations_checkpoint(self, tmp_path):
@@ -161,7 +160,7 @@ class TestReplay:
 
         result = recover_state(journal_root, checkpoints)
         assert result.closed == []
-        assert result.cold == {"a": last}
+        assert result.cold == {"a"}
 
     def test_orphaned_observe_is_counted_not_fatal(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -192,7 +191,7 @@ class TestReplay:
         result = recover_state(journal_root, checkpoints)
         assert result.damaged_sessions == 1
         # Demoted, not dropped: the last good checkpoint still serves.
-        assert result.cold == {"a": 1}
+        assert result.cold == {"a"}
 
     def test_unappliable_record_without_checkpoint_drops(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -204,7 +203,7 @@ class TestReplay:
             })
         result = recover_state(journal_root, checkpoints)
         assert result.damaged_sessions == 1
-        assert result.live == {} and result.cold == {}
+        assert result.live == {} and result.cold == set()
 
     def test_torn_tail_recovery_keeps_the_prefix(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -246,7 +245,7 @@ class TestReplay:
             "meta": {},
         })
         result = recover_state(journal_root, checkpoints)
-        assert result.cold == {"a": 9}
+        assert result.cold == {"a"}
         assert result.next_seq == 10
 
     def test_open_with_missing_checkpointed_snapshot_is_damage(
@@ -262,7 +261,7 @@ class TestReplay:
             )
         result = recover_state(journal_root, checkpoints)
         assert result.damaged_sessions == 1
-        assert result.live == {} and result.cold == {}
+        assert result.live == {} and result.cold == set()
 
     def test_unknown_record_kind_is_orphaned(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)
@@ -282,38 +281,18 @@ class TestCompaction:
                 journal.append(observe_record("a", pcs, counts))
         return list_segments(root)
 
-    def test_compacts_only_fully_superseded_segments(self, tmp_path):
-        root = tmp_path / "journal"
-        segments = self.build_segmented_journal(root)
-        assert len(segments) >= 4
-        # Everything up to the third segment's first record is covered.
-        needed = segment_first_seq(segments[2])
-        removed = compact_journal(root, needed)
-        remaining = list_segments(root)
-        assert removed == 2
-        assert remaining[0] == segments[2]
-        # The survivors still hold every record >= needed.
-        replay = replay_journal(root)
-        assert replay.records[0]["seq"] == needed
-
     def test_never_removes_the_active_segment(self, tmp_path):
         root = tmp_path / "journal"
         segments = self.build_segmented_journal(root)
-        removed = compact_journal(
-            root, min_needed_seq=10**9, active_path=segments[0]
-        )
+        removed = compact_journal(root, active_path=segments[0])
         assert removed == 0
         assert list_segments(root) == segments
 
     def test_nothing_needed_keeps_the_newest_segment(self, tmp_path):
         root = tmp_path / "journal"
         segments = self.build_segmented_journal(root)
-        removed = compact_journal(root, min_needed_seq=10**9)
+        removed = compact_journal(root)
         assert removed == len(segments) - 1
         assert list_segments(root) == segments[-1:]
-
-    def test_min_needed_one_removes_nothing(self, tmp_path):
-        root = tmp_path / "journal"
-        segments = self.build_segmented_journal(root)
-        assert compact_journal(root, min_needed_seq=1) == 0
-        assert list_segments(root) == segments
+        # A journal reopened over the survivor continues past it.
+        assert replay_journal(root).stats.next_seq == 41

@@ -1,14 +1,26 @@
 """Property: a checkpoint plus journal-tail replay reconstructs a
 tracker byte-identical to one that was never evicted or crashed, for
 arbitrary classifier configurations, branch streams, checkpoint
-positions, and batch boundaries (hypothesis)."""
+positions, and batch boundaries; and every checkpoint sweep that
+raises nothing leaves the journal one segment, whatever the sessions
+did, without losing a session or bringing a closed one back
+(hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ClassifierConfig, PhaseTracker
-from repro.persistence import CheckpointStore, Journal, recover_state
+from repro.errors import PersistenceError, SessionNotFoundError
+from repro.persistence import (
+    CheckpointStore,
+    Journal,
+    PersistenceManager,
+    list_segments,
+    recover_state,
+)
+from repro.service.session import SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
 INTERVAL_INSTRUCTIONS = 1_500
@@ -160,3 +172,118 @@ def test_torn_tail_recovers_a_valid_prefix(
         # Even the open record was torn off: nothing to recover is a
         # valid (empty) prefix.
         assert surviving <= 0
+
+
+open_op = st.tuples(st.just("open"), st.integers(0, 4))
+observe_op = st.tuples(
+    st.just("observe"), st.integers(0, 4),
+    st.integers(0, 2**16), st.sampled_from([20, 60, 150]),
+)
+close_op = st.tuples(st.just("close"), st.integers(0, 4))
+# The checkpoint write of the sweep that fails, if it gets to that
+# many; -1 fails none.
+sweep_op = st.tuples(st.just("sweep"), st.integers(-1, 3))
+restart_op = st.tuples(st.just("restart"))
+# Observes and sweeps weigh more: most bugs need a session with a
+# replay tail when a sweep runs.
+operations = st.lists(
+    st.one_of(
+        open_op, observe_op, observe_op, observe_op, close_op,
+        sweep_op, sweep_op, restart_op,
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def durable(root):
+    registry = SessionRegistry(max_sessions=2)
+    manager = PersistenceManager(root, registry, segment_bytes=2_048)
+    return manager, registry
+
+
+@given(names=st.integers(min_value=2, max_value=5), ops=operations)
+@settings(max_examples=60, deadline=None)
+def test_sweeps_leave_one_segment_and_restarts_lose_nothing(
+    tmp_path_factory, names, ops
+):
+    """Opens, observes, closes, sweeps whose checkpoint writes fail at
+    random, and restarts, through a registry capped at 2 so sessions
+    go cold and hydrate. After each sweep that raised nothing the
+    journal is one segment; a final restart recovers every open session
+    equal to a RAM tracker fed the same acknowledged batches, and no
+    closed one. (A restart closes the journal first; in ``batch`` mode
+    every append was already flushed, so the files are the ones a
+    ``kill -9`` leaves.)"""
+    root = tmp_path_factory.mktemp("sweeps")
+    manager, registry = durable(root)
+    expected = {}  # name -> (RAM tracker, branches ingested)
+    closed = set()
+    for op in ops:
+        kind = op[0]
+        name = f"s{op[1] % names}" if len(op) > 1 else None
+        if kind == "open" and name not in expected:
+            session = registry.open(
+                name=name, interval_instructions=INTERVAL_INSTRUCTIONS
+            )
+            manager.log_open(
+                session, interval_instructions=INTERVAL_INSTRUCTIONS
+            )
+            expected[name] = (
+                PhaseTracker(interval_instructions=INTERVAL_INSTRUCTIONS),
+                [0],
+            )
+            closed.discard(name)
+        elif kind == "observe" and name in expected:
+            rng = np.random.default_rng(op[2])
+            pcs = 0x400000 + rng.integers(0, 48, size=op[3]) * 4
+            counts = rng.integers(1, 90, size=op[3])
+            session = registry.get(name)
+            session.tracker.observe_batch(pcs, counts, cpi=1.1)
+            session.branches_ingested += len(pcs)
+            manager.log_observe(session, pcs, counts, cpi=1.1)
+            tracker, branches = expected[name]
+            tracker.observe_batch(pcs, counts, cpi=1.1)
+            branches[0] += len(pcs)
+        elif kind == "close" and name in expected:
+            registry.close(name)
+            manager.log_close(name)
+            del expected[name]
+            closed.add(name)
+        elif kind == "sweep":
+            write, writes = manager.checkpoints.write, []
+
+            def flaky_write(name, document):
+                writes.append(name)
+                if len(writes) - 1 == op[1]:
+                    raise PersistenceError("injected checkpoint failure")
+                return write(name, document)
+
+            manager.checkpoints.write = flaky_write
+            try:
+                manager.checkpoint_all()
+            except PersistenceError:
+                assert len(writes) == op[1] + 1
+            else:
+                assert list_segments(manager.journal_root) == [
+                    manager.journal.active_path
+                ]
+            finally:
+                del manager.checkpoints.write
+        elif kind == "restart":
+            manager.close()
+            manager, registry = durable(root)
+    manager.close()
+
+    manager, registry = durable(root)
+    assert set(registry.names()) | set(manager.cold_names()) == set(expected)
+    for name, (tracker, branches) in expected.items():
+        session = registry.get(name)
+        assert dumps(snapshot_tracker(session.tracker)) == dumps(
+            snapshot_tracker(tracker)
+        )
+        assert session.branches_ingested == branches[0]
+    for name in closed:
+        with pytest.raises(SessionNotFoundError):
+            registry.get(name)
+    manager.close()

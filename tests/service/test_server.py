@@ -4,6 +4,7 @@ control, backpressure, and the graceful-drain zero-loss guarantee.
 Line framing, admission control and drain are shared lifecycle code, so
 those cases also run against a one-worker cluster's dispatcher."""
 
+import asyncio
 import functools
 import json
 import socket
@@ -308,6 +309,27 @@ class TestGracefulDrain:
         handle = start()
         handle.stop()
         handle.stop()
+
+    def test_a_backend_stop_that_raises_still_stops(self, start):
+        """``serve_forever`` returns and the gateway stops even when
+        the backend's stop raises, so a daemon never hangs on SIGTERM."""
+        handle = start(http_port=0)
+        service = handle.service
+        stop_backend = service._stop_backend
+
+        async def stop_then_fail():
+            await stop_backend()
+            raise RuntimeError("backend stop failed")
+
+        service._stop_backend = stop_then_fail
+        future = asyncio.run_coroutine_threadsafe(
+            service.shutdown(), handle._loop
+        )
+        with pytest.raises(RuntimeError, match="backend stop failed"):
+            future.result(30)
+        handle._thread.join(30)
+        assert not handle._thread.is_alive()
+        assert service.gateway is None
 
 
 class TestClusterLineFraming(OneWorkerCluster, TestLineFraming):
