@@ -67,14 +67,12 @@ from repro.cluster.migration import SessionMigrator
 from repro.cluster.routing import DEFAULT_SHARDS, ShardMap
 from repro.cluster.supervisor import ClusterSupervisor, UP, WorkerHandle
 
-#: Fast-path router: matches the canonical wire prefix our encoder (and
-#: the bundled client) emits — ``op``, ``id``, ``session`` first, with a
-#: session name that needs no JSON escaping. Anything else falls back to
-#: a full parse; the fast path is an optimization, never a requirement.
+#: Fast-path router: matches the canonical request head
+#: (:data:`~repro.service.protocol.REQUEST_HEAD`) of a session op.
+#: Anything else falls back to a full parse; the fast path is an
+#: optimization, never a requirement.
 _FAST_ROUTE = re.compile(
-    rb'^\{"op":"(observe|predict|snapshot|close)",'
-    rb'"id":(-?\d+),'
-    rb'"session":"([A-Za-z0-9._:\-]{1,200})"[,}]'
+    protocol.REQUEST_HEAD % b"observe|predict|snapshot|close" + rb"[,}]"
 )
 
 #: Worker lines that are interval pushes (vs responses). The server

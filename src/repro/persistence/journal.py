@@ -35,14 +35,22 @@ coverage is knowable from directory listing alone.
 
 Durability is a dial (:data:`SYNC_MODES`):
 
-- ``none`` — records stay in the process's write buffer until the next
-  rotation, :meth:`Journal.sync`, or close. Fastest; a ``kill -9`` can
-  lose the buffered tail.
+- ``none`` — records stay in the journal's write buffer until it holds
+  8 KiB, the next rotation, :meth:`Journal.sync`, or close. Fastest;
+  a ``kill -9`` can lose the buffered tail.
 - ``batch`` — every append is flushed to the OS (so a process kill
   loses nothing) and ``fsync`` runs once per ``batch_records`` appends
   (bounding what a *machine* crash can lose). The default.
 - ``always`` — flush + ``fsync`` per append: an acknowledged record
   survives power loss.
+
+An append is all or nothing. When a write or an fsync fails, the
+active segment is cut back to the bytes it held before, so no part of
+the record reaches the journal, and its sequence number goes to the
+next append; :meth:`Journal.append` then raises. A segment that cannot
+be cut back closes the journal, so nothing is written after a partial
+frame. A rotation that fails leaves the full segment active, and the
+next append retries it.
 
 Reading is torn-tail tolerant: :func:`replay_journal` walks the
 segments in order and, on the first frame that is short, CRC-corrupt,
@@ -54,6 +62,7 @@ point are causally unusable and are discarded.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -90,6 +99,10 @@ _COLUMN = np.dtype("<i8")
 #: :meth:`Journal.append` refuses oversized payloads so a record that
 #: replay would reject can never be written.
 MAX_RECORD_BYTES = 32 * 1024 * 1024
+
+#: In ``none`` mode, pending frames are written once they reach this
+#: many bytes, the buffer a buffered file would have kept.
+_WRITE_BUFFER_BYTES = 8 * 1024
 
 _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".jnl"
@@ -380,8 +393,14 @@ class Journal:
             self.active_path = segments[-1]
         else:
             self.active_path = self.root / segment_name(next_seq)
-        self._file = open(self.active_path, "ab")
-        self._active_bytes = self.active_path.stat().st_size
+        # Unbuffered: the journal keeps its own pending frames, so it
+        # always knows which bytes the segment holds.
+        self._file = open(self.active_path, "ab", buffering=0)
+        #: Bytes of the active segment handed to the OS.
+        self._written = self.active_path.stat().st_size
+        #: Frames appended but not yet written.
+        self._pending: List[bytes] = []
+        self._active_bytes = self._written
 
     # -- the write path -------------------------------------------------------
 
@@ -407,7 +426,9 @@ class Journal:
         this returns, so a caller that acknowledges afterwards gets the
         mode's durability guarantee.
 
-        A payload over :data:`MAX_RECORD_BYTES` raises
+        All or nothing: when the write or fsync raises, no byte of the
+        record stays in the segment and its seq is assigned again. A
+        payload over :data:`MAX_RECORD_BYTES` raises
         :class:`PersistenceError` *before* anything is written: replay
         treats such a frame as corruption and would truncate the
         journal there, discarding every later record.
@@ -422,22 +443,41 @@ class Journal:
                 f"{MAX_RECORD_BYTES}-byte frame cap"
             )
         frame = encode_record(payload)
-        self._file.write(frame)
-        self._next_seq += 1
-        self._unsynced += 1
+        self._pending.append(frame)
         self._active_bytes += len(frame)
+        self._unsynced += 1
+        try:
+            if self.sync_mode == "always":
+                self._flush(fsync=True)
+            elif self.sync_mode == "batch":
+                self._flush(fsync=self._unsynced >= self.batch_records)
+            elif self._active_bytes - self._written >= _WRITE_BUFFER_BYTES:
+                self._flush(fsync=False)
+        except BaseException:
+            # _flush left the segment as it was and the frame pending.
+            self._pending.pop()
+            self._active_bytes -= len(frame)
+            self._unsynced -= 1
+            raise
+        self._next_seq += 1
         self.records_appended += 1
         self.bytes_appended += len(frame)
-        if self.sync_mode == "always":
-            self._flush(fsync=True)
-        elif self.sync_mode == "batch":
-            self._flush(fsync=self._unsynced >= self.batch_records)
         if self._active_bytes >= self.segment_bytes:
-            self._rotate()
+            # The record is in; a rotation that fails leaves the full
+            # segment active and the next append tries again.
+            try:
+                self._rotate()
+            except OSError as error:
+                if self._telemetry is not None:
+                    self._telemetry.emit(
+                        "journal_rotate_failed",
+                        segment=self.active_path.name,
+                        error=f"{type(error).__name__}: {error}",
+                    )
         return seq
 
     def sync(self) -> None:
-        """Flush and ``fsync`` everything appended so far."""
+        """Write and ``fsync`` everything appended so far."""
         if self._file is not None:
             self._flush(fsync=True)
 
@@ -456,23 +496,50 @@ class Journal:
     # -- internals ------------------------------------------------------------
 
     def _flush(self, fsync: bool) -> None:
-        self._file.flush()
-        if fsync:
-            started = time.perf_counter()
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
-            self._unsynced = 0
-            if self._telemetry is not None:
-                self._h_fsync.observe(time.perf_counter() - started)
+        """Write the pending frames, then ``fsync`` when asked.
+
+        If a write or the fsync raises, the segment is cut back to the
+        bytes it held before and the frames stay pending; if it cannot
+        be cut back, the journal closes.
+        """
+        if self._pending:
+            data = b"".join(self._pending)
+            try:
+                done = self._file.write(data)
+                while done < len(data):
+                    done += self._file.write(data[done:])
+                if fsync:
+                    self._fsync()
+            except BaseException:
+                try:
+                    os.ftruncate(self._file.fileno(), self._written)
+                except OSError:
+                    file, self._file = self._file, None
+                    with contextlib.suppress(OSError):
+                        file.close()
+                raise
+            self._written += len(data)
+            self._pending.clear()
+        elif fsync:
+            self._fsync()
+
+    def _fsync(self) -> None:
+        started = time.perf_counter()
+        os.fsync(self._file.fileno())
+        self.fsyncs += 1
+        self._unsynced = 0
+        if self._telemetry is not None:
+            self._h_fsync.observe(time.perf_counter() - started)
 
     def _rotate(self) -> None:
         # The retiring segment is made fully durable so a torn tail can
         # only ever live in the active segment.
         self._flush(fsync=self.sync_mode != "none")
-        self._file.close()
-        self.active_path = self.root / segment_name(self._next_seq)
-        self._file = open(self.active_path, "ab")
-        self._active_bytes = 0
+        path = self.root / segment_name(self._next_seq)
+        retired, self._file = self._file, open(path, "ab", buffering=0)
+        self.active_path = path
+        self._written = self._active_bytes = 0
+        retired.close()
 
     def __enter__(self) -> "Journal":
         return self

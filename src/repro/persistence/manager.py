@@ -6,9 +6,10 @@ wires the registry's three hooks, reads its live sessions itself, and
 takes the logging calls the server makes:
 
 - **write path** — the server calls :meth:`log_open` /
-  :meth:`log_observe` / :meth:`log_close` after each successful
-  mutation and *before* acknowledging it, so the journal's sync mode
-  is exactly the durability the client was promised.
+  :meth:`log_observe` after each successful mutation, and
+  :meth:`log_close` before the registry lets a session go, all
+  *before* acknowledging, so the journal's sync mode is exactly the
+  durability the client was promised.
 - **evict-to-disk** — installed as the registry's ``on_evict``
   pre-drop hook: LRU eviction and idle-TTL expiry checkpoint the
   session and register it *cold* instead of destroying its phase
@@ -48,7 +49,6 @@ from repro.persistence.checkpoints import CheckpointStore
 from repro.persistence.compaction import compact_journal
 from repro.persistence.journal import Journal
 from repro.persistence.recovery import (
-    RecoveryResult,
     recover_state,
     session_from_checkpoint,
 )
@@ -105,7 +105,7 @@ class PersistenceManager:
             fsync=sync != "none",
             telemetry=telemetry,
         )
-        self.recovery: RecoveryResult = recover_state(
+        recovery = recover_state(
             self.journal_root, self.checkpoints, telemetry
         )
         self.journal = Journal(
@@ -113,15 +113,24 @@ class PersistenceManager:
             sync=sync,
             segment_bytes=segment_bytes,
             batch_records=batch_records,
-            next_seq=self.recovery.next_seq,
+            next_seq=recovery.next_seq,
             telemetry=telemetry,
         )
+        #: What recovery found, as the counts :meth:`stats` reports.
+        #: The sessions it materialized belong to the registry alone,
+        #: so an evicted or closed one is freed.
+        self.recovered: Dict[str, int] = {
+            "recovered_live": len(recovery.live),
+            "recovered_cold": len(recovery.cold),
+            "replayed_records": recovery.replayed_records,
+            "torn_tails": recovery.journal.torn_tails,
+        }
         #: Names of the sessions evicted to disk.
-        self._cold: Set[str] = set(self.recovery.cold)
+        self._cold: Set[str] = set(recovery.cold)
         #: Closed sessions whose checkpoint may still be on disk: only
         #: their close records keep them closed until it is deleted.
-        self._closed: Set[str] = set(self.recovery.closed).difference(
-            self.recovery.live
+        self._closed: Set[str] = set(recovery.closed).difference(
+            recovery.live
         )
         with contextlib.suppress(PersistenceError):
             self._delete_closed()
@@ -152,7 +161,7 @@ class PersistenceManager:
         # (persistence-backed by now) pushes the stalest ones straight
         # back to disk as cold sessions.
         for session in sorted(
-            self.recovery.live.values(), key=lambda session: session.last_seq
+            recovery.live.values(), key=lambda session: session.last_seq
         ):
             session.last_active = registry.clock()
             registry.adopt(session)
@@ -356,10 +365,7 @@ class PersistenceManager:
             "hydrated": self.hydrated,
             "hydrate_failures": self.hydrate_failures,
             "evict_saves": self.evict_saves,
-            "recovered_live": len(self.recovery.live),
-            "recovered_cold": len(self.recovery.cold),
-            "replayed_records": self.recovery.replayed_records,
-            "torn_tails": self.recovery.journal.torn_tails,
+            **self.recovered,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -21,7 +21,11 @@ Requests::
 An observe's ``pcs`` and ``counts`` are equal-length lists of JSON
 integers in ``[0, 2**63)`` and its ``cpi`` a finite positive number;
 :func:`observe_request` decodes them once into int64 arrays, for both
-this protocol and the HTTP gateway's observe-batch body.
+this protocol and the HTTP gateway's observe-batch body. An observe
+line in the canonical layout — compact, keys in the order above, as
+:func:`encode` writes a :func:`request_payload` — skips ``json.loads``:
+:func:`parse_request` parses its columns' text straight into int64
+arrays. Any other valid line decodes to the same request, only slower.
 :func:`open_request` is likewise the one check of an ``open``'s fields,
 for this protocol and the gateway's ``POST /v1/sessions``.
 
@@ -46,6 +50,7 @@ refusal as a typed exception distinct from any transport failure.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -501,13 +506,124 @@ def cluster_request(request_id: int, payload: dict) -> ClusterRequest:
     return ClusterRequest(id=request_id, action=action, params=params)
 
 
+#: The head of a request line in the canonical layout: compact JSON
+#: with ``op``, ``id`` and ``session`` first, as :func:`encode` writes
+#: a :func:`request_payload` and the bundled client sends. ``%s``
+#: takes an alternation of ops. The groups are the op, the id (a JSON
+#: integer of at most 19 digits) and a session name that needs no
+#: JSON escaping. A line that does not start this way is just as
+#: valid; it only misses the fast paths built on this pattern.
+REQUEST_HEAD = (
+    rb'\{"op":"(%s)","id":(-?(?:0|[1-9][0-9]{0,18})),'
+    rb'"session":"([A-Za-z0-9._:\-]{1,200})"'
+)
+
+_CANONICAL_OBSERVE = re.compile(REQUEST_HEAD % b"observe" + rb',"pcs":\[')
+_COUNTS_KEY = b'],"counts":['
+_CPI_KEY = b'],"cpi":'
+#: An unsigned JSON number, then the end of the object and at most a
+#: newline. Its integer part is held to 16 digits, far inside the
+#: float range: an integer past ``sys.float_info.max``, which the
+#: reference refuses, could otherwise round down into range.
+_CANONICAL_CPI = re.compile(
+    rb'((?:0|[1-9][0-9]{0,15})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}\n?'
+)
+_DIGITS_AND_COMMAS = b"0123456789,"
+_COMMA, _ZERO = ord(","), ord("0")
+_EMPTY_FIELD = re.compile(rb",,")
+_LEADING_ZERO = re.compile(rb",0[0-9]")
+#: A value below this fits int64, however it is written. Past int64
+#: ``np.fromstring`` clamps to ``2**63 - 1`` rather than refusing, so
+#: a column whose maximum reaches this is left to ``json.loads``.
+_INT64_SAFE = 10 ** 18
+
+
+def _canonical_column(
+    line: bytes, start: int, end: int
+) -> Optional[np.ndarray]:
+    """The int64 column whose text is ``line[start:end]``, or ``None``
+    unless that text is canonical: unsigned decimal integers without
+    leading zeros, each below 10**18, separated by single commas.
+
+    Every check runs before the one C-level parse, which therefore
+    never meets text it would stop at.
+    """
+    text = line[start:end]
+    if not text:
+        return np.zeros(0, np.int64)
+    if (
+        text.translate(None, _DIGITS_AND_COMMAS)
+        or text[0] == _COMMA or text[-1] == _COMMA
+        or _EMPTY_FIELD.search(text)
+        or (text[0] == _ZERO and len(text) > 1 and text[1] != _COMMA)
+        or _LEADING_ZERO.search(text)
+    ):
+        return None
+    column = np.fromstring(text, dtype=np.int64, sep=",")
+    if column.max() >= _INT64_SAFE:
+        return None
+    return column
+
+
+def _canonical_observe(line: bytes) -> Optional[ObserveRequest]:
+    """Decode an observe line in the canonical layout,
+    ``{"op":"observe","id":N,"session":"S","pcs":[…],"counts":[…],
+    "cpi":X}``, without ``json.loads``; ``None`` for any other line.
+
+    This decoder only accepts: it returns ``None`` for every line it
+    is not sure of — another layout, or a value it might decode
+    differently — and never raises, so refusals and their messages
+    come from the reference path alone.
+    """
+    head = _CANONICAL_OBSERVE.match(line)
+    if head is None:
+        return None
+    start = head.end()
+    middle = line.find(_COUNTS_KEY, start)
+    if middle < 0:
+        return None
+    tail = line.find(_CPI_KEY, middle + len(_COUNTS_KEY))
+    if tail < 0:
+        return None
+    cpi_text = _CANONICAL_CPI.fullmatch(line, tail + len(_CPI_KEY))
+    if cpi_text is None:
+        return None
+    cpi = float(cpi_text.group(1))
+    if not 0 < cpi <= sys.float_info.max:
+        return None
+    pcs = _canonical_column(line, start, middle)
+    if pcs is None:
+        return None
+    counts = _canonical_column(line, middle + len(_COUNTS_KEY), tail)
+    if counts is None or len(counts) != len(pcs):
+        return None
+    return ObserveRequest(
+        id=int(head.group(2)), session=head.group(3).decode("ascii"),
+        pcs=pcs, counts=counts, cpi=cpi,
+    )
+
+
 def parse_request(line: Union[str, bytes]) -> Request:
     """Decode and validate one request line.
 
     Raises :class:`~repro.errors.ProtocolError` on any malformed input;
     the server maps that to an ``error`` response with code
-    ``protocol``.
+    ``protocol``. A ``bytes`` observe line in the canonical layout
+    decodes without ``json.loads`` (:func:`_canonical_observe`); every
+    other line, and every line that decoder is not sure of, takes
+    ``json.loads`` (:func:`_parse_json_request`). Both give the same
+    request for the same line.
     """
+    if isinstance(line, bytes):
+        request = _canonical_observe(line)
+        if request is not None:
+            return request
+    return _parse_json_request(line)
+
+
+def _parse_json_request(line: Union[str, bytes]) -> Request:
+    """:func:`parse_request` through ``json.loads``: the reference
+    decoder, and the only one that refuses."""
     payload = _decode_object(line)
     op = payload.get("op")
     if op not in _REQUEST_OPS:

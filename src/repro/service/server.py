@@ -577,7 +577,9 @@ class PhaseService(NdjsonServer):
             self._persistence = PersistenceManager(
                 data_dir, self.registry, sync=sync, telemetry=telemetry
             )
-            self.sessions_recovered = len(self._persistence.recovery.live)
+            self.sessions_recovered = (
+                self._persistence.recovered["recovered_live"]
+            )
         self.checkpoint_failures = 0
         #: The next-phase scoreboard's counts, keyed by
         #: :data:`PREDICTION_COUNTS`.
@@ -837,9 +839,14 @@ class PhaseService(NdjsonServer):
                     session.tracker.interval_instructions,
             }
         if isinstance(request, protocol.CloseRequest):
-            session = self.registry.close(request.session)
-            if self._persistence is not None:
-                self._persistence.log_close(session.name)
+            # Journaled before the registry lets the session go: a
+            # close the journal refuses leaves it open, so the next
+            # sweep still checkpoints the records it has not covered.
+            session = self.registry.close(
+                request.session,
+                journal=None if self._persistence is None
+                else self._persistence.log_close,
+            )
             return {
                 "session": session.name,
                 "intervals": session.tracker.intervals_observed,

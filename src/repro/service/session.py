@@ -304,17 +304,32 @@ class SessionRegistry:
         self._emit("session_adopted", session)
         return session
 
-    def close(self, name: str) -> Session:
+    def close(
+        self, name: str, journal: Optional[Callable[[str], object]] = None
+    ) -> Session:
         """Close a session.
 
         Closing an evicted-to-disk session works too: the ``resolver``
         hook materializes it just long enough to account for it.
+        ``journal``, when given, is called with the name before the
+        close takes effect. If it raises, the session stays open and
+        the close is not counted; a materialized one goes back to disk
+        through ``on_evict``.
         """
-        session = self._sessions.pop(name, None)
-        if session is None and self.resolver is not None:
+        session = self._sessions.get(name)
+        resolved = session is None and self.resolver is not None
+        if resolved:
             session = self.resolver(name)
         if session is None:
             raise SessionNotFoundError(f"session {name!r} does not exist")
+        if journal is not None:
+            try:
+                journal(name)
+            except Exception:
+                if resolved:
+                    self._hand_back(session, "close_refused")
+                raise
+        self._sessions.pop(name, None)
         self.sessions_closed += 1
         self._emit("session_closed", session)
         return session
@@ -414,25 +429,33 @@ class SessionRegistry:
         try:
             self._make_room()
         except Exception:
-            # Resolving consumed the durable tier's cold copy; with the
-            # table full and eviction disabled, hand the session
-            # straight back to disk before surfacing the refusal, or
-            # its state (and name reservation) would be silently lost.
-            if self.on_evict is not None:
-                try:
-                    self.on_evict(session, "hydrate_refused")
-                except Exception as error:
-                    if self._telemetry is not None:
-                        self._telemetry.emit(
-                            "session_evict_hook_failed",
-                            session=session.name, reason="hydrate_refused",
-                            error=f"{type(error).__name__}: {error}",
-                        )
+            # With the table full and eviction disabled, hand the
+            # session straight back to disk before surfacing the
+            # refusal.
+            self._hand_back(session, "hydrate_refused")
             raise
         self._sessions[name] = session
         self.sessions_hydrated += 1
         self._emit("session_hydrated", session)
         return session
+
+    def _hand_back(self, session: Session, reason: str) -> None:
+        """Return a session the resolver materialized to disk through
+        ``on_evict``: resolving consumed the durable tier's cold copy,
+        so without this its state and name reservation would be
+        silently lost. A hook that raises is emitted, not raised; the
+        caller is already raising the refusal that brought it here."""
+        if self.on_evict is None:
+            return
+        try:
+            self.on_evict(session, reason)
+        except Exception as error:
+            if self._telemetry is not None:
+                self._telemetry.emit(
+                    "session_evict_hook_failed",
+                    session=session.name, reason=reason,
+                    error=f"{type(error).__name__}: {error}",
+                )
 
     # -- inspection -----------------------------------------------------------
 

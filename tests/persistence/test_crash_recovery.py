@@ -351,6 +351,80 @@ class TestInThreadServiceDurability:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize("sweep", [True, False])
+    def test_a_close_the_journal_refuses_leaves_the_session_open(
+        self, tmp_path, monkeypatch, sweep
+    ):
+        """A ``close`` whose record the disk refuses partway through
+        leaves no trace in the journal and does not take effect: the
+        session stays open and uncounted and keeps acknowledging
+        observes, and a restart, after a sweep or without one, recovers
+        every acknowledged branch."""
+        import errno
+
+        from repro.service import protocol
+        from repro.service.server import PhaseService
+        from repro.service.snapshot import snapshot_tracker
+
+        data_dir = str(tmp_path / "data")
+        service = PhaseService(data_dir=data_dir)
+        requests = [protocol.OpenRequest(
+            id=1, session="alpha",
+            interval_instructions=INTERVAL_INSTRUCTIONS,
+        )] + [
+            protocol.ObserveRequest(
+                id=2 + index, session="alpha",
+                pcs=np.array(pcs, dtype=np.int64),
+                counts=np.array(counts, dtype=np.int64), cpi=1.2,
+            )
+            for index, (pcs, counts) in enumerate(
+                branch_batches(seed=17, batches=5, batch_size=100)
+            )
+        ]
+        for request in requests[:3]:
+            assert service._execute(request)[-1]["ok"]
+        service._sweep()
+        for request in requests[3:5]:
+            assert service._execute(request)[-1]["ok"]
+
+        # The disk fills 5 bytes into the close record's frame.
+        journal = service.persistence.journal
+        room, write = 5, journal._file.write
+
+        def write_some(data):
+            nonlocal room
+            if not room:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            done = write(bytes(data[:room]))
+            room -= done
+            return done
+
+        monkeypatch.setattr(journal._file, "write", write_some)
+        (response,) = service._execute(
+            protocol.CloseRequest(id=9, session="alpha")
+        )
+        assert not response["ok"]
+        assert "No space left" in response["error"]["message"]
+        stats = service.registry.stats()
+        assert (stats["live"], stats["closed"]) == (1, 0)
+        monkeypatch.undo()  # the disk has room again
+        assert service._execute(requests[5])[-1]["ok"]
+        expected = dumps(snapshot_tracker(
+            service.registry.get("alpha").tracker
+        ))
+        if sweep:
+            service._sweep()
+            assert service.checkpoint_failures == 0
+        service.persistence.close()  # stops with no final sweep
+
+        restarted = PhaseService(data_dir=data_dir)
+        try:
+            session = restarted.registry.get("alpha")
+            assert session.branches_ingested == 500
+            assert dumps(snapshot_tracker(session.tracker)) == expected
+        finally:
+            restarted.persistence.close()
+
     def test_observe_batches_are_journaled(self, tmp_path):
         batches = branch_batches(seed=12, batches=2)
         handle = start_in_thread(

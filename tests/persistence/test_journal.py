@@ -1,7 +1,9 @@
 """The segment journal: CRC framing, rotation, sync modes, and the
 torn-tail truncation that makes ``kill -9`` a recoverable event."""
 
+import errno
 import json
+import os
 import struct
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.persistence import (
 )
 from repro.persistence.journal import (
     MAX_RECORD_BYTES,
+    SYNC_MODES,
     encode_payload,
     encode_record,
     segment_first_seq,
@@ -357,6 +360,154 @@ class TestSyncModes:
         journal.close()  # idempotent
         with pytest.raises(PersistenceError, match="closed"):
             journal.append({"kind": "observe"})
+
+
+def fill_disk(monkeypatch, journal, room=0):
+    """The active segment's disk takes ``room`` more bytes, then each
+    write fails with ENOSPC, as write(2) does on a full disk."""
+    write = journal._file.write
+
+    def write_some(data):
+        nonlocal room
+        if not room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        done = write(bytes(data[:room]))
+        room -= done
+        return done
+
+    monkeypatch.setattr(journal._file, "write", write_some)
+
+
+def fail_fsync(monkeypatch, journal):
+    """``os.fsync`` of the journal's active segment fails with EIO."""
+    fsync = os.fsync
+
+    def failing(fd):
+        if journal._file is not None and fd == journal._file.fileno():
+            raise OSError(errno.EIO, "Input/output error")
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing)
+
+
+class TestAllOrNothing:
+    """An append that raises leaves no byte of its record in the
+    journal, and its seq goes to the next append."""
+
+    @pytest.mark.parametrize("sync", SYNC_MODES)
+    @pytest.mark.parametrize("room", [0, 5, 4_000])
+    def test_a_write_the_disk_refuses_leaves_no_trace(
+        self, tmp_path, monkeypatch, sync, room
+    ):
+        journal = Journal(tmp_path, sync=sync)
+        append_n(journal, 3)
+        journal.sync()
+        size = journal.active_path.stat().st_size
+        fill_disk(monkeypatch, journal, room)
+        # 1,000 values a column: past the buffer "none" mode keeps.
+        with pytest.raises(OSError, match="No space left"):
+            append_binary(journal, 1, start=3, size=1_000)
+        assert journal.active_path.stat().st_size == size
+        assert journal.next_seq == 4
+        assert journal.unsynced_records == 0
+        monkeypatch.undo()  # the disk has room again
+        append_binary(journal, 1, start=4, size=1_000)
+        journal.close()
+        replay = replay_journal(tmp_path)
+        assert [r["seq"] for r in replay.records] == [1, 2, 3, 4]
+        assert replay.records[-1]["index"] == 4
+        assert replay.stats.torn_tails == 0
+
+    def test_an_fsync_that_fails_takes_the_record_back_out(
+        self, tmp_path, monkeypatch
+    ):
+        journal = Journal(tmp_path, sync="always")
+        append_n(journal, 3)
+        size = journal.active_path.stat().st_size
+        fail_fsync(monkeypatch, journal)
+        with pytest.raises(OSError, match="Input/output error"):
+            append_n(journal, 1, start=3)
+        assert journal.active_path.stat().st_size == size
+        assert journal.next_seq == 4
+        monkeypatch.undo()
+        append_n(journal, 1, start=4)
+        journal.close()
+        replay = replay_journal(tmp_path)
+        assert [r["index"] for r in replay.records] == [0, 1, 2, 4]
+        assert replay.stats.torn_tails == 0
+
+    def test_a_refused_write_keeps_the_records_buffered_before_it(
+        self, tmp_path, monkeypatch
+    ):
+        """In ``none`` mode the records buffered before the one that
+        failed stay buffered, and the next write takes them along."""
+        journal = Journal(tmp_path, sync="none")
+        append_n(journal, 3)
+        fill_disk(monkeypatch, journal, room=20)
+        with pytest.raises(OSError, match="No space left"):
+            append_binary(journal, 1, start=3, size=1_000)
+        assert journal.active_path.stat().st_size == 0
+        monkeypatch.undo()
+        journal.close()
+        replay = replay_journal(tmp_path)
+        assert [r["index"] for r in replay.records] == [0, 1, 2]
+
+    def test_a_segment_that_cannot_be_cut_back_closes_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        """Nothing is appended after a partial frame: replay drops it
+        as a torn tail and keeps every record before it."""
+        journal = Journal(tmp_path)
+        append_n(journal, 3)
+        fill_disk(monkeypatch, journal, room=5)
+
+        def refuse(fd, length):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "ftruncate", refuse)
+        with pytest.raises(OSError, match="No space left"):
+            append_n(journal, 1, start=3)
+        assert journal.closed
+        with pytest.raises(PersistenceError, match="closed"):
+            append_n(journal, 1, start=4)
+        monkeypatch.undo()
+        replay = replay_journal(tmp_path)
+        assert [r["index"] for r in replay.records] == [0, 1, 2]
+        assert replay.stats.torn_tails == 1
+
+    def test_a_failed_rotation_keeps_the_record_and_retries(
+        self, tmp_path, monkeypatch
+    ):
+        import io
+
+        from repro.telemetry import EventLog, Telemetry, read_events
+
+        stream = io.StringIO()
+        journal = Journal(
+            tmp_path, sync="batch", batch_records=100, segment_bytes=256,
+            telemetry=Telemetry(events=EventLog(stream=stream)),
+        )
+        first_segment = journal.active_path
+        fail_fsync(monkeypatch, journal)
+        appended = 0
+        while journal.active_path.stat().st_size < 256:
+            append_n(journal, 1, start=appended)
+            appended += 1
+        assert journal.active_path == first_segment
+        assert [
+            event["event"] for event in read_events(
+                io.StringIO(stream.getvalue())
+            )
+        ] == ["journal_rotate_failed"]
+        monkeypatch.undo()
+        append_n(journal, 1, start=appended)
+        assert journal.active_path != first_segment
+        journal.close()
+        replay = replay_journal(tmp_path)
+        assert [r["index"] for r in replay.records] == list(
+            range(appended + 1)
+        )
+        assert replay.stats.segments == 2
 
 
 class TestTelemetry:

@@ -16,7 +16,7 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.persistence import Journal, PersistenceManager, list_segments
-from repro.service.session import SessionRegistry
+from repro.service.session import Session, SessionRegistry
 from repro.service.snapshot import dumps, snapshot_tracker
 
 INTERVAL_INSTRUCTIONS = 2_000
@@ -47,7 +47,7 @@ def frame_payloads(segment):
 def durable_registry(tmp_path, max_sessions=4, **kwargs):
     registry = SessionRegistry(max_sessions=max_sessions)
     manager = PersistenceManager(tmp_path / "data", registry, **kwargs)
-    return manager, registry, len(manager.recovery.live)
+    return manager, registry, manager.recovered["recovered_live"]
 
 
 def open_and_drive(manager, registry, name, batches):
@@ -74,6 +74,22 @@ def disk_full(name, document):
         f"cannot write checkpoint for {name!r}: [Errno 28] No space left "
         "on device"
     )
+
+
+def fill_journal_disk(monkeypatch, journal, room=0):
+    """The journal's active segment takes ``room`` more bytes, then
+    each write fails with ENOSPC, as write(2) does on a full disk."""
+    write = journal._file.write
+
+    def write_some(data):
+        nonlocal room
+        if not room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        done = write(bytes(data[:room]))
+        room -= done
+        return done
+
+    monkeypatch.setattr(journal._file, "write", write_some)
 
 
 def only_active_segment(manager):
@@ -153,6 +169,27 @@ class TestEvictHydrate:
         assert manager.cold_sessions == 0
         assert len(manager.checkpoints) == 0
         registry.open(name="victim")  # name is reusable again
+
+    def test_a_refused_close_of_a_cold_session_keeps_it_cold(
+        self, tmp_path, monkeypatch
+    ):
+        """Closing a cold session materializes it; when the journal
+        refuses the close, the registry hands it back to disk, so its
+        name stays reserved and it still hydrates."""
+        manager, registry, _ = durable_registry(tmp_path, max_sessions=2)
+        batches = branch_batches(seed=5, batches=1)
+        open_and_drive(manager, registry, "victim", batches)
+        open_and_drive(manager, registry, "b", batches)
+        open_and_drive(manager, registry, "c", batches)  # evicts victim
+        fill_journal_disk(monkeypatch, manager.journal, room=5)
+        with pytest.raises(OSError, match="No space left"):
+            registry.close("victim", journal=manager.log_close)
+        assert manager.cold_names() == ["victim"]
+        assert registry.stats()["closed"] == 0
+        monkeypatch.undo()  # the disk has room again
+        session = registry.close("victim", journal=manager.log_close)
+        assert session.branches_ingested == len(batches[0][0])
+        assert manager.cold_sessions == 0
 
     def test_transient_checkpoint_read_error_keeps_cold_entry(
         self, tmp_path, monkeypatch
@@ -282,10 +319,11 @@ class TestCrashRecovery:
         before = dumps(snapshot_tracker(session.tracker))
         del manager, registry
 
-        manager2, _, _ = durable_registry(tmp_path)
+        manager2, registry2, installed = durable_registry(tmp_path)
         # Only the two post-checkpoint observes replayed.
         assert manager2.stats()["replayed_records"] == 2
-        recovered = manager2.recovery.live["a"]
+        assert installed == 1
+        recovered = registry2.get("a")
         assert dumps(snapshot_tracker(recovered.tracker)) == before
 
     def test_checkpoints_with_the_older_meta_still_load(self, tmp_path):
@@ -384,6 +422,40 @@ class TestCrashRecovery:
         assert len(manager2.checkpoints) == 0
         with pytest.raises(SessionNotFoundError):
             registry2.get("a")
+
+    def test_recovered_sessions_belong_to_the_registry_alone(
+        self, tmp_path
+    ):
+        """Recovery hands its sessions to the registry and keeps only
+        counts: of 200 recovered into a registry capped at 2, the 198
+        evicted to disk are freed."""
+        import gc
+
+        manager, registry, _ = durable_registry(
+            tmp_path, max_sessions=200, sync="none"
+        )
+        batches = branch_batches(seed=27, batches=1, batch_size=20)
+        names = {f"s{index}" for index in range(200)}
+        for name in sorted(names):
+            open_and_drive(manager, registry, name, batches)
+        manager.close()  # no sweep: recovery materializes all 200
+        del manager, registry
+
+        manager, registry, installed = durable_registry(
+            tmp_path, max_sessions=2, sync="none"
+        )
+        assert installed == 200
+        assert manager.stats()["recovered_live"] == 200
+        assert manager.cold_sessions == 198
+        gc.collect()
+        alive = [
+            obj for obj in gc.get_objects()
+            if type(obj) is Session and obj.name in names
+        ]
+        assert sorted(session.name for session in alive) == sorted(
+            session.name for session in registry.sessions()
+        )
+        assert len(alive) == 2
 
     def test_torn_journal_tail_is_survivable(self, tmp_path):
         manager, registry, _ = durable_registry(tmp_path)
@@ -620,7 +692,7 @@ class TestMaintenance:
             tmp_path, segment_bytes=300
         )
         assert installed == 1
-        assert manager.recovery.journal.torn_tails == 0
+        assert manager.recovered["torn_tails"] == 0
         assert state(registry.get("kept")) == expected
 
     def test_stats_are_json_safe(self, tmp_path):

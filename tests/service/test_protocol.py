@@ -16,6 +16,13 @@ from repro.errors import (
 )
 from repro.service import protocol
 
+#: parse_request hands canonical observe columns to np.fromstring: a
+#: deprecation that numpy raises on a call from the protocol module
+#: fails these tests, on every Python that CI runs.
+pytestmark = pytest.mark.filterwarnings(
+    "error::DeprecationWarning:repro.service.protocol"
+)
+
 
 def encode_line(payload):
     return json.dumps(payload).encode() + b"\n"
@@ -164,6 +171,43 @@ class TestRequestPayload:
         request = protocol.parse_request(line)
         raw = protocol.encode(protocol.request_payload(request))
         assert json.loads(raw) == json.loads(line)
+
+
+class TestCanonicalLayout:
+    """Both fast paths key on the layout the client's encoder writes:
+    ``parse_request``'s observe decoder and the cluster dispatcher's
+    router."""
+
+    def test_client_observe_lines_skip_json_loads(self):
+        line = protocol.encode(protocol.request_payload(
+            protocol.ObserveRequest(
+                id=12, session="c0s0", pcs=np.array([4096, 0]),
+                counts=[7, 10 ** 18 - 1], cpi=1.2,
+            )
+        ))
+        request = protocol._canonical_observe(line)
+        assert (request.id, request.session, request.cpi) == (
+            12, "c0s0", 1.2
+        )
+        assert request.pcs.dtype == request.counts.dtype == np.int64
+        assert request.pcs.tolist() == [4096, 0]
+        assert request.counts.tolist() == [7, 10 ** 18 - 1]
+
+    def test_the_dispatcher_routes_client_lines_unparsed(self):
+        from repro.cluster.dispatcher import _FAST_ROUTE
+
+        for request in (
+            protocol.ObserveRequest(id=3, session="w.1:a-b_c", pcs=[8],
+                                    counts=[9]),
+            protocol.PredictRequest(id=-4, session="s"),
+            protocol.SnapshotRequest(id=2 ** 62, session="s"),
+            protocol.CloseRequest(id=0, session="s"),
+        ):
+            line = protocol.encode(protocol.request_payload(request))
+            assert _FAST_ROUTE.match(line).group(1, 2, 3) == (
+                request.op.encode(), str(request.id).encode(),
+                request.session.encode(),
+            )
 
 
 class TestEncode:

@@ -256,15 +256,25 @@ class TestGracefulDrain:
                   "interval_instructions": 3000})
         assert raw.read_message()["ok"] is True
 
-        # Pipeline every batch without reading responses, then shut
-        # down concurrently so the drain races live queue contents.
-        for index, (pcs, counts) in enumerate(batches):
+        def observe(index):
+            pcs, counts = batches[index]
             raw.send({"op": "observe", "id": index + 1, "session":
                       "drainee", "pcs": pcs, "counts": counts,
                       "cpi": 1.0})
+
+        # The first observe is acknowledged before the drain can begin,
+        # so at least one batch is always executed.
+        observe(0)
+        messages = [raw.read_message()]
+        while "push" in messages[-1]:
+            messages.append(raw.read_message())
+        # Pipeline every other batch without reading responses, then
+        # shut down concurrently so the drain races live queue contents.
+        for index in range(1, len(batches)):
+            observe(index)
         stopper = threading.Thread(target=handle.stop)
         stopper.start()
-        messages = raw.read_until_eof()
+        messages += raw.read_until_eof()
         stopper.join()
         raw.close()
 
