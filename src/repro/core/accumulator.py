@@ -8,10 +8,14 @@ interval the counters form the interval's raw code signature.
 
 This implementation batches the per-branch updates with ``np.bincount``,
 which is arithmetically identical to the sequential hardware update
-(addition commutes) but orders of magnitude faster in Python.
+(addition commutes) but orders of magnitude faster in Python. A batch
+that crosses interval boundaries is hashed once and summed one
+interval's stretch at a time.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,12 +121,30 @@ class AccumulatorTable:
         )
         self._total += instructions
 
-    def update_batch(self, pcs: np.ndarray, instructions: np.ndarray) -> None:
-        """Record a batch of branches (vectorized, addition-equivalent).
+    def update_batch(
+        self,
+        pcs: np.ndarray,
+        instructions: np.ndarray,
+        ends: Sequence[int] = (),
+    ) -> List[Tuple[np.ndarray, int]]:
+        """Record a batch of branches, closing an interval at each of
+        ``ends``.
 
-        ``instructions`` must be non-negative. Its callers check that
-        once, where the records enter (``PhaseTracker.observe_batch``,
-        ``Interval``), so it is not checked again here.
+        ``ends`` are strictly increasing record positions in
+        ``[1, len(pcs)]``: the records before ``ends[0]`` complete the
+        open interval, the records from each end to the next make one
+        whole interval, and the records after the last end open the
+        next one. Returns every closed interval's counters and total
+        increment, oldest first; the table keeps the open interval.
+        Without ``ends`` the counters are those of one :meth:`update`
+        per record, since saturating adds of non-negative counts
+        commute.
+
+        The batch is hashed once and each interval's stretch summed
+        with one ``np.bincount``. ``instructions`` must be
+        non-negative. Its callers check that once, where the records
+        enter (``PhaseTracker.observe_batch``, ``Interval``), so it is
+        not checked again here.
         """
         pcs = np.asarray(pcs)
         instructions = np.asarray(instructions, dtype=np.int64)
@@ -131,22 +153,40 @@ class AccumulatorTable:
                 "pcs and instructions must be parallel arrays: "
                 f"{pcs.shape} vs {instructions.shape}"
             )
+        size = instructions.size
+        if not size:
+            return []
         indices = _hash_pc_unchecked(pcs, self.num_counters)
-        total = int(instructions.sum())
-        if total < _EXACT_FLOAT_SUM:
-            # Every per-bucket sum is bounded by the batch total, so the
-            # float64 bincount is exact — and much faster than a scatter-add.
-            sums = np.bincount(
-                indices, weights=instructions.astype(np.float64),
-                minlength=self.num_counters,
-            ).astype(np.int64)
-        else:
-            # Integer scatter-add: slower, but never rounds (the
-            # hardware-faithful path accumulates in integers).
-            sums = np.zeros(self.num_counters, dtype=np.int64)
-            np.add.at(sums, indices, instructions)
-        self._counters = np.minimum(self._counters + sums, self._max_value)
-        self._total += total
+        starts = [0, *ends]
+        if starts[-1] == size:
+            starts.pop()  # the batch's last record closes an interval
+        increments = np.add.reduceat(instructions, starts).tolist()
+        intervals = []
+        for start, stop, increment in zip(
+            starts, starts[1:] + [size], increments
+        ):
+            stretch, weights = indices[start:stop], instructions[start:stop]
+            if increment < _EXACT_FLOAT_SUM:
+                # Every per-bucket sum is bounded by the stretch's total,
+                # so the float64 bincount (which casts the int64 weights
+                # itself) is exact, and much faster than a scatter-add.
+                sums = np.bincount(
+                    stretch, weights=weights, minlength=self.num_counters
+                ).astype(np.int64)
+            else:
+                # Integer scatter-add: slower, but never rounds (the
+                # hardware-faithful path accumulates in integers).
+                sums = np.zeros(self.num_counters, dtype=np.int64)
+                np.add.at(sums, stretch, weights)
+            if start == 0:  # this stretch completes the open interval
+                sums += self._counters
+                increment += self._total
+            np.minimum(sums, self._max_value, out=sums)
+            intervals.append((sums, increment))
+        if len(intervals) == len(ends):
+            intervals.append((np.zeros(self.num_counters, dtype=np.int64), 0))
+        self._counters, self._total = intervals.pop()
+        return intervals
 
     def clear(self) -> None:
         """Reset all counters for the next interval."""

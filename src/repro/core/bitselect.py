@@ -40,7 +40,7 @@ class BitSelector(ABC):
 
     @abstractmethod
     def shift_for(self, average_counter_value: int) -> int:
-        """Return the right-shift applied before masking."""
+        """Return the right-shift that brings the window down to bit 0."""
 
     def compress(
         self, counters: np.ndarray, average_counter_value: int
@@ -49,15 +49,18 @@ class BitSelector(ABC):
 
         Any counter with a set bit above the selected window saturates
         to the maximum representable value (paper §4.2: "we set all of
-        the selected bits to one"). ``counters`` must be non-negative,
-        as an accumulator's are; they are not checked again here.
+        the selected bits to one"). ``counters`` must be a non-negative
+        ``int64`` array, as an accumulator's are; they are not checked
+        again here. For such counters one ``minimum`` gives what
+        masking the window and then saturating would: a counter below
+        ``2**(shift + bits)`` shifts to a value that fits the window,
+        and any larger counter shifts past the maximum and saturates.
+        Returns a new array; ``counters`` is not modified.
         """
-        counters = np.asarray(counters, dtype=np.int64)
-        shift = self.shift_for(average_counter_value)
-        selected = (counters >> shift) & self.max_value
-        overflowed = (counters >> (shift + self.bits)) > 0
-        selected = np.where(overflowed, self.max_value, selected)
-        return selected.astype(np.int64)
+        return np.minimum(
+            counters >> self.shift_for(average_counter_value),
+            self.max_value,
+        )
 
 
 class StaticBitSelector(BitSelector):

@@ -19,7 +19,7 @@ the measure is symmetric. The choice is pluggable — pass a different
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -80,30 +80,36 @@ def relative_distance_matrix(
     matrix: np.ndarray,
     vector: np.ndarray,
     normalizer: Normalizer = sum_normalizer,
+    row_totals: Optional[np.ndarray] = None,
+    vector_total: Optional[int] = None,
 ) -> np.ndarray:
     """Vectorized relative distance of one signature against many.
 
     ``matrix`` is (entries x dims); ``vector`` is (dims,). Returns a
     float array of length ``entries``. This is the hot path of the
-    classifier, hence the batch form.
+    classifier, hence the batch form. A caller that already knows the
+    rows' and the vector's component sums (a signature table reads
+    them from its :class:`Signature` objects) passes them as
+    ``row_totals`` and ``vector_total`` instead of having them summed
+    again.
     """
     matrix = np.asarray(matrix, dtype=np.int64)
     vector = np.asarray(vector, dtype=np.int64)
-    if matrix.ndim != 2 or matrix.shape[1] != vector.shape[0]:
+    if matrix.ndim != 2 or matrix.shape[1:] != vector.shape:
         raise ValueError(
             f"shape mismatch: matrix {matrix.shape} vs vector {vector.shape}"
         )
-    distances = np.abs(matrix - vector[None, :]).sum(axis=1)
-    row_totals = matrix.sum(axis=1)
-    vector_total = int(vector.sum())
+    distances = np.abs(matrix - vector).sum(axis=1)
+    if row_totals is None:
+        row_totals = matrix.sum(axis=1)
+    if vector_total is None:
+        vector_total = int(vector.sum())
+    # Dividing by integer denominators converts both sides to float64,
+    # exactly as the normalizers' float results would be.
     if normalizer is sum_normalizer:  # vectorized hot path
-        denominators = np.maximum(row_totals + vector_total, 1).astype(
-            np.float64
-        )
+        denominators = np.maximum(row_totals + vector_total, 1)
     elif normalizer is max_normalizer:
-        denominators = np.maximum(
-            2 * np.maximum(row_totals, vector_total), 1
-        ).astype(np.float64)
+        denominators = np.maximum(2 * np.maximum(row_totals, vector_total), 1)
     else:
         denominators = np.array(
             [normalizer(int(t), vector_total) for t in row_totals],

@@ -292,12 +292,16 @@ class PhaseTracker:
         Behaviourally identical to calling :meth:`observe_branch` per
         record and :meth:`complete_interval` at each boundary (the
         accumulator's saturating adds commute with batching), but the
-        per-interval segments are ingested vectorized — this is the
-        service's batched-ingest fast path. ``cpi`` is attributed to
-        every interval the batch completes. Returns the boundary
-        reports, oldest first; the batch never ends boundary-pending.
-        Negative counts and a CPI that is not a finite positive number
-        raise ``ValueError`` before anything is ingested.
+        batch goes to the accumulator in one vectorized call, which
+        hands back each closed interval's counters — this is the
+        service's batched-ingest fast path. A listener fired at a
+        boundary inside the batch therefore finds the accumulator
+        already holding the batch's later records. ``cpi`` is
+        attributed to every interval the batch completes. Returns the
+        boundary reports, oldest first; the batch never ends
+        boundary-pending. Negative counts and a CPI that is not a
+        finite positive number raise ``ValueError`` before anything is
+        ingested.
         """
         if self._boundary_pending:
             raise PredictionError(
@@ -317,31 +321,29 @@ class PhaseTracker:
         if counts.min() < 0:
             raise ValueError("instruction counts must be non-negative")
 
-        accumulator = self.classifier.accumulator
-        prefix = np.cumsum(counts)
+        prefix = counts.cumsum()
+        last = int(prefix[-1])
+        # One past the record that closes each interval the batch
+        # crosses: that record belongs wholly to the interval it closes.
+        ends: List[int] = []
+        reach = self.interval_instructions - self._instructions
+        while reach <= last:
+            boundary = int(prefix.searchsorted(reach))
+            ends.append(boundary + 1)
+            reach = int(prefix[boundary]) + self.interval_instructions
+        intervals = self.classifier.accumulator.update_batch(
+            pcs, counts, ends
+        )
         reports: List[TrackerReport] = []
-        start = 0
-        consumed = 0
-        total = pcs.size
-        while start < total:
-            needed = self.interval_instructions - self._instructions
-            boundary = int(
-                np.searchsorted(prefix, consumed + needed, side="left")
-            )
-            if boundary >= total:
-                accumulator.update_batch(pcs[start:], counts[start:])
-                self._instructions += int(prefix[-1]) - consumed
-                self._branches_in_interval += total - start
-                break
-            accumulator.update_batch(
-                pcs[start:boundary + 1], counts[start:boundary + 1]
-            )
-            self._instructions += int(prefix[boundary]) - consumed
-            self._branches_in_interval += boundary + 1 - start
-            self._boundary_pending = True
-            reports.append(self._close_interval(cpi))
-            consumed = int(prefix[boundary])
-            start = boundary + 1
+        start = consumed = 0
+        for end, (counters, total) in zip(ends, intervals):
+            closing = int(prefix[end - 1])
+            self._instructions += closing - consumed
+            self._branches_in_interval += end - start
+            reports.append(self._close_interval(cpi, counters, total))
+            start, consumed = end, closing
+        self._instructions += last - consumed
+        self._branches_in_interval += pcs.size - start
         return reports
 
     def complete_interval(self, cpi: float) -> TrackerReport:
@@ -353,15 +355,22 @@ class PhaseTracker:
         if not self._boundary_pending and self._instructions == 0:
             raise PredictionError("no interval content to complete")
         _check_cpi(cpi)
-        return self._close_interval(cpi)
+        accumulator = self.classifier.accumulator
+        counters, total = accumulator.counters, accumulator.total_increment
+        accumulator.clear()
+        return self._close_interval(cpi, counters, total)
 
-    def _close_interval(self, cpi: float) -> TrackerReport:
+    def _close_interval(
+        self, cpi: float, counters: np.ndarray, total: int
+    ) -> TrackerReport:
+        """Classify the interval whose accumulator ``counters`` and
+        total increment are given, step the predictors, and report."""
         telemetry = self._telemetry
         interval_instructions = self._instructions
         interval_branches = self._branches_in_interval
 
         if telemetry is None:
-            signature = self._form_signature()
+            signature = self._form_signature(counters, total)
             result = self.classifier.classify_signature(signature, cpi)
             prediction = self._update_predictors(result.phase_id)
         else:
@@ -378,7 +387,7 @@ class PhaseTracker:
                 )
             with telemetry.span("interval"):
                 with telemetry.span("signature"):
-                    signature = self._form_signature()
+                    signature = self._form_signature(counters, total)
                 with telemetry.span("match"):
                     result = self.classifier.classify_signature(
                         signature, cpi
@@ -497,15 +506,16 @@ class PhaseTracker:
 
     # -- interval stages ------------------------------------------------------
 
-    def _form_signature(self) -> Signature:
-        """Compress the accumulated counters into the interval signature."""
-        accumulator = self.classifier.accumulator
-        compressed = self.classifier.bit_selector.compress(
-            accumulator.counters, accumulator.average_counter_value
+    def _form_signature(self, counters: np.ndarray, total: int) -> Signature:
+        """Compress an interval's counters into its signature; ``total``
+        over the counter count is the interval's average counter value
+        (:attr:`AccumulatorTable.average_counter_value`)."""
+        classifier = self.classifier
+        compressed = classifier.bit_selector.compress(
+            counters, total // classifier.accumulator.num_counters
         )
-        accumulator.clear()
         return Signature.from_compressed(
-            compressed, self.classifier.config.bits_per_counter
+            compressed, classifier.config.bits_per_counter
         )
 
     def _update_predictors(

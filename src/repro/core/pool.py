@@ -248,7 +248,8 @@ class ClassifierPool:
 
     def form_signatures(self, slots: np.ndarray) -> np.ndarray:
         """Compress the slots' accumulated counters into signatures and
-        clear the accumulators (scalar ``_form_signature`` semantics)."""
+        clear the accumulators, as the scalar tracker does at a
+        boundary."""
         counters = self._counters[slots]
         bits = self.config.bits_per_counter
         if self.config.bit_selector == "dynamic":

@@ -122,7 +122,6 @@ class SignatureTable:
         self.default_threshold = default_threshold
         self.normalizer = normalizer
         self._entries: List[TableEntry] = []
-        self._matrix: Optional[np.ndarray] = None  # rebuilt lazily
         self._clock = 0
         self.evictions = 0
 
@@ -136,23 +135,38 @@ class SignatureTable:
         """Live entries (mutable references, in insertion order)."""
         return self._entries
 
-    def _signature_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            # ``np.array`` over equal-length rows: a third of
-            # ``np.stack``'s cost on a 32-entry table.
-            self._matrix = np.array(
-                [entry.signature.values for entry in self._entries]
-            )
-        return self._matrix
-
-    def _invalidate_matrix(self) -> None:
-        self._matrix = None
-
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
 
     # -- search -------------------------------------------------------------
+
+    def _distances(
+        self, signature: Signature
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The relative distance from ``signature`` to every entry, and
+        every entry's similarity threshold, in table order.
+
+        Both are read at the call: entries change at every boundary,
+        and the adaptive classifier halves thresholds in place. The
+        matrix is built with ``np.array`` over the entries' rows, a
+        third of ``np.stack``'s cost on a 32-entry table, and the rows'
+        totals come from their signatures rather than a second sum.
+        """
+        entries = self._entries
+        distances = relative_distance_matrix(
+            np.array([entry.signature.values for entry in entries]),
+            signature.values,
+            self.normalizer,
+            row_totals=np.array(
+                [entry.signature.total for entry in entries]
+            ),
+            vector_total=signature.total,
+        )
+        thresholds = np.array(
+            [entry.similarity_threshold for entry in entries]
+        )
+        return distances, thresholds
 
     def find_matches(
         self, signature: Signature
@@ -163,16 +177,10 @@ class SignatureTable:
         """
         if not self._entries:
             return []
-        distances = relative_distance_matrix(
-            self._signature_matrix(), signature.values, self.normalizer
-        )
-        thresholds = np.array(
-            [entry.similarity_threshold for entry in self._entries]
-        )
-        eligible = np.nonzero(distances <= thresholds)[0]
+        distances, thresholds = self._distances(signature)
         return [
-            (self._entries[int(i)], float(distances[int(i)]))
-            for i in eligible
+            (self._entries[index], float(distances[index]))
+            for index in np.flatnonzero(distances <= thresholds).tolist()
         ]
 
     def best_match(
@@ -181,20 +189,28 @@ class SignatureTable:
         """The entry ``signature`` classifies into, or ``None``.
 
         ``policy`` is ``"most_similar"`` (this paper: the eligible entry
-        with the smallest distance) or ``"first"`` (prior work: the
-        first eligible entry in table order).
+        with the smallest distance, the earliest in table order on a
+        tie) or ``"first"`` (prior work: the first eligible entry in
+        table order). Either is one pass over the distance vector: the
+        same entry :meth:`find_matches` followed by ``min`` by
+        distance, or by taking its head, would give.
         """
-        matches = self.find_matches(signature)
-        if not matches:
+        if policy not in ("most_similar", "first"):
+            raise ConfigurationError(
+                f"unknown match policy {policy!r}; expected "
+                "'most_similar' or 'first'"
+            )
+        if not self._entries:
             return None
+        distances, thresholds = self._distances(signature)
+        eligible = distances <= thresholds
         if policy == "first":
-            return matches[0]
-        if policy == "most_similar":
-            return min(matches, key=lambda pair: pair[1])
-        raise ConfigurationError(
-            f"unknown match policy {policy!r}; expected 'most_similar' or "
-            "'first'"
-        )
+            index = int(eligible.argmax())
+        else:
+            index = int(np.where(eligible, distances, np.inf).argmin())
+        if not eligible[index]:
+            return None
+        return self._entries[index], float(distances[index])
 
     # -- mutation -----------------------------------------------------------
 
@@ -203,7 +219,6 @@ class SignatureTable:
         the current one (paper §4.1 step 3) and refresh LRU state."""
         entry.signature = signature
         entry.last_used = self._tick()
-        self._invalidate_matrix()
 
     def insert(self, signature: Signature) -> TableEntry:
         """Insert a new entry, evicting the LRU entry if at capacity."""
@@ -220,7 +235,6 @@ class SignatureTable:
             last_used=self._tick(),
         )
         self._entries.append(entry)
-        self._invalidate_matrix()
         return entry
 
     def flush_cpi_stats(self) -> None:
@@ -233,7 +247,6 @@ class SignatureTable:
         """Drop every entry and reset LRU/eviction bookkeeping, leaving
         capacity, threshold and normalizer configuration in place."""
         self._entries.clear()
-        self._invalidate_matrix()
         self._clock = 0
         self.evictions = 0
 
@@ -281,6 +294,5 @@ class SignatureTable:
             )
             for record in entries
         ]
-        self._invalidate_matrix()
         self._clock = int(state["clock"])
         self.evictions = int(state["evictions"])

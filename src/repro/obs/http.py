@@ -87,7 +87,9 @@ class HttpRequest:
             return {}
         try:
             return json.loads(self.body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # A body that is not UTF-8 or not JSON, an integer past the
+            # interpreter's digit limit, or nesting too deep to decode.
             raise HttpError(400, f"invalid JSON body: {error}") from None
 
 

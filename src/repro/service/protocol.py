@@ -353,7 +353,11 @@ def _decode_object(line: Union[str, bytes]) -> dict:
             raise ProtocolError(f"line is not UTF-8: {error}") from None
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
+        # Beside malformed JSON (``JSONDecodeError`` is a ValueError),
+        # ``json.loads`` refuses an integer literal past the
+        # interpreter's digit limit with a plain ValueError, and nesting
+        # too deep for its recursive scanner with a RecursionError.
         raise ProtocolError(f"line is not valid JSON: {error}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("message must be a JSON object")

@@ -898,6 +898,16 @@ class PhaseService(NdjsonServer):
         # The prediction the first report is scored against: the one
         # the tracker holds, which a restored snapshot carries too.
         pending = tracker.next_phase.pending_prediction
+        if self._persistence is not None and len(request.pcs):
+            # Journaled (and flushed per the sync mode) before it is
+            # applied, so a batch the journal refuses changes nothing
+            # and a client's retry is not counted twice; and before the
+            # ack, so an acknowledged batch is as durable as the sync
+            # mode promises. The decoder and ``open`` have already
+            # refused everything ``observe_batch`` would.
+            self._persistence.log_observe(
+                session, request.pcs, request.counts, cpi=request.cpi,
+            )
         started = time.perf_counter()
         reports = tracker.observe_batch(
             request.pcs, request.counts, cpi=request.cpi
@@ -906,13 +916,6 @@ class PhaseService(NdjsonServer):
         if self._telemetry is not None and len(request.pcs):
             self._h_ingest.observe(elapsed / len(request.pcs))
         session.branches_ingested += len(request.pcs)
-        if self._persistence is not None and len(request.pcs):
-            # Journaled (and flushed per the sync mode) before the ack
-            # below is written: an acknowledged batch is as durable as
-            # the sync mode promises.
-            self._persistence.log_observe(
-                session, request.pcs, request.counts, cpi=request.cpi,
-            )
         if self._telemetry is not None:
             self._m_branches.inc(len(request.pcs))
             self._m_intervals.inc(len(reports))

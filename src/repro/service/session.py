@@ -47,6 +47,7 @@ from repro.errors import (
     ServiceOverloadedError,
     SessionExistsError,
     SessionNotFoundError,
+    SnapshotError,
 )
 from repro.service.snapshot import restore_tracker
 from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
@@ -110,7 +111,15 @@ def build_tracker(
     original.
     """
     if snapshot is not None:
-        return restore_tracker(snapshot)
+        tracker = restore_tracker(snapshot)
+        if snapshot["tracker"]["boundary_pending"]:
+            # Only ``complete_interval`` could close that interval, and
+            # no request calls it: every observe would be refused.
+            raise SnapshotError(
+                "snapshot was taken at a pending interval boundary, "
+                "which a session cannot complete"
+            )
+        return tracker
     return PhaseTracker(
         build_config(config),
         interval_instructions=(

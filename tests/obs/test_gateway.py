@@ -8,6 +8,7 @@ the TCP client would have received for the same stream.
 
 import json
 import socket
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -205,6 +206,28 @@ class TestSessionRoutes:
             assert body["error"]["message"]
         status, _ = call(base, "POST", "/v1/sessions", {"session": 7})
         assert status == 400
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(
+            b'{"session":"s","id":' + b"1" * 5_000 + b"}", id="digits",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this interpreter has no integer digit limit",
+            ),
+        ),
+        pytest.param(b"[" * 100_000, id="depth"),
+    ])
+    def test_json_the_decoder_refuses_is_400(self, base, body):
+        """An integer past the interpreter's digit limit and nesting
+        too deep to decode are bad bodies, not server errors."""
+        request = urllib.request.Request(
+            base + "/v1/sessions", data=body, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            urllib.request.urlopen(request, timeout=10)
+        assert refused.value.code == 400
+        answer = json.loads(refused.value.read())
+        assert "invalid JSON body" in answer["error"]["message"]
 
 
 #: Observe bodies both wire surfaces must refuse, with code ``protocol``

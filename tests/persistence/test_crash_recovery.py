@@ -425,6 +425,73 @@ class TestInThreadServiceDurability:
         finally:
             restarted.persistence.close()
 
+    def test_an_observe_the_journal_refuses_is_not_applied(
+        self, tmp_path, monkeypatch
+    ):
+        """An observe whose record the disk refuses partway through is
+        journaled before it is applied, so it changes nothing: not the
+        tracker, not the branch count, not the dirty flag. A client's
+        retry is counted once, and a restart recovers exactly the
+        acknowledged batches."""
+        import errno
+
+        from repro.service import protocol
+        from repro.service.server import PhaseService
+        from repro.service.snapshot import snapshot_tracker
+
+        data_dir = str(tmp_path / "data")
+        service = PhaseService(data_dir=data_dir)
+        batches = branch_batches(seed=18, batches=2, batch_size=100)
+
+        def observe(request_id, batch):
+            return protocol.ObserveRequest(
+                id=request_id, session="alpha",
+                pcs=np.array(batch[0], dtype=np.int64),
+                counts=np.array(batch[1], dtype=np.int64), cpi=1.2,
+            )
+
+        assert service._execute(protocol.OpenRequest(
+            id=1, session="alpha",
+            interval_instructions=INTERVAL_INSTRUCTIONS,
+        ))[-1]["ok"]
+        assert service._execute(observe(2, batches[0]))[-1]["ok"]
+        service._sweep()
+        session = service.registry.get("alpha")
+        before = dumps(snapshot_tracker(session.tracker))
+        assert session.branches_ingested == 100 and not session.dirty
+
+        # The disk fills 5 bytes into the observe record's frame.
+        journal = service.persistence.journal
+        room, write = 5, journal._file.write
+
+        def write_some(data):
+            nonlocal room
+            if not room:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            done = write(bytes(data[:room]))
+            room -= done
+            return done
+
+        monkeypatch.setattr(journal._file, "write", write_some)
+        (response,) = service._execute(observe(3, batches[1]))
+        assert not response["ok"]
+        assert "No space left" in response["error"]["message"]
+        assert session.branches_ingested == 100 and not session.dirty
+        assert dumps(snapshot_tracker(session.tracker)) == before
+        monkeypatch.undo()  # the disk has room again
+        assert service._execute(observe(4, batches[1]))[-1]["ok"]
+        assert session.branches_ingested == 200 and session.dirty
+        expected = dumps(snapshot_tracker(session.tracker))
+        service.persistence.close()  # stops with no final sweep
+
+        restarted = PhaseService(data_dir=data_dir)
+        try:
+            recovered = restarted.registry.get("alpha")
+            assert recovered.branches_ingested == 200
+            assert dumps(snapshot_tracker(recovered.tracker)) == expected
+        finally:
+            restarted.persistence.close()
+
     def test_observe_batches_are_journaled(self, tmp_path):
         batches = branch_batches(seed=12, batches=2)
         handle = start_in_thread(

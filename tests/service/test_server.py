@@ -8,6 +8,7 @@ import asyncio
 import functools
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -202,6 +203,34 @@ class TestLineFraming:
             assert answer["id"] == 2 and answer["ok"] is True
             assert answer["result"]["session"] == "s"
             assert raw.read_message() is None
+            raw.close()
+        finally:
+            handle.stop()
+
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter has no integer digit limit",
+    )
+    def test_json_the_decoder_refuses_is_a_protocol_error(self, start):
+        """An integer literal past the interpreter's digit limit and
+        nesting too deep for the JSON scanner are refused like any
+        malformed line, and the connection keeps serving."""
+        handle = start()
+        try:
+            raw = RawConnection(handle.port)
+            raw.sock.sendall(
+                b'{"op":"ping","id":' + b"1" * 5_000 + b"}\n"
+                + b"[" * 100_000 + b"\n"
+                + b'{"op":"ping","id":3}\n'
+            )
+            for _ in range(2):
+                refusal = raw.read_message()
+                assert refusal["id"] == -1
+                assert refusal["error"]["code"] == "protocol"
+                assert "not valid JSON" in refusal["error"]["message"]
+            pong = raw.read_message()
+            assert pong["id"] == 3 and pong["ok"] is True
             raw.close()
         finally:
             handle.stop()

@@ -221,3 +221,19 @@ class TestUnrunnableSnapshotsRefused:
                                 snapshot=driven_snapshot())
             assert client.observe("restored", [4096] * 200, [100] * 200)
             client.close_session("restored")
+
+    def test_open_refuses_a_snapshot_at_a_pending_boundary(self, service):
+        """Only ``complete_interval`` closes a pending boundary, and no
+        request calls it: such a session would refuse every observe,
+        after the observe had been journaled."""
+        from repro.service import PhaseServiceClient
+
+        tracker = PhaseTracker(interval_instructions=100)
+        assert tracker.observe_branch(0x400, 150)
+        document = snapshot_tracker(tracker)
+        assert restore_tracker(document) is not None  # a library may
+        with PhaseServiceClient(port=service.port) as client:
+            with pytest.raises(SnapshotError, match="pending"):
+                client.open_session(session="pending", snapshot=document)
+            with pytest.raises(SessionNotFoundError):
+                client.observe("pending", [4096], [10])
