@@ -99,11 +99,7 @@ def test_cold_hydrate_latency_flat_at_10k_sessions(tmp_path):
     tracker = PhaseTracker(interval_instructions=INTERVAL_INSTRUCTIONS)
     pcs, counts = _branch_stream(seed=1, n=3_000)
     tracker.observe_batch(pcs, counts, cpi=1.1)
-    document = {
-        "seq": 0,
-        "snapshot": snapshot_tracker(tracker),
-        "meta": {"intervals_pushed": 5, "branches_ingested": 3_000},
-    }
+    document = {"seq": 0, "snapshot": snapshot_tracker(tracker)}
     start = time.perf_counter()
     for index in range(COLD_SESSIONS):
         name = f"cold-{index}"

@@ -45,7 +45,7 @@ import asyncio
 import itertools
 import re
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import (
     ClusterError,
@@ -252,7 +252,6 @@ class ClusterDispatcher(NdjsonServer):
         workers: int = 2,
         runtime_dir: str,
         data_root: Optional[str] = None,
-        num_shards: int = DEFAULT_SHARDS,
         queue_size: int = 32,
         max_connections: int = 64,
         telemetry=None,
@@ -275,10 +274,10 @@ class ClusterDispatcher(NdjsonServer):
             raise ConfigurationError(
                 f"workers must be positive, got {workers}"
             )
-        if workers > num_shards:
+        if workers > DEFAULT_SHARDS:
             raise ConfigurationError(
-                f"workers ({workers}) cannot exceed num_shards "
-                f"({num_shards}); extra workers would own no shards"
+                f"workers ({workers}) cannot exceed the {DEFAULT_SHARDS} "
+                f"shards; extra workers would own no shards"
             )
         telemetry = self._telemetry
         self.initial_workers = workers
@@ -295,7 +294,7 @@ class ClusterDispatcher(NdjsonServer):
             },
             telemetry=telemetry,
         )
-        self.shard_map = ShardMap(num_shards=num_shards)
+        self.shard_map = ShardMap()
         self.migrator = SessionMigrator(self)
         # session -> owning worker id; authoritative once a session is
         # open (the shard map only decides where sessions *start*).
@@ -732,22 +731,13 @@ class ClusterDispatcher(NdjsonServer):
         return results
 
     async def aggregate_stats(self) -> dict:
-        """Cluster-wide ``stats``: worker counters summed, same
-        top-level keys a single service reports, plus ``cluster`` and
-        ``per_worker`` sections."""
+        """Cluster-wide ``stats``: the workers' own documents summed
+        (:func:`sum_documents`), so the keys are those one service
+        reports, plus ``cluster`` and ``per_worker`` sections."""
         per_worker = await self._gather_from_workers(
             lambda rid: protocol.StatsRequest(id=rid)
         )
-        totals: Dict[str, object] = {}
-        sum_keys = (
-            "live", "opened", "closed", "evicted", "expired",
-            "evicted_saved", "evicted_lost", "evicted_recycled",
-            "hydrated", "adopted", "requests", "errors", "connections",
-        )
-        for key in sum_keys:
-            totals[key] = sum(
-                stats.get(key, 0) or 0 for stats in per_worker.values()
-            )
+        totals = sum_documents(per_worker.values())
         totals["predictions"] = prediction_scoreboard(*(
             stats.get("predictions") for stats in per_worker.values()
         ))
@@ -763,27 +753,31 @@ class ClusterDispatcher(NdjsonServer):
         return totals
 
     async def aggregate_diagnostics(self) -> dict:
-        """Cluster-wide diagnostics in the same shape a single
-        service's ``diagnostics()`` produces (so the dashboard renders
-        unchanged), plus a ``cluster`` section for the worker panel."""
+        """Cluster-wide diagnostics: the workers' own documents summed
+        (:func:`sum_documents`), in the shape one service's
+        ``diagnostics()`` has (so the dashboard renders unchanged),
+        plus a ``cluster`` section for the worker panel. Uptime,
+        draining and client connections are the dispatcher's own, and
+        its queue depth adds to the workers'."""
         per_worker = await self._gather_from_workers(
             lambda rid: protocol.ClusterRequest(
                 id=rid, action="diagnostics"
             )
         )
-        occupancy: Dict[str, int] = {}
-        registry: Dict[str, object] = {}
-        queue_depth = self.ingest_queue_depth()
-        requests = errors = 0
-        for diag in per_worker.values():
-            for phase, count in (diag.get("phase_occupancy") or {}).items():
-                occupancy[phase] = occupancy.get(phase, 0) + count
-            for key, value in (diag.get("registry") or {}).items():
-                if isinstance(value, (int, float)):
-                    registry[key] = (registry.get(key, 0) or 0) + value
-            queue_depth += diag.get("ingest_queue_depth", 0) or 0
-            requests += diag.get("requests", 0) or 0
-            errors += diag.get("errors", 0) or 0
+        diagnostics = sum_documents(per_worker.values())
+        diagnostics.update(
+            uptime_seconds=self.uptime_seconds,
+            draining=self._draining,
+            connections=len(self._connections),
+            connections_refused=self.connections_refused,
+            ingest_queue_depth=(
+                self.ingest_queue_depth()
+                + diagnostics.get("ingest_queue_depth", 0)
+            ),
+            prediction=prediction_scoreboard(*(
+                diag.get("prediction") for diag in per_worker.values()
+            )),
+        )
         status = self.cluster_status()
         status["per_worker"] = {
             worker_id: {
@@ -794,22 +788,34 @@ class ClusterDispatcher(NdjsonServer):
             }
             for worker_id, diag in per_worker.items()
         }
-        return {
-            "uptime_seconds": self.uptime_seconds,
-            "draining": self._draining,
-            "requests": requests,
-            "errors": errors,
-            "connections": len(self._connections),
-            "connections_refused": self.connections_refused,
-            "ingest_queue_depth": queue_depth,
-            "phase_occupancy": occupancy,
-            "prediction": prediction_scoreboard(*(
-                diag.get("prediction") for diag in per_worker.values()
-            )),
-            "registry": registry,
-            "persistence": None,
-            "cluster": status,
-        }
+        diagnostics["cluster"] = status
+        return diagnostics
+
+
+def sum_documents(documents: Iterable[Mapping]) -> dict:
+    """The field-wise sum of JSON documents of one shape (the workers'
+    ``stats`` or ``diagnostics``): numbers add, nested objects sum the
+    same way, and any other value (a flag, ``null``) is the first
+    document's. A field some documents lack counts as absent there."""
+    total: dict = {}
+    for document in documents:
+        for key, value in document.items():
+            if key not in total:
+                total[key] = (
+                    sum_documents([value]) if isinstance(value, dict)
+                    else value
+                )
+            elif isinstance(value, dict):
+                if isinstance(total[key], dict):
+                    total[key] = sum_documents([total[key], value])
+            elif _is_number(value) and _is_number(total[key]):
+                total[key] += value
+    return total
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 def start_cluster_in_thread(**kwargs: object) -> ServiceHandle:
     """Build a :class:`ClusterDispatcher` and run it on a daemon

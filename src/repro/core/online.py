@@ -160,6 +160,9 @@ class PhaseTracker:
         self._previous_phase: Optional[int] = None
         self._listeners: List[PhaseChangeListener] = []
         self._branches_in_interval = 0
+        #: Branch records ingested over the tracker's life; a snapshot
+        #: carries it, so a restored or migrated session keeps counting.
+        self.branches_observed = 0
         self._telemetry = telemetry
         if telemetry is not None:
             self._init_telemetry(telemetry)
@@ -279,6 +282,7 @@ class PhaseTracker:
         self.classifier.accumulator.update(pc, instructions)
         self._instructions += instructions
         self._branches_in_interval += 1
+        self.branches_observed += 1
         if self._instructions >= self.interval_instructions:
             self._boundary_pending = True
         return self._boundary_pending
@@ -320,6 +324,7 @@ class PhaseTracker:
             return []
         if counts.min() < 0:
             raise ValueError("instruction counts must be non-negative")
+        self.branches_observed += pcs.size
 
         prefix = counts.cumsum()
         last = int(prefix[-1])
@@ -453,6 +458,7 @@ class PhaseTracker:
         self._interval_index = 0
         self._previous_phase = None
         self._branches_in_interval = 0
+        self.branches_observed = 0
         self._listeners.clear()
         if self._telemetry is not None:
             self._evictions_seen = 0
@@ -465,9 +471,9 @@ class PhaseTracker:
         for the versioned envelope and the restore entry point).
 
         Captures everything replay-relevant: classifier tables and
-        mid-interval accumulator contents, both predictors, and the
-        interval bookkeeping. Listeners and telemetry are runtime
-        wiring and are not part of the state.
+        mid-interval accumulator contents, both predictors, the
+        interval bookkeeping and the branch count. Listeners and
+        telemetry are runtime wiring and are not part of the state.
         """
         change = self.next_phase.change_predictor
         return {
@@ -477,6 +483,7 @@ class PhaseTracker:
             "interval_index": self._interval_index,
             "previous_phase": self._previous_phase,
             "branches_in_interval": self._branches_in_interval,
+            "branches": self.branches_observed,
             "classifier": self.classifier.export_state(),
             "change_predictor": (
                 {"kind": change.snapshot_kind,
@@ -496,6 +503,8 @@ class PhaseTracker:
         self._interval_index = int(state["interval_index"])
         self._previous_phase = state["previous_phase"]
         self._branches_in_interval = int(state["branches_in_interval"])
+        # A snapshot written before the tracker counted its branches.
+        self.branches_observed = int(state.get("branches", 0))
         self.classifier.restore_state(state["classifier"])
         self.next_phase.restore_state(state["next_phase"])
         self.length_predictor.restore_state(state["length_predictor"])

@@ -572,6 +572,7 @@ class TrackerPool:
         self._interval_index = np.zeros(capacity, dtype=np.int64)
         self._previous_phase = np.full(capacity, -1, dtype=np.int64)
         self._branches = np.zeros(capacity, dtype=np.int64)
+        self._branches_observed = np.zeros(capacity, dtype=np.int64)
         self._allocated = np.zeros(capacity, dtype=bool)
         self._generation = np.zeros(capacity, dtype=np.int64)
         self._next_phase: List[Optional[CompositePhasePredictor]] = (
@@ -651,6 +652,7 @@ class TrackerPool:
             ("_interval_index", 0),
             ("_previous_phase", -1),
             ("_branches", 0),
+            ("_branches_observed", 0),
             ("_allocated", False),
             ("_generation", 0),
         ):
@@ -701,6 +703,7 @@ class TrackerPool:
         self._interval_index[slot] = 0
         self._previous_phase[slot] = -1
         self._branches[slot] = 0
+        self._branches_observed[slot] = 0
         self.classifiers.reset_slots(np.array([slot]))
         self._allocated[slot] = True
         if self._m_acquires is not None:
@@ -772,6 +775,7 @@ class TrackerPool:
         self.classifiers._acc_total[slot] += instructions
         self._instructions[slot] += instructions
         self._branches[slot] += 1
+        self._branches_observed[slot] += 1
         if self._instructions[slot] >= self._interval_instructions[slot]:
             self._boundary_pending[slot] = True
         return bool(self._boundary_pending[slot])
@@ -921,6 +925,7 @@ class TrackerPool:
         ends = np.append(starts[1:], total_records)
         group_count = uniq.size
         group_of = np.repeat(np.arange(group_count), ends - starts)
+        self._branches_observed[uniq] += ends - starts
         prefix = np.cumsum(s_counts)
         base = np.where(starts > 0, prefix[np.maximum(starts - 1, 0)], 0)
         wcum = prefix - np.repeat(base, ends - starts)
@@ -1076,6 +1081,7 @@ class TrackerPool:
         self._interval_index[slot] = 0
         self._previous_phase[slot] = -1
         self._branches[slot] = 0
+        self._branches_observed[slot] = 0
         self._listeners[slot] = []
 
     # -- snapshot interop -----------------------------------------------------
@@ -1094,6 +1100,7 @@ class TrackerPool:
             "interval_index": int(self._interval_index[slot]),
             "previous_phase": int(previous) if previous >= 0 else None,
             "branches_in_interval": int(self._branches[slot]),
+            "branches": int(self._branches_observed[slot]),
             "classifier": self.classifiers.export_slot(slot),
             "change_predictor": (
                 {"kind": change.snapshot_kind,
@@ -1130,6 +1137,7 @@ class TrackerPool:
         previous = state["previous_phase"]
         self._previous_phase[slot] = -1 if previous is None else int(previous)
         self._branches[slot] = int(state["branches_in_interval"])
+        self._branches_observed[slot] = int(state.get("branches", 0))
 
     def try_adopt(self, state: dict) -> "Optional[PooledTracker]":
         """Restore exported tracker state into a fresh slot, if this

@@ -28,7 +28,7 @@ when ``--metrics`` or ``--events`` is given.
 
 The :mod:`repro.harness.engine` seeds both layers directly
 (:func:`seed_trace` / :func:`seed_classified`) after computing work
-units in parallel workers.
+units, in-process or in pool workers.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ def record_cache_event(cache: str, hit: bool) -> None:
     """Count one memory-cache lookup (``cache`` is ``"trace"`` or
     ``"classified"``); a no-op without a telemetry hub.
 
-    Exposed for the engine, whose parallel path resolves units without
-    going through :func:`cached_trace`/:func:`cached_classified` but
-    must keep the hit/miss counters identical to the sequential path.
+    Exposed for the engine, which resolves units without going through
+    :func:`cached_trace`/:func:`cached_classified` but must keep the
+    hit/miss counters identical to theirs.
     """
     if _telemetry is None:
         return

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker processes for the experiment work grid (default: "
-        "all cores; 1 keeps the classic in-process sequential path)",
+        "all cores; 1 computes in-process)",
     )
     parser.add_argument(
         "--store",
@@ -368,11 +368,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="cluster sockets + worker logs directory (default: a "
         "fresh temp dir; needs --workers)",
     )
-    parser.add_argument(
-        "--num-shards", type=int, default=None, metavar="N",
-        help="fixed shard count sessions hash into (default 64; "
-        "needs --workers)",
-    )
     return parser
 
 
@@ -472,7 +467,7 @@ def _serve_cluster(args, telemetry) -> int:
     cluster — dispatcher on ``--port``, N supervised workers."""
     import tempfile
 
-    from repro.cluster import DEFAULT_SHARDS, ClusterDispatcher
+    from repro.cluster import ClusterDispatcher
 
     runtime_dir = args.runtime_dir or tempfile.mkdtemp(
         prefix="repro-cluster-"
@@ -483,7 +478,6 @@ def _serve_cluster(args, telemetry) -> int:
         workers=args.workers,
         runtime_dir=runtime_dir,
         data_root=args.data_dir,
-        num_shards=args.num_shards or DEFAULT_SHARDS,
         queue_size=args.queue_size,
         max_connections=args.max_connections,
         telemetry=telemetry,

@@ -15,19 +15,17 @@ in-process caches:
    are loaded (a warm start costs I/O, not simulation);
 3. the remaining units are computed — grouped per ``(benchmark,
    scale)`` so a trace is generated once per group — across a
-   ``multiprocessing`` pool with ``jobs`` workers, then seeded into the
+   ``multiprocessing`` pool with ``jobs`` workers (in-process when
+   ``jobs=1`` or only one group is missing), then seeded into the
    caches and written to the store.
 
-``jobs=1`` takes none of the machinery above: it calls
-:func:`~repro.harness.cache.cached_trace` /
-:func:`~repro.harness.cache.cached_classified` sequentially, exactly
-like the experiments themselves always have. Parallel execution is
-bit-deterministic — trace generation is seeded per benchmark and
-classification is a pure function of (trace, config) — and every
-worker result is shape-checked against the sequential contract before
-it is admitted (see :func:`validate_unit_result`);
+Every computed group runs :func:`_compute_group`, in-process or in a
+worker. Parallel execution is bit-deterministic — trace generation is
+seeded per benchmark and classification is a pure function of (trace,
+config) — and every result is shape-checked before it is admitted
+(see :func:`validate_unit_result`);
 ``tests/integration/test_parallel_crosscheck.py`` proves value-level
-equality for every experiment.
+equality with ``jobs=1`` for every experiment.
 """
 
 from __future__ import annotations
@@ -84,12 +82,12 @@ def validate_unit_result(
     trace: IntervalTrace,
     run: Optional[ClassificationRun],
 ) -> None:
-    """Assert a computed result has the sequential path's shape.
+    """Assert a computed result has the shape the caches hold.
 
     Raises :class:`~repro.errors.EngineError` on any mismatch — a
     worker returning the wrong type, a run whose interval count
     disagrees with its trace, or phase IDs outside the classifier's
-    contract. This is the admission check for parallel results.
+    contract. This is the admission check for computed results.
     """
     if not isinstance(trace, IntervalTrace):
         raise EngineError(
@@ -203,8 +201,8 @@ class ExperimentEngine:
     ----------
     jobs:
         Worker processes; ``None`` means ``os.cpu_count()``. ``1``
-        bypasses the pool entirely and preserves the classic
-        sequential in-process path.
+        computes in-process, through the function the pool workers
+        run.
     store:
         A :class:`~repro.harness.store.ResultStore` to install for the
         duration of each :meth:`ensure` call. ``None`` (the default)
@@ -279,10 +277,7 @@ class ExperimentEngine:
         report.units = sum(len(cfgs) + 1 for cfgs in groups.values())
         start = time.perf_counter()
 
-        if self.jobs == 1:
-            self._ensure_sequential(groups, report)
-        else:
-            self._ensure_parallel(groups, report)
+        self._ensure_groups(groups, report)
 
         report.seconds = time.perf_counter() - start
         self._count(
@@ -316,25 +311,7 @@ class ExperimentEngine:
             )
         return report
 
-    def _ensure_sequential(self, groups, report: EngineReport) -> None:
-        """``jobs=1``: the classic in-process path, unit by unit."""
-        for (name, scale), configs in groups.items():
-            for unit in self._group_units(name, scale, configs):
-                unit_start = time.perf_counter()
-                if unit.config is None:
-                    _, source = cache.resolve_trace(name, scale)
-                    cache.record_cache_event("trace", source == "memory")
-                else:
-                    _, source = cache.resolve_classified(
-                        name, unit.config, scale
-                    )
-                    cache.record_cache_event(
-                        "classified", source == "memory"
-                    )
-                seconds = time.perf_counter() - unit_start
-                self._account(unit, source, seconds, report)
-
-    def _ensure_parallel(self, groups, report: EngineReport) -> None:
+    def _ensure_groups(self, groups, report: EngineReport) -> None:
         tasks: List[_GroupTask] = []
         pending: "Dict[Tuple[str, float], List[ClassifierConfig]]" = {}
         for (name, scale), configs in groups.items():
@@ -376,7 +353,7 @@ class ExperimentEngine:
             validate_unit_result(trace_unit, trace, None)
             if trace_seconds is not None:
                 cache.seed_trace(name, scale, trace)
-                self._account(trace_unit, "computed", trace_seconds, report)
+                self._account(trace_unit, trace_seconds, report)
             returned = [config for config, _, _ in runs]
             expected = pending[(name, scale)]
             if returned != expected:
@@ -388,23 +365,17 @@ class ExperimentEngine:
                 unit = WorkUnit(name, scale, config)
                 validate_unit_result(unit, trace, run)
                 cache.seed_classified(name, config, scale, run)
-                self._account(unit, "computed", seconds, report)
+                self._account(unit, seconds, report)
 
     def _run_tasks(self, tasks: List[_GroupTask]):
-        if len(tasks) == 1:
-            # One group cannot parallelize; skip the pool entirely.
-            return [_compute_group(tasks[0])]
+        if self.jobs == 1 or len(tasks) == 1:
+            # One worker, or one group, cannot parallelize.
+            return [_compute_group(task) for task in tasks]
         workers = min(self.jobs, len(tasks))
         with multiprocessing.Pool(processes=workers) as pool:
             return list(pool.imap_unordered(_compute_group, tasks))
 
     # -- bookkeeping ------------------------------------------------------
-
-    @staticmethod
-    def _group_units(name, scale, configs):
-        yield WorkUnit(name, scale)
-        for config in configs:
-            yield WorkUnit(name, scale, config)
 
     def _store_trace(self, name, scale):
         store = cache.get_result_store()
@@ -417,18 +388,8 @@ class ExperimentEngine:
         return store.get_classified(name, scale, config)
 
     def _account(
-        self,
-        unit: WorkUnit,
-        source: str,
-        seconds: float,
-        report: EngineReport,
+        self, unit: WorkUnit, seconds: float, report: EngineReport
     ) -> None:
-        if source == "memory":
-            report.from_memory += 1
-            return
-        if source == "store":
-            report.from_store += 1
-            return
         report.computed += 1
         report.busy_seconds += seconds
         report.unit_seconds[unit] = seconds

@@ -280,7 +280,7 @@ class HttpGateway:
             {
                 "session": session.name,
                 "intervals": session.tracker.intervals_observed,
-                "branches": session.branches_ingested,
+                "branches": session.tracker.branches_observed,
                 "current_phase": session.tracker.current_phase,
                 "idle_seconds": session.idle_seconds(
                     self.service.registry.clock()

@@ -2,10 +2,10 @@
 
 A checkpoint is the materialized half of the durable tier: one JSON
 file per session holding the full tracker snapshot
-(:func:`repro.service.snapshot.snapshot_tracker`), the journal
-sequence number the snapshot covers, and the session's service-level
-counters. Journal records at or below the stamped ``seq`` are
-superseded by the checkpoint; records above it are the replay tail.
+(:func:`repro.service.snapshot.snapshot_tracker`) and the journal
+sequence number the snapshot covers. Journal records at or below the
+stamped ``seq`` are superseded by the checkpoint; records above it are
+the replay tail.
 
 Durability discipline (PR 3's store rules, tightened):
 

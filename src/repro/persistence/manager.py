@@ -298,7 +298,6 @@ class PersistenceManager:
         self.checkpoints.write(session.name, {
             "seq": seq,
             "snapshot": snapshot_tracker(session.tracker),
-            "meta": {"branches_ingested": session.branches_ingested},
         })
         session.dirty = False
         if self._telemetry is not None:

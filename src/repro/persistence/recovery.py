@@ -72,11 +72,14 @@ def session_from_checkpoint(document: dict, now: float) -> Session:
     """The live session a checkpoint document describes: clean, its
     ``last_seq`` the seq the checkpoint covers. Hydration builds its
     sessions here too."""
-    session = Session(
-        document["session"], restore_tracker(document["snapshot"]), now
-    )
-    meta = document.get("meta") or {}
-    session.branches_ingested = int(meta.get("branches_ingested", 0))
+    snapshot = document["snapshot"]
+    tracker = restore_tracker(snapshot)
+    if "branches" not in snapshot["tracker"]:
+        # Written before the tracker counted its own branches, when the
+        # count travelled beside the snapshot.
+        meta = document.get("meta") or {}
+        tracker.branches_observed = int(meta.get("branches_ingested", 0))
+    session = Session(document["session"], tracker, now)
     session.last_seq = int(document["seq"])
     return session
 
@@ -191,7 +194,6 @@ def recover_state(
                         session=name, record_seq=seq,
                     )
                 continue
-            session.branches_ingested += len(record["pcs"])
             session.last_seq = seq
             session.dirty = True
             result.replayed_records += 1

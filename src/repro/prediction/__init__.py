@@ -70,7 +70,8 @@ def change_predictor_from_spec(spec: "Optional[dict]"):
     ``spec`` is the ``{"kind": ..., "kwargs": ...}`` mapping a tracker
     snapshot carries (``None`` means pure last-value — no change
     predictor). Raises :class:`~repro.errors.SnapshotError` for an
-    unknown kind or kwargs the predictor's constructor rejects.
+    unknown kind, a spec without ``kwargs``, or kwargs the predictor's
+    constructor rejects.
     """
     if spec is None:
         return None
@@ -82,7 +83,7 @@ def change_predictor_from_spec(spec: "Optional[dict]"):
             f"{sorted(CHANGE_PREDICTOR_KINDS)}"
         )
     try:
-        return predictor_cls(**spec.get("kwargs", {}))
+        return predictor_cls(**spec["kwargs"])
     except Exception as error:
         raise SnapshotError(
             f"cannot rebuild {kind!r} change predictor: {error}"

@@ -850,7 +850,7 @@ class PhaseService(NdjsonServer):
             return {
                 "session": session.name,
                 "intervals": session.tracker.intervals_observed,
-                "branches": session.branches_ingested,
+                "branches": session.tracker.branches_observed,
             }
         if isinstance(request, protocol.PredictRequest):
             session = self.registry.get(request.session)
@@ -915,7 +915,6 @@ class PhaseService(NdjsonServer):
         elapsed = time.perf_counter() - started
         if self._telemetry is not None and len(request.pcs):
             self._h_ingest.observe(elapsed / len(request.pcs))
-        session.branches_ingested += len(request.pcs)
         if self._telemetry is not None:
             self._m_branches.inc(len(request.pcs))
             self._m_intervals.inc(len(reports))

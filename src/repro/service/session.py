@@ -65,20 +65,17 @@ class Session:
     ``dirty``, whether it has journal records its checkpoint does not
     cover — set by journaling its ``open`` or an ``observe`` and by
     replaying one, cleared by a checkpoint. Everything else a session
-    knows, the pending next-phase prediction included, lives in its
-    tracker and travels in the tracker's snapshot.
+    knows, its branch count and pending next-phase prediction
+    included, lives in its tracker and travels in the tracker's
+    snapshot.
     """
 
-    __slots__ = (
-        "name", "tracker", "last_active", "branches_ingested",
-        "last_seq", "dirty",
-    )
+    __slots__ = ("name", "tracker", "last_active", "last_seq", "dirty")
 
     def __init__(self, name: str, tracker: PhaseTracker, now: float) -> None:
         self.name = name
         self.tracker = tracker
         self.last_active = now
-        self.branches_ingested = 0
         self.last_seq = 0
         self.dirty = False
 
@@ -417,7 +414,7 @@ class SessionRegistry:
         if saved:
             self.sessions_evicted_saved += 1
         elif (
-            session.branches_ingested > 0
+            session.tracker.branches_observed > 0
             or session.tracker.intervals_observed > 0
         ):
             # Observed state destroyed with nowhere to go: this is the

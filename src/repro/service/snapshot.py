@@ -35,7 +35,7 @@ from repro.errors import (
     SnapshotError,
     SnapshotSchemaError,
 )
-from repro.prediction import CHANGE_PREDICTOR_KINDS
+from repro.prediction import change_predictor_from_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing only
     from repro.telemetry import Telemetry
@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing only
 SNAPSHOT_VERSION = 1
 
 __all__ = [
-    "CHANGE_PREDICTOR_KINDS",
     "SNAPSHOT_VERSION",
     "check_schema_version",
     "dumps",
@@ -114,28 +113,12 @@ def restore_tracker(
             f"snapshot classifier configuration is invalid: {error}"
         ) from None
 
-    change_spec = state.get("change_predictor")
-    if change_spec is None:
-        change_predictor = None
-    else:
-        kind = change_spec.get("kind")
-        predictor_class = CHANGE_PREDICTOR_KINDS.get(kind)
-        if predictor_class is None:
-            raise SnapshotError(
-                f"unknown change-predictor kind {kind!r}; known: "
-                f"{sorted(CHANGE_PREDICTOR_KINDS)}"
-            )
-        try:
-            change_predictor = predictor_class(**change_spec["kwargs"])
-        except (KeyError, TypeError, ConfigurationError) as error:
-            raise SnapshotError(
-                f"snapshot change-predictor spec is invalid: {error}"
-            ) from None
-
     tracker = PhaseTracker(
         config,
         interval_instructions=int(state["interval_instructions"]),
-        change_predictor=change_predictor,
+        change_predictor=change_predictor_from_spec(
+            state.get("change_predictor")
+        ),
         telemetry=telemetry,
     )
     try:

@@ -54,9 +54,9 @@ def drive(client, session, pcs, counts, chunk=500):
 
 def single_service_reports(sessions):
     """Ground truth: the same streams through one in-process service;
-    returns each session's reports and the service's prediction
-    scoreboard."""
-    expected = {}
+    returns each session's reports, each session's ``close`` result
+    and the service's prediction scoreboard."""
+    expected, closed = {}, {}
     with start_in_thread(max_sessions=16) as handle:
         with PhaseServiceClient(port=handle.port) as client:
             for name, (pcs, counts) in sessions.items():
@@ -65,9 +65,9 @@ def single_service_reports(sessions):
                     interval_instructions=INTERVAL_INSTRUCTIONS,
                 )
                 expected[name] = drive(client, name, pcs, counts)
-                client.close_session(name)
+                closed[name] = client.close_session(name)
             predictions = client.stats()["predictions"]
-    return expected, predictions
+    return expected, closed, predictions
 
 
 def wait_for(predicate, timeout=30.0, interval=0.1):
@@ -85,19 +85,20 @@ class TestClusterByteIdentity:
     ):
         """Four sessions through a 2-worker cluster, one of them
         migrated between workers mid-stream, produce byte-identical
-        interval reports and the same prediction scoreboard as a
-        single-process service."""
+        interval reports, the same ``close`` results and the same
+        prediction scoreboard as a single-process service."""
         sessions = {
             name: branch_stream(seed, 3000)
             for seed, name in enumerate(
                 ["alpha", "bravo", "charlie", "delta"]
             )
         }
-        expected, expected_predictions = single_service_reports(sessions)
+        expected, expected_closed, expected_predictions = (
+            single_service_reports(sessions)
+        )
 
         with start_cluster_in_thread(
             port=0, workers=2, runtime_dir=str(tmp_path / "rt"),
-            num_shards=16,
         ) as cluster:
             with PhaseServiceClient(
                 port=cluster.port, timeout=60.0
@@ -140,13 +141,13 @@ class TestClusterByteIdentity:
                 assert dispatcher._sessions[victim] == target
 
                 # … and finish the streams. Reports must not notice.
-                got = {}
+                got, closed = {}, {}
                 for name, (pcs, counts) in sessions.items():
                     half = len(pcs) // 2
                     got[name] = halves[name] + drive(
                         client, name, pcs[half:], counts[half:]
                     )
-                    client.close_session(name)
+                    closed[name] = client.close_session(name)
                 # The migrated session's target scored its first
                 # interval against the snapshot's pending prediction.
                 predictions = client.stats()["predictions"]
@@ -156,13 +157,15 @@ class TestClusterByteIdentity:
                 f"session {name!r} diverged from the single-process "
                 f"service"
             )
+        # The migrated session's count travelled in its snapshot.
+        assert closed == expected_closed
+        assert closed[victim]["branches"] == 3000
         assert expected_predictions["scored"] > 0
         assert predictions == expected_predictions
 
     def test_anonymous_opens_and_aggregate_stats(self, tmp_path):
         with start_cluster_in_thread(
             port=0, workers=2, runtime_dir=str(tmp_path / "rt"),
-            num_shards=8,
         ) as cluster:
             with PhaseServiceClient(
                 port=cluster.port, timeout=60.0
@@ -182,6 +185,51 @@ class TestClusterByteIdentity:
                 assert client.stats()["live"] == 0
 
 
+class TestClusterAggregates:
+    def test_durable_stats_are_the_workers_documents_summed(
+        self, tmp_path
+    ):
+        """A durable cluster's ``stats`` has every top-level key one
+        durable service's has, and its ``persistence`` block, in
+        ``stats`` and in ``diagnostics``, is the workers' own summed."""
+        with start_in_thread(data_dir=str(tmp_path / "single")) as single:
+            with PhaseServiceClient(port=single.port) as client:
+                single_keys = set(client.stats())
+        names = ["alpha", "bravo", "charlie", "delta"]
+        pcs, counts = branch_stream(11, 600)
+        with start_cluster_in_thread(
+            port=0, workers=2, runtime_dir=str(tmp_path / "rt"),
+            data_root=str(tmp_path / "data"), checkpoint_interval=3600,
+        ) as cluster:
+            with PhaseServiceClient(
+                port=cluster.port, timeout=60.0
+            ) as client:
+                for name in names:
+                    client.open_session(
+                        session=name,
+                        interval_instructions=INTERVAL_INSTRUCTIONS,
+                    )
+                    drive(client, name, pcs, counts, chunk=200)
+                stats = client.stats()
+                diagnostics = client.cluster("diagnostics")
+        workers = stats["per_worker"].values()
+        assert len(workers) == 2
+        assert single_keys <= set(stats)
+        persistence = [worker["persistence"] for worker in workers]
+        assert all(block["journal_records"] for block in persistence)
+        summed = {
+            key: sum(block[key] for block in persistence)
+            for key in persistence[0]
+        }
+        assert stats["persistence"] == summed
+        assert summed["journal_records"] == len(names) * (1 + 3)
+        assert stats["checkpoint_failures"] == sum(
+            worker["checkpoint_failures"] for worker in workers
+        )
+        assert diagnostics["persistence"] == summed
+        assert diagnostics["registry"]["live"] == len(names)
+
+
 class TestClusterFailover:
     def test_kill_dash_nine_worker_restarts_and_recovers(self, tmp_path):
         """SIGKILL the worker that owns a durable session: the
@@ -192,7 +240,6 @@ class TestClusterFailover:
         with start_cluster_in_thread(
             port=0, workers=2, runtime_dir=str(tmp_path / "rt"),
             data_root=str(tmp_path / "data"), sync="always",
-            num_shards=8,
         ) as cluster:
             dispatcher = cluster.service
             with PhaseServiceClient(
@@ -234,7 +281,6 @@ class TestDrainWorker:
     def test_drain_worker_migrates_sessions_and_stops_it(self, tmp_path):
         with start_cluster_in_thread(
             port=0, workers=2, runtime_dir=str(tmp_path / "rt"),
-            num_shards=8,
         ) as cluster:
             dispatcher = cluster.service
             with PhaseServiceClient(

@@ -32,8 +32,7 @@ def call(base, method, path, body=None):
 def cluster(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cluster-gw")
     handle = start_cluster_in_thread(
-        port=0, workers=2, runtime_dir=str(tmp / "rt"), num_shards=8,
-        http_port=0,
+        port=0, workers=2, runtime_dir=str(tmp / "rt"), http_port=0,
     )
     yield handle
     handle.stop()

@@ -295,7 +295,7 @@ class TestInThreadServiceDurability:
         try:
             assert reference.sessions_recovered == 1
             recovered = reference.registry.get("alpha")
-            assert recovered.branches_ingested == 3 * 300
+            assert recovered.tracker.branches_observed == 3 * 300
         finally:
             reference.persistence.close()
 
@@ -420,7 +420,7 @@ class TestInThreadServiceDurability:
         restarted = PhaseService(data_dir=data_dir)
         try:
             session = restarted.registry.get("alpha")
-            assert session.branches_ingested == 500
+            assert session.tracker.branches_observed == 500
             assert dumps(snapshot_tracker(session.tracker)) == expected
         finally:
             restarted.persistence.close()
@@ -458,7 +458,7 @@ class TestInThreadServiceDurability:
         service._sweep()
         session = service.registry.get("alpha")
         before = dumps(snapshot_tracker(session.tracker))
-        assert session.branches_ingested == 100 and not session.dirty
+        assert session.tracker.branches_observed == 100 and not session.dirty
 
         # The disk fills 5 bytes into the observe record's frame.
         journal = service.persistence.journal
@@ -476,18 +476,18 @@ class TestInThreadServiceDurability:
         (response,) = service._execute(observe(3, batches[1]))
         assert not response["ok"]
         assert "No space left" in response["error"]["message"]
-        assert session.branches_ingested == 100 and not session.dirty
+        assert session.tracker.branches_observed == 100 and not session.dirty
         assert dumps(snapshot_tracker(session.tracker)) == before
         monkeypatch.undo()  # the disk has room again
         assert service._execute(observe(4, batches[1]))[-1]["ok"]
-        assert session.branches_ingested == 200 and session.dirty
+        assert session.tracker.branches_observed == 200 and session.dirty
         expected = dumps(snapshot_tracker(session.tracker))
         service.persistence.close()  # stops with no final sweep
 
         restarted = PhaseService(data_dir=data_dir)
         try:
             recovered = restarted.registry.get("alpha")
-            assert recovered.branches_ingested == 200
+            assert recovered.tracker.branches_observed == 200
             assert dumps(snapshot_tracker(recovered.tracker)) == expected
         finally:
             restarted.persistence.close()

@@ -65,7 +65,6 @@ def open_and_drive(manager, registry, name, batches):
 def drive(manager, session, batches):
     for pcs, counts in batches:
         session.tracker.observe_batch(pcs, counts, cpi=1.1)
-        session.branches_ingested += len(pcs)
         manager.log_observe(session, pcs, counts, cpi=1.1)
 
 
@@ -97,7 +96,8 @@ def only_active_segment(manager):
 
 
 def state(session):
-    return dumps(snapshot_tracker(session.tracker)), session.branches_ingested
+    """The session's whole state: its snapshot carries the branch count."""
+    return dumps(snapshot_tracker(session.tracker))
 
 
 class TestEvictHydrate:
@@ -116,7 +116,7 @@ class TestEvictHydrate:
 
         session = registry.get("victim")  # hydrates transparently
         assert dumps(snapshot_tracker(session.tracker)) == before
-        assert session.branches_ingested == 4 * 200
+        assert session.tracker.branches_observed == 4 * 200
         assert registry.stats()["hydrated"] == 1
         # Hydrating into a full registry pushed the LRU session ("b")
         # out to disk in its place — nothing was destroyed.
@@ -188,7 +188,7 @@ class TestEvictHydrate:
         assert registry.stats()["closed"] == 0
         monkeypatch.undo()  # the disk has room again
         session = registry.close("victim", journal=manager.log_close)
-        assert session.branches_ingested == len(batches[0][0])
+        assert session.tracker.branches_observed == len(batches[0][0])
         assert manager.cold_sessions == 0
 
     def test_transient_checkpoint_read_error_keeps_cold_entry(
@@ -207,7 +207,7 @@ class TestEvictHydrate:
         assert manager.hydrate_failures == 1
         assert manager.cold_names() == ["victim"]
         monkeypatch.undo()
-        assert registry.get("victim").branches_ingested == 200
+        assert registry.get("victim").tracker.branches_observed == 200
 
     def test_hydrate_failure_is_counted_not_raised(self, tmp_path):
         manager, registry, _ = durable_registry(tmp_path, max_sessions=2)
@@ -308,7 +308,7 @@ class TestCrashRecovery:
         assert dumps(snapshot_tracker(recovered.tracker)) == (
             dumps(snapshot_tracker(reference))
         )
-        assert recovered.branches_ingested == 8 * 200
+        assert recovered.tracker.branches_observed == 8 * 200
 
     def test_checkpoint_bounds_the_replay_tail(self, tmp_path):
         manager, registry, _ = durable_registry(tmp_path)
@@ -327,10 +327,11 @@ class TestCrashRecovery:
         assert dumps(snapshot_tracker(recovered.tracker)) == before
 
     def test_checkpoints_with_the_older_meta_still_load(self, tmp_path):
-        """A checkpoint whose ``meta`` also holds ``intervals_pushed``
-        and ``interval_instructions``, as checkpoints did before a
-        session carried its journal positions, hydrates and recovers
-        byte-identically and keeps its ``branches_ingested``."""
+        """A checkpoint written before the tracker counted its branches
+        (its snapshot has no ``branches``; its ``meta`` holds the count,
+        and held ``intervals_pushed`` and ``interval_instructions``
+        before a session carried its journal positions) hydrates and
+        recovers byte-identically, with the ``meta`` count."""
         batches = branch_batches(seed=22, batches=6)
         reference = PhaseTracker(
             interval_instructions=INTERVAL_INSTRUCTIONS
@@ -339,12 +340,14 @@ class TestCrashRecovery:
             reference.observe_batch(pcs, counts, cpi=1.1)
         manager, registry, _ = durable_registry(tmp_path)
         session = open_and_drive(manager, registry, "a", batches[:3])
+        snapshot = snapshot_tracker(session.tracker)
+        del snapshot["tracker"]["branches"]
         manager.checkpoints.write("a", {
             "seq": session.last_seq,
-            "snapshot": snapshot_tracker(session.tracker),
+            "snapshot": snapshot,
             "meta": {
                 "intervals_pushed": session.tracker.intervals_observed,
-                "branches_ingested": session.branches_ingested,
+                "branches_ingested": 3 * 200,
                 "interval_instructions": INTERVAL_INSTRUCTIONS,
             },
         })
@@ -357,7 +360,7 @@ class TestCrashRecovery:
         assert installed == 0 and manager.cold_names() == ["a"]
         session = registry.get("a")
         assert dumps(snapshot_tracker(session.tracker)) == before
-        assert session.branches_ingested == 3 * 200
+        assert session.tracker.branches_observed == 3 * 200
         drive(manager, session, batches[3:])
         del manager, registry, session  # kill -9: no new checkpoint
 
@@ -369,7 +372,7 @@ class TestCrashRecovery:
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
         )
-        assert recovered.branches_ingested == 6 * 200
+        assert recovered.tracker.branches_observed == 6 * 200
 
     def test_evicted_sessions_survive_restart_cold(self, tmp_path):
         manager, registry, _ = durable_registry(tmp_path, max_sessions=2)

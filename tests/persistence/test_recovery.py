@@ -68,7 +68,7 @@ class TestReplay:
         assert list(result.live) == ["a"]
         assert result.cold == set() and result.closed == []
         recovered = result.live["a"]
-        assert recovered.branches_ingested == 5 * 200
+        assert recovered.tracker.branches_observed == 5 * 200
         # Replayed up to its last observe, which no checkpoint covers.
         assert (recovered.dirty, recovered.last_seq) == (True, 6)
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
@@ -112,8 +112,8 @@ class TestReplay:
                     checkpoints.write("a", {
                         "seq": seq,
                         "snapshot": snapshot_tracker(reference),
-                        "meta": {"intervals_pushed": 11,
-                                 "branches_ingested": 3 * 200},
+                        # Read only from a snapshot without "branches".
+                        "meta": {"branches_ingested": 1},
                     })
 
         result = recover_state(journal_root, checkpoints)
@@ -124,7 +124,7 @@ class TestReplay:
         assert dumps(snapshot_tracker(recovered.tracker)) == dumps(
             snapshot_tracker(reference)
         )
-        assert recovered.branches_ingested == 3 * 200 + 3 * 200
+        assert recovered.tracker.branches_observed == 3 * 200 + 3 * 200
 
     def test_close_record_drops_the_session(self, tmp_path):
         journal_root, checkpoints = stores(tmp_path)

@@ -173,6 +173,29 @@ class TestRequestHandling:
         assert ack["id"] == 2 and ack["result"]["intervals"] == 2
         raw.close()
 
+    def test_a_session_reopened_from_its_snapshot_keeps_its_count(
+        self, service
+    ):
+        """Observe 600, snapshot, close, open with the snapshot, observe
+        600, close: the totals are an unbroken session's."""
+        batches = branch_batches(seed=4, batches=4)
+        with PhaseServiceClient(port=service.port) as client:
+            client.open_session("whole", interval_instructions=3_000)
+            for pcs, counts in batches:
+                client.observe("whole", pcs, counts)
+            whole = client.close_session("whole")
+            client.open_session("split", interval_instructions=3_000)
+            for pcs, counts in batches[:2]:
+                client.observe("split", pcs, counts)
+            snapshot = client.snapshot("split")
+            client.close_session("split")
+            client.open_session("split", snapshot=snapshot)
+            for pcs, counts in batches[2:]:
+                client.observe("split", pcs, counts)
+            split = client.close_session("split")
+        assert whole["branches"] == split["branches"] == 1_200
+        assert whole["intervals"] == split["intervals"] > 0
+
     def test_open_reports_whether_it_restored_a_snapshot(self, service):
         raw = RawConnection(service.port)
         raw.send({"op": "open", "id": 1, "session": "fresh"})

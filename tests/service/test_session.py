@@ -162,7 +162,6 @@ class TestReclamationHooks:
     def drive(self, session, branches=40):
         for index in range(branches):
             session.tracker.observe_branch(0x400000 + index * 4, 50)
-        session.branches_ingested += branches
 
     def test_on_evict_runs_before_lru_drop(self):
         calls = []

@@ -51,6 +51,17 @@ class TestRoundTrip:
         pcs, counts = two_region_stream(seed=3, n=500)
         assert drive(tracker, pcs, counts) == drive(restored, pcs, counts)
 
+    def test_branch_count_travels_and_reads_zero_from_older_snapshots(
+        self
+    ):
+        tracker = PhaseTracker(interval_instructions=10_000)
+        tracker.observe_batch([4096, 4100], [700, 800], cpi=1.0)
+        tracker.observe_branch(4104, 10)
+        document = snapshot_tracker(tracker)
+        assert restore_tracker(document).branches_observed == 3
+        del document["tracker"]["branches"]
+        assert restore_tracker(document).branches_observed == 0
+
     def test_interval_length_and_config_travel_in_document(self):
         config = ClassifierConfig(num_counters=32, table_entries=16)
         tracker = PhaseTracker(config, interval_instructions=1234)
@@ -126,6 +137,12 @@ class TestFailureModes:
         document = snapshot_tracker(PhaseTracker())
         document["tracker"]["change_predictor"]["kind"] = "quantum"
         with pytest.raises(SnapshotError, match="quantum"):
+            restore_tracker(document)
+
+    def test_change_predictor_spec_without_kwargs(self):
+        document = snapshot_tracker(PhaseTracker())
+        del document["tracker"]["change_predictor"]["kwargs"]
+        with pytest.raises(SnapshotError, match="kwargs"):
             restore_tracker(document)
 
     def test_corrupt_component_state(self):

@@ -20,10 +20,9 @@ SURFACE = {
         "checkpoint_interval", "sync", "uds_path", "http_host", "http_port",
     ],
     "ClusterDispatcher": [
-        "host", "port", "workers", "runtime_dir", "data_root", "num_shards",
-        "queue_size", "max_connections", "telemetry", "http_host",
-        "http_port", "worker_max_sessions", "sync", "checkpoint_interval",
-        "idle_ttl",
+        "host", "port", "workers", "runtime_dir", "data_root", "queue_size",
+        "max_connections", "telemetry", "http_host", "http_port",
+        "worker_max_sessions", "sync", "checkpoint_interval", "idle_ttl",
     ],
     "ServiceHandle": ["service"],
     "ServiceHandle.start": [],
@@ -34,7 +33,6 @@ SURFACE = {
         "--max-connections", "--queue-size", "--data-dir",
         "--checkpoint-interval", "--sync", "--http-port", "--http-host",
         "--metrics", "--events", "--workers", "--runtime-dir",
-        "--num-shards",
     ],
     "worker": ["--worker-id", "--parent-pid", "--service"],
 }
@@ -67,4 +65,4 @@ def test_the_settable_surface_is_pinned():
         "worker": _options(build_arg_parser()),
     }
     assert actual == SURFACE
-    assert sum(len(names) for names in actual.values()) == 54
+    assert sum(len(names) for names in actual.values()) == 52
