@@ -27,6 +27,7 @@ Quickstart
 >>> cov = repro.weighted_cov(run, trace)
 """
 
+from repro._lazy import lazy_exports
 from repro.core import (
     ClassificationResult,
     ClassificationRun,
@@ -43,9 +44,15 @@ from repro.errors import (
     TelemetryError,
     TraceError,
 )
-from repro.simulator import Machine, MachineConfig
 from repro.telemetry import Telemetry
-from repro.workloads import BENCHMARK_NAMES, IntervalTrace, benchmark
+from repro.workloads.trace import IntervalTrace
+
+# The machine model and the benchmark models are experiment-only: a
+# serving process never imports them (DESIGN §14).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.simulator": ("Machine", "MachineConfig"),
+    "repro.workloads.spec2000": ("BENCHMARK_NAMES", "benchmark"),
+})
 
 __version__ = "1.0.0"
 

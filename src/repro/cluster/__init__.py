@@ -21,14 +21,21 @@ or in-process (tests, benchmarks)::
         client = PhaseServiceClient(port=cluster.port)
 """
 
-from repro.cluster.dispatcher import ClusterDispatcher, start_cluster_in_thread
-from repro.cluster.migration import SessionMigrator
-from repro.cluster.routing import DEFAULT_SHARDS, ShardMap, shard_of
-from repro.cluster.supervisor import (
-    ClusterSupervisor,
-    WorkerHandle,
-    worker_data_dir,
-)
+from repro._lazy import lazy_exports
+
+# A worker (``python -m repro.cluster.worker``) runs this init before
+# its own module: it loads the service, not the dispatcher, the
+# supervisor or the migrator (DESIGN §14).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.cluster.dispatcher": (
+        "ClusterDispatcher", "start_cluster_in_thread",
+    ),
+    "repro.cluster.migration": ("SessionMigrator",),
+    "repro.cluster.routing": ("DEFAULT_SHARDS", "ShardMap", "shard_of"),
+    "repro.cluster.supervisor": (
+        "ClusterSupervisor", "WorkerHandle", "worker_data_dir",
+    ),
+})
 
 __all__ = [
     "ClusterDispatcher",

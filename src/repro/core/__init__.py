@@ -25,6 +25,7 @@ Sherwood et al. (ISCA 2003) plus the four improvements of Lau et al.
   behavioural oracle.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.accumulator import AccumulatorTable
 from repro.core.bitselect import (
     BitSelector,
@@ -36,9 +37,14 @@ from repro.core.config import ClassifierConfig, TRANSITION_PHASE_ID
 from repro.core.online import PhaseTracker, TrackerReport
 from repro.core.distance import manhattan_distance, relative_distance
 from repro.core.events import ClassificationResult, ClassificationRun
-from repro.core.pool import ClassifierPool, PooledTracker, TrackerPool
 from repro.core.signature import Signature
 from repro.core.signature_table import SignatureTable, TableEntry
+
+# The batch pool is a library API that no serving process uses
+# (DESIGN §14).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.core.pool": ("ClassifierPool", "PooledTracker", "TrackerPool"),
+})
 
 __all__ = [
     "AccumulatorTable",

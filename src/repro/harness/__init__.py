@@ -23,29 +23,29 @@ or programmatically::
     print(result.rendered)
 """
 
-from repro.harness.cache import (
-    cached_classified,
-    cached_trace,
-    clear_cache,
-    get_result_store,
-    set_cache_telemetry,
-    set_result_store,
-)
-from repro.harness.engine import (
-    EngineReport,
-    ExperimentEngine,
-    WorkUnit,
-    dedupe_units,
-    validate_unit_result,
-)
-from repro.harness.experiment import (
-    EXPERIMENT_NAMES,
-    ExperimentResult,
-    experiment_work_units,
-    run_experiment,
-)
-from repro.harness.store import ResultStore, StoreStats, default_store_root
-from repro.harness.sweep import SweepResult, sweep_classifier, sweep_work_units
+from repro._lazy import lazy_exports
+
+# ``repro-phases serve`` imports ``repro.harness.cli``, which runs this
+# init; the experiment stack loads only when one of its names is used
+# (DESIGN §14).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.harness.cache": (
+        "cached_classified", "cached_trace", "clear_cache",
+        "get_result_store", "set_cache_telemetry", "set_result_store",
+    ),
+    "repro.harness.engine": (
+        "EngineReport", "ExperimentEngine", "WorkUnit", "dedupe_units",
+        "validate_unit_result",
+    ),
+    "repro.harness.experiment": (
+        "EXPERIMENT_NAMES", "ExperimentResult", "experiment_work_units",
+        "run_experiment",
+    ),
+    "repro.harness.store": ("ResultStore", "StoreStats", "default_store_root"),
+    "repro.harness.sweep": (
+        "SweepResult", "sweep_classifier", "sweep_work_units",
+    ),
+})
 
 __all__ = [
     "EXPERIMENT_NAMES",

@@ -26,8 +26,6 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from repro.harness.experiment import experiment_names, run_experiment
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -126,6 +124,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "cluster":
         return _cluster_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
+    # Imported here, not at module level: ``serve`` must not load the
+    # experiment stack (DESIGN §14).
+    from repro.harness.experiment import experiment_names, run_experiment
+
     available = experiment_names()
     if args.list:
         for name in available:

@@ -69,14 +69,21 @@ def change_predictor_from_spec(spec: "Optional[dict]"):
 
     ``spec`` is the ``{"kind": ..., "kwargs": ...}`` mapping a tracker
     snapshot carries (``None`` means pure last-value — no change
-    predictor). Raises :class:`~repro.errors.SnapshotError` for an
-    unknown kind, a spec without ``kwargs``, or kwargs the predictor's
-    constructor rejects.
+    predictor). Raises :class:`~repro.errors.SnapshotError` for a spec
+    that is not a mapping, a kind that is not a known name, a spec
+    without ``kwargs``, or kwargs the predictor's constructor rejects.
     """
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise SnapshotError(
+            f"change-predictor spec must be an object, not "
+            f"{type(spec).__name__}"
+        )
     kind = spec.get("kind")
-    predictor_cls = CHANGE_PREDICTOR_KINDS.get(kind)
+    predictor_cls = (
+        CHANGE_PREDICTOR_KINDS.get(kind) if isinstance(kind, str) else None
+    )
     if predictor_cls is None:
         raise SnapshotError(
             f"unknown change-predictor kind {kind!r}; expected one of "

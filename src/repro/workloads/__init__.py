@@ -23,16 +23,20 @@ Modules:
 - :mod:`repro.workloads.spec2000` — the eleven benchmark models.
 """
 
-from repro.workloads.basic_block import BasicBlock, CodeRegion, SubMode
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.phase_script import PhaseScript, Segment
-from repro.workloads.spec2000 import (
-    BENCHMARK_NAMES,
-    BenchmarkSpec,
-    benchmark,
-    build_benchmark,
-)
+from repro._lazy import lazy_exports
 from repro.workloads.trace import Interval, IntervalTrace
+
+# The classifier and the service import ``repro.workloads.trace``,
+# which runs this init; the generators and the machine model they
+# calibrate on load only when one of their names is used (DESIGN §14).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.workloads.basic_block": ("BasicBlock", "CodeRegion", "SubMode"),
+    "repro.workloads.generator": ("WorkloadGenerator",),
+    "repro.workloads.phase_script": ("PhaseScript", "Segment"),
+    "repro.workloads.spec2000": (
+        "BENCHMARK_NAMES", "BenchmarkSpec", "benchmark", "build_benchmark",
+    ),
+})
 
 __all__ = [
     "BENCHMARK_NAMES",

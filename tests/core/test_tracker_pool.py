@@ -19,6 +19,7 @@ from repro.errors import (
     ConfigurationError,
     PoolError,
     PredictionError,
+    SnapshotError,
 )
 from repro.workloads.trace import Interval, IntervalTrace
 
@@ -153,6 +154,20 @@ def test_restore_slot_refuses_config_mismatch():
     )
     with pytest.raises(ConfigurationError):
         handle.restore_state(scalar.export_state())
+
+
+@pytest.mark.parametrize("spec", [
+    "rle",
+    ["rle"],
+    {"kind": ["rle"], "kwargs": {}},
+])
+def test_restore_slot_refuses_a_change_predictor_spec_of_the_wrong_type(spec):
+    pool = TrackerPool(capacity=1)
+    handle = pool.acquire()
+    state = handle.export_state()
+    state["change_predictor"] = spec
+    with pytest.raises(SnapshotError, match="change-predictor"):
+        handle.restore_state(state)
 
 
 class TestSlotLifecycle:

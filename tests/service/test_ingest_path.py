@@ -189,7 +189,10 @@ class TestScalarReplay:
         # 8 pipelined sessions through a 3-session table: requests
         # interleave with evict-to-disk and hydrate on nearly every
         # lookup, and each session's reports must still equal an
-        # uninterrupted local scalar tracker.
+        # uninterrupted local scalar tracker. All 8 opens are answered
+        # before any observe is sent, so the fourth open evicts and the
+        # first observe on an evicted session hydrates, however the
+        # server interleaves the connections.
         plans = [
             connection_requests(f"d{index}", seed=10 + index, observes=10)
             for index in range(8)
@@ -197,7 +200,9 @@ class TestScalarReplay:
         with start_in_thread(
             max_sessions=3, queue_size=2, data_dir=str(tmp_path / "data"),
         ) as handle:
-            streams = drive(handle.port, plans)
+            opened = drive(handle.port, [plan[:1] for plan in plans])
+            rest = drive(handle.port, [plan[1:] for plan in plans])
+            streams = [acks + more for acks, more in zip(opened, rest)]
             stats = handle.service.registry.stats()
         assert stats["evicted_saved"] > 0 and stats["hydrated"] > 0
         for messages, plan in zip(streams, plans):

@@ -103,6 +103,14 @@ class TestRoundTrip:
         assert loads(text)["schema_version"] == SNAPSHOT_VERSION
 
 
+#: Change-predictor specs that are not a ``{"kind": name, ...}`` object.
+BAD_CHANGE_PREDICTOR_SPECS = [
+    "rle",
+    ["rle"],
+    {"kind": ["rle"], "kwargs": {}},
+]
+
+
 class TestFailureModes:
     def test_version_mismatch(self):
         document = snapshot_tracker(PhaseTracker())
@@ -137,6 +145,13 @@ class TestFailureModes:
         document = snapshot_tracker(PhaseTracker())
         document["tracker"]["change_predictor"]["kind"] = "quantum"
         with pytest.raises(SnapshotError, match="quantum"):
+            restore_tracker(document)
+
+    @pytest.mark.parametrize("spec", BAD_CHANGE_PREDICTOR_SPECS)
+    def test_change_predictor_spec_of_the_wrong_type(self, spec):
+        document = snapshot_tracker(PhaseTracker())
+        document["tracker"]["change_predictor"] = spec
+        with pytest.raises(SnapshotError, match="change-predictor"):
             restore_tracker(document)
 
     def test_change_predictor_spec_without_kwargs(self):
@@ -238,6 +253,20 @@ class TestUnrunnableSnapshotsRefused:
                                 snapshot=driven_snapshot())
             assert client.observe("restored", [4096] * 200, [100] * 200)
             client.close_session("restored")
+
+    @pytest.mark.parametrize("spec", BAD_CHANGE_PREDICTOR_SPECS)
+    def test_open_refuses_a_bad_change_predictor_spec(self, service, spec):
+        """Such a spec used to fail ``open`` with the ``internal``
+        code, an ``AttributeError`` or ``TypeError`` in the reader."""
+        from repro.service import PhaseServiceClient
+
+        document = driven_snapshot()
+        document["tracker"]["change_predictor"] = spec
+        with PhaseServiceClient(port=service.port) as client:
+            with pytest.raises(SnapshotError, match="change-predictor"):
+                client.open_session(session="bad-spec", snapshot=document)
+            with pytest.raises(SessionNotFoundError):
+                client.observe("bad-spec", [4096], [10])
 
     def test_open_refuses_a_snapshot_at_a_pending_boundary(self, service):
         """Only ``complete_interval`` closes a pending boundary, and no
