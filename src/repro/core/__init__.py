@@ -38,7 +38,7 @@ from repro.core.online import PhaseTracker, TrackerReport
 from repro.core.distance import manhattan_distance, relative_distance
 from repro.core.events import ClassificationResult, ClassificationRun
 from repro.core.signature import Signature
-from repro.core.signature_table import SignatureTable, TableEntry
+from repro.core.signature_table import SignatureTable
 
 # The batch pool is a library API that no serving process uses
 # (DESIGN §14).
@@ -61,7 +61,6 @@ __all__ = [
     "SignatureTable",
     "StaticBitSelector",
     "TRANSITION_PHASE_ID",
-    "TableEntry",
     "TrackerPool",
     "TrackerReport",
     "manhattan_distance",

@@ -41,7 +41,7 @@ from repro.core.config import TRANSITION_PHASE_ID, ClassifierConfig
 from repro.core.distance import Normalizer, sum_normalizer
 from repro.core.events import ClassificationResult, ClassificationRun
 from repro.core.signature import Signature
-from repro.core.signature_table import SignatureTable, TableEntry
+from repro.core.signature_table import SignatureTable
 from repro.errors import ConfigurationError
 from repro.workloads.trace import Interval, IntervalTrace
 
@@ -121,37 +121,36 @@ class PhaseClassifier:
         accumulator branch by branch themselves; ``cpi`` is the
         interval's measured CPI used only by the adaptive feedback.
         """
-        match = self.table.best_match(signature, self.config.match_policy)
+        table = self.table
+        match = table.best_match(signature, self.config.match_policy)
 
         if match is None:
-            entry = self.table.insert(signature)
-            entry.min_counter = 1
+            row = table.insert(signature)
+            table.min_counters[row] = 1
             distance = 0.0
             matched = False
         else:
-            entry, distance = match
-            entry.min_counter += 1
-            self.table.touch(entry, signature)
+            row, distance = match
+            table.min_counters[row] += 1
+            table.touch(row, signature)
             matched = True
 
         new_phase = False
+        phase_id = table.phase_ids[row]
         if (
-            entry.phase_id is None
-            and entry.min_counter > self.config.min_count_threshold
+            phase_id is None
+            and table.min_counters[row] > self.config.min_count_threshold
         ):
-            entry.phase_id = self._next_phase_id
+            phase_id = table.phase_ids[row] = self._next_phase_id
             self._next_phase_id += 1
             self.phases_allocated += 1
             new_phase = True
-
-        phase_id = (
-            entry.phase_id if entry.phase_id is not None
-            else TRANSITION_PHASE_ID
-        )
+        if phase_id is None:
+            phase_id = TRANSITION_PHASE_ID
 
         tightened = False
         if self.config.adaptive and phase_id != TRANSITION_PHASE_ID:
-            tightened = self._apply_performance_feedback(entry, cpi)
+            tightened = self._apply_performance_feedback(row, cpi)
 
         return ClassificationResult(
             phase_id=phase_id,
@@ -161,22 +160,20 @@ class PhaseClassifier:
             new_phase_allocated=new_phase,
         )
 
-    def _apply_performance_feedback(
-        self, entry: TableEntry, cpi: float
-    ) -> bool:
+    def _apply_performance_feedback(self, row: int, cpi: float) -> bool:
         """§4.6: halve the entry's threshold on large CPI deviation.
 
         Classification itself remains purely code-based; CPI only
         decides *when* to tighten. Returns whether tightening occurred.
         """
-        deviation = entry.cpi_deviation(cpi)
+        table = self.table
         threshold = self.config.perf_dev_threshold
         assert threshold is not None  # guarded by caller
-        if deviation > threshold:
-            entry.similarity_threshold /= 2.0
-            entry.clear_cpi_stats()
+        if table.cpi_deviation(row, cpi) > threshold:
+            table.thresholds[row] /= 2.0
+            table.clear_cpi_stats(row)
             return True
-        entry.record_cpi(cpi)
+        table.record_cpi(row, cpi)
         return False
 
     def classify_trace(self, trace: IntervalTrace) -> ClassificationRun:

@@ -88,12 +88,15 @@ def relative_distance_matrix(
     ``matrix`` is (entries x dims); ``vector`` is (dims,). Returns a
     float array of length ``entries``. This is the hot path of the
     classifier, hence the batch form. A caller that already knows the
-    rows' and the vector's component sums (a signature table reads
-    them from its :class:`Signature` objects) passes them as
-    ``row_totals`` and ``vector_total`` instead of having them summed
-    again.
+    rows' and the vector's component sums (a signature table keeps
+    them beside its rows) passes them as ``row_totals`` and
+    ``vector_total`` instead of having them summed again. An integer
+    ``matrix`` is used as it is: its narrow rows minus the int64
+    ``vector`` give a signed int64 difference.
     """
-    matrix = np.asarray(matrix, dtype=np.int64)
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "iu":
+        matrix = matrix.astype(np.int64)
     vector = np.asarray(vector, dtype=np.int64)
     if matrix.ndim != 2 or matrix.shape[1:] != vector.shape:
         raise ValueError(

@@ -14,11 +14,20 @@ Each entry holds (paper §4.1, §4.4, §4.6):
 
 The table supports a finite capacity with LRU replacement, or ``None``
 capacity modelling the prior work's infinite table.
+
+An entry is a row, not an object (DESIGN §15). The signatures sit in
+one (capacity x counters) matrix of the narrowest unsigned dtype that
+holds a ``bits``-wide counter (``uint8`` at the paper's 6 bits); each
+row's component total and similarity threshold sit in two numpy
+columns that matching reads as they are; the per-entry scalars (phase
+ID, Min Counter, LRU stamp, CPI count and mean) sit in list columns.
+Row order is table order, which breaks match ties and orders the
+snapshot: a touch rewrites its row in place, an insert writes the row
+after the last, and an eviction moves every later row up by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -27,66 +36,9 @@ from repro.errors import ConfigurationError
 from repro.core.distance import Normalizer, relative_distance_matrix, sum_normalizer
 from repro.core.signature import Signature
 
-
-@dataclass(init=False)
-class TableEntry:
-    """One signature-table entry (see module docstring for field roles).
-
-    Slotted to keep a long-lived session's table small. The defaults
-    live in ``__init__``: a class-level default cannot sit beside
-    ``__slots__``, and ``dataclass(slots=True)`` needs Python 3.10.
-    """
-
-    __slots__ = (
-        "signature", "similarity_threshold", "phase_id", "min_counter",
-        "last_used", "cpi_count", "cpi_mean",
-    )
-
-    signature: Signature
-    similarity_threshold: float
-    phase_id: Optional[int]
-    min_counter: int
-    last_used: int
-    cpi_count: int
-    cpi_mean: float
-
-    def __init__(
-        self,
-        signature: Signature,
-        similarity_threshold: float,
-        phase_id: Optional[int] = None,
-        min_counter: int = 0,
-        last_used: int = 0,
-        cpi_count: int = 0,
-        cpi_mean: float = 0.0,
-    ) -> None:
-        self.signature = signature
-        self.similarity_threshold = similarity_threshold
-        self.phase_id = phase_id
-        self.min_counter = min_counter
-        self.last_used = last_used
-        self.cpi_count = cpi_count
-        self.cpi_mean = cpi_mean
-
-    def record_cpi(self, cpi: float) -> None:
-        """Fold one interval's CPI into the running average."""
-        self.cpi_count += 1
-        self.cpi_mean += (cpi - self.cpi_mean) / self.cpi_count
-
-    def clear_cpi_stats(self) -> None:
-        """Flush CPI statistics (after threshold tightening, or when an
-        external reconfiguration invalidates performance history)."""
-        self.cpi_count = 0
-        self.cpi_mean = 0.0
-
-    def cpi_deviation(self, cpi: float) -> float:
-        """Relative deviation of ``cpi`` from the running average.
-
-        Returns 0.0 when no history exists yet.
-        """
-        if self.cpi_count == 0 or self.cpi_mean == 0.0:
-            return 0.0
-        return abs(cpi - self.cpi_mean) / self.cpi_mean
+#: Rows an unbounded (``capacity=None``) table starts with; it doubles
+#: when full.
+_INITIAL_ROWS = 16
 
 
 class SignatureTable:
@@ -101,6 +53,11 @@ class SignatureTable:
         Similarity threshold assigned to newly inserted entries.
     normalizer:
         Distance normalization strategy (see :mod:`repro.core.distance`).
+
+    Entries are addressed by row, ``0 .. len(table) - 1`` in table
+    order. The matrix and the numpy columns are allocated at the first
+    insert, whose signature fixes the counter count and ``bits``; their
+    rows past ``len(table)`` are stale.
     """
 
     def __init__(
@@ -121,154 +78,233 @@ class SignatureTable:
         self.capacity = capacity
         self.default_threshold = default_threshold
         self.normalizer = normalizer
-        self._entries: List[TableEntry] = []
+        #: Counter width of every stored signature (set at allocation).
+        self.bits: Optional[int] = None
+        #: Stored signatures, one row per entry.
+        self.rows: Optional[np.ndarray] = None
+        #: Each row's component sum, for distance scaling.
+        self.totals: Optional[np.ndarray] = None
+        #: Each row's similarity threshold (the adaptive classifier
+        #: halves it in place).
+        self.thresholds: Optional[np.ndarray] = None
+        self.phase_ids: List[Optional[int]] = []
+        self.min_counters: List[int] = []
+        self.last_used: List[int] = []
+        self.cpi_counts: List[int] = []
+        self.cpi_means: List[float] = []
         self._clock = 0
         self.evictions = 0
 
     # -- bookkeeping --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> List[TableEntry]:
-        """Live entries (mutable references, in insertion order)."""
-        return self._entries
+        return len(self.last_used)
 
     def _tick(self) -> int:
         self._clock += 1
         return self._clock
 
+    def _allocate(self, dims: int, bits: int, size: int) -> None:
+        self.bits = bits
+        self.rows = np.zeros(
+            (size, dims), dtype=np.min_scalar_type((1 << bits) - 1)
+        )
+        self.totals = np.zeros(size, dtype=np.int64)
+        self.thresholds = np.zeros(size, dtype=np.float64)
+
+    def _grow(self) -> None:
+        """Double an unbounded table's arrays, keeping their rows."""
+        rows, totals, thresholds = self.rows, self.totals, self.thresholds
+        self._allocate(rows.shape[1], self.bits, 2 * len(rows))
+        self.rows[:len(rows)] = rows
+        self.totals[:len(rows)] = totals
+        self.thresholds[:len(rows)] = thresholds
+
+    def _check(self, signature: Signature) -> None:
+        if signature.bits != self.bits:
+            raise ConfigurationError(
+                f"a {signature.bits}-bit signature cannot enter a table "
+                f"of {self.bits}-bit rows"
+            )
+
     # -- search -------------------------------------------------------------
 
-    def _distances(
-        self, signature: Signature
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The relative distance from ``signature`` to every entry, and
-        every entry's similarity threshold, in table order.
-
-        Both are read at the call: entries change at every boundary,
-        and the adaptive classifier halves thresholds in place. The
-        matrix is built with ``np.array`` over the entries' rows, a
-        third of ``np.stack``'s cost on a 32-entry table, and the rows'
-        totals come from their signatures rather than a second sum.
-        """
-        entries = self._entries
-        distances = relative_distance_matrix(
-            np.array([entry.signature.values for entry in entries]),
+    def _distances(self, signature: Signature) -> np.ndarray:
+        """The relative distance from ``signature`` to every row, in
+        table order. The narrow rows are subtracted from the int64
+        probe, so the difference is signed."""
+        size = len(self.last_used)
+        return relative_distance_matrix(
+            self.rows[:size],
             signature.values,
             self.normalizer,
-            row_totals=np.array(
-                [entry.signature.total for entry in entries]
-            ),
+            row_totals=self.totals[:size],
             vector_total=signature.total,
         )
-        thresholds = np.array(
-            [entry.similarity_threshold for entry in entries]
-        )
-        return distances, thresholds
 
     def find_matches(
         self, signature: Signature
-    ) -> List[Tuple[TableEntry, float]]:
-        """All entries whose per-entry threshold admits ``signature``.
+    ) -> List[Tuple[int, float]]:
+        """All rows whose threshold admits ``signature``.
 
-        Returns (entry, relative distance) pairs in table order.
+        Returns (row, relative distance) pairs in table order.
         """
-        if not self._entries:
+        if not self.last_used:
             return []
-        distances, thresholds = self._distances(signature)
+        distances = self._distances(signature)
+        eligible = distances <= self.thresholds[:len(distances)]
         return [
-            (self._entries[index], float(distances[index]))
-            for index in np.flatnonzero(distances <= thresholds).tolist()
+            (row, float(distances[row]))
+            for row in np.flatnonzero(eligible).tolist()
         ]
 
     def best_match(
         self, signature: Signature, policy: str = "most_similar"
-    ) -> Optional[Tuple[TableEntry, float]]:
-        """The entry ``signature`` classifies into, or ``None``.
+    ) -> Optional[Tuple[int, float]]:
+        """The row ``signature`` classifies into and its distance, or
+        ``None``.
 
-        ``policy`` is ``"most_similar"`` (this paper: the eligible entry
+        ``policy`` is ``"most_similar"`` (this paper: the eligible row
         with the smallest distance, the earliest in table order on a
-        tie) or ``"first"`` (prior work: the first eligible entry in
+        tie) or ``"first"`` (prior work: the first eligible row in
         table order). Either is one pass over the distance vector: the
-        same entry :meth:`find_matches` followed by ``min`` by
-        distance, or by taking its head, would give.
+        same row :meth:`find_matches` followed by ``min`` by distance,
+        or by taking its head, would give.
         """
         if policy not in ("most_similar", "first"):
             raise ConfigurationError(
                 f"unknown match policy {policy!r}; expected "
                 "'most_similar' or 'first'"
             )
-        if not self._entries:
+        if not self.last_used:
             return None
-        distances, thresholds = self._distances(signature)
-        eligible = distances <= thresholds
+        distances = self._distances(signature)
+        eligible = distances <= self.thresholds[:len(distances)]
         if policy == "first":
-            index = int(eligible.argmax())
+            row = int(eligible.argmax())
         else:
-            index = int(np.where(eligible, distances, np.inf).argmin())
-        if not eligible[index]:
+            row = int(np.where(eligible, distances, np.inf).argmin())
+        if not eligible[row]:
             return None
-        return self._entries[index], float(distances[index])
+        return row, float(distances[row])
 
     # -- mutation -----------------------------------------------------------
 
-    def touch(self, entry: TableEntry, signature: Signature) -> None:
-        """Record a classification hit: replace the stored signature with
-        the current one (paper §4.1 step 3) and refresh LRU state."""
-        entry.signature = signature
-        entry.last_used = self._tick()
+    def touch(self, row: int, signature: Signature) -> None:
+        """Record a classification hit: replace the row's signature
+        with the current one (paper §4.1 step 3) and refresh its LRU
+        stamp."""
+        self._check(signature)
+        self.rows[row] = signature.values
+        self.totals[row] = signature.total
+        self.last_used[row] = self._tick()
 
-    def insert(self, signature: Signature) -> TableEntry:
-        """Insert a new entry, evicting the LRU entry if at capacity."""
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            victim_index = min(
-                range(len(self._entries)),
-                key=lambda i: self._entries[i].last_used,
+    def insert(self, signature: Signature) -> int:
+        """Insert a new entry after the last, evicting the LRU entry
+        first if at capacity; returns its row."""
+        size = len(self.last_used)
+        if self.rows is None:
+            self._allocate(
+                signature.dimensions, signature.bits,
+                self.capacity or _INITIAL_ROWS,
             )
-            del self._entries[victim_index]
+        self._check(signature)
+        if signature.dimensions != self.rows.shape[1]:
+            raise ValueError(
+                f"a {signature.dimensions}-counter signature cannot enter "
+                f"a table of {self.rows.shape[1]}-counter rows"
+            )
+        if self.capacity is not None and size >= self.capacity:
+            self._remove(self.last_used.index(min(self.last_used)))
             self.evictions += 1
-        entry = TableEntry(
-            signature=signature,
-            similarity_threshold=self.default_threshold,
-            last_used=self._tick(),
-        )
-        self._entries.append(entry)
-        return entry
+            size -= 1
+        elif size == len(self.rows):
+            self._grow()
+        self.rows[size] = signature.values
+        self.totals[size] = signature.total
+        self.thresholds[size] = self.default_threshold
+        self.phase_ids.append(None)
+        self.min_counters.append(0)
+        self.last_used.append(self._tick())
+        self.cpi_counts.append(0)
+        self.cpi_means.append(0.0)
+        return size
+
+    def _remove(self, row: int) -> None:
+        """Drop ``row``, moving every later row up by one."""
+        size = len(self.last_used)
+        for column in (self.rows, self.totals, self.thresholds):
+            column[row:size - 1] = column[row + 1:size]
+        for values in (
+            self.phase_ids, self.min_counters, self.last_used,
+            self.cpi_counts, self.cpi_means,
+        ):
+            del values[row]
+
+    # -- adaptive feedback (§4.6) ---------------------------------------------
+
+    def record_cpi(self, row: int, cpi: float) -> None:
+        """Fold one interval's CPI into the row's running average."""
+        count = self.cpi_counts[row] + 1
+        self.cpi_counts[row] = count
+        self.cpi_means[row] += (cpi - self.cpi_means[row]) / count
+
+    def cpi_deviation(self, row: int, cpi: float) -> float:
+        """Relative deviation of ``cpi`` from the row's running average.
+
+        Returns 0.0 when no history exists yet.
+        """
+        mean = self.cpi_means[row]
+        if self.cpi_counts[row] == 0 or mean == 0.0:
+            return 0.0
+        return abs(cpi - mean) / mean
+
+    def clear_cpi_stats(self, row: int) -> None:
+        """Flush the row's CPI statistics (after threshold tightening)."""
+        self.cpi_counts[row] = 0
+        self.cpi_means[row] = 0.0
 
     def flush_cpi_stats(self) -> None:
         """Clear CPI history on every entry (paper §4.6: performed when a
         reconfiguration changes the program's CPI)."""
-        for entry in self._entries:
-            entry.clear_cpi_stats()
+        size = len(self.last_used)
+        self.cpi_counts[:] = [0] * size
+        self.cpi_means[:] = [0.0] * size
 
     def clear(self) -> None:
         """Drop every entry and reset LRU/eviction bookkeeping, leaving
         capacity, threshold and normalizer configuration in place."""
-        self._entries.clear()
+        for values in (
+            self.phase_ids, self.min_counters, self.last_used,
+            self.cpi_counts, self.cpi_means,
+        ):
+            values.clear()
         self._clock = 0
         self.evictions = 0
 
     # -- snapshot hooks -------------------------------------------------------
 
     def export_state(self) -> dict:
-        """JSON-safe full table state (entries, LRU clock, evictions)."""
+        """JSON-safe full table state (entries in table order, LRU
+        clock, evictions). Every value is a Python scalar."""
+        size = len(self.last_used)
+        rows = self.rows[:size].tolist() if size else []
+        thresholds = self.thresholds[:size].tolist() if size else []
         return {
             "clock": self._clock,
             "evictions": self.evictions,
             "entries": [
                 {
-                    "values": [int(v) for v in entry.signature.values],
-                    "bits": entry.signature.bits,
-                    "threshold": entry.similarity_threshold,
-                    "phase_id": entry.phase_id,
-                    "min_counter": entry.min_counter,
-                    "last_used": entry.last_used,
-                    "cpi_count": entry.cpi_count,
-                    "cpi_mean": entry.cpi_mean,
+                    "values": rows[row],
+                    "bits": self.bits,
+                    "threshold": thresholds[row],
+                    "phase_id": self.phase_ids[row],
+                    "min_counter": self.min_counters[row],
+                    "last_used": self.last_used[row],
+                    "cpi_count": self.cpi_counts[row],
+                    "cpi_mean": self.cpi_means[row],
                 }
-                for entry in self._entries
+                for row in range(size)
             ],
         }
 
@@ -282,17 +318,53 @@ class SignatureTable:
                 f"snapshot has {len(entries)} table entries, the table "
                 f"holds {self.capacity}"
             )
-        self._entries = [
-            TableEntry(
-                signature=Signature(record["values"], bits=record["bits"]),
-                similarity_threshold=float(record["threshold"]),
-                phase_id=record["phase_id"],
-                min_counter=int(record["min_counter"]),
-                last_used=int(record["last_used"]),
-                cpi_count=int(record["cpi_count"]),
-                cpi_mean=float(record["cpi_mean"]),
+        if entries:
+            bits = int(entries[0]["bits"])
+            if bits < 1 or any(
+                int(record["bits"]) != bits for record in entries
+            ):
+                raise ConfigurationError(
+                    "snapshot table entries must share one positive width"
+                )
+            try:
+                values = np.array(
+                    [record["values"] for record in entries], dtype=np.int64
+                )
+            except OverflowError:
+                raise ConfigurationError(
+                    f"signature values out of range for {bits} bits"
+                ) from None
+            if values.ndim != 2 or values.shape[1] == 0:
+                raise ConfigurationError(
+                    "snapshot table entries must be non-empty vectors of "
+                    "one length"
+                )
+            if values.min() < 0 or values.max() > (1 << bits) - 1:
+                raise ConfigurationError(
+                    f"signature values out of range for {bits} bits"
+                )
+            for record in entries:
+                phase_id = record["phase_id"]
+                if phase_id is not None and type(phase_id) is not int:
+                    raise ConfigurationError(
+                        f"snapshot phase ID {phase_id!r} is not an int"
+                    )
+            size = len(entries)
+            self._allocate(
+                values.shape[1], bits,
+                self.capacity or max(_INITIAL_ROWS, size),
             )
-            for record in entries
-        ]
+            self.rows[:size] = values
+            self.totals[:size] = values.sum(axis=1)
+            self.thresholds[:size] = [
+                float(record["threshold"]) for record in entries
+            ]
+        self.clear()
+        for record in entries:
+            self.phase_ids.append(record["phase_id"])
+            self.min_counters.append(int(record["min_counter"]))
+            self.last_used.append(int(record["last_used"]))
+            self.cpi_counts.append(int(record["cpi_count"]))
+            self.cpi_means.append(float(record["cpi_mean"]))
         self._clock = int(state["clock"])
         self.evictions = int(state["evictions"])

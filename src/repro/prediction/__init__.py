@@ -36,12 +36,9 @@ richer ``step``/``predict`` interface trackers consume.
 
 from typing import Optional
 
+from repro._lazy import lazy_exports
 from repro.errors import SnapshotError
 from repro.prediction.assoc_table import AssociativeTable
-from repro.prediction.change_eval import (
-    ChangePredictionStats,
-    evaluate_change_predictor,
-)
 from repro.prediction.composite import CompositePhasePredictor, NextPhaseStats
 from repro.prediction.counters import ConfidenceCounter, SaturatingCounter
 from repro.prediction.last_value import LastValuePredictor
@@ -51,10 +48,17 @@ from repro.prediction.length import (
     PhaseLengthPredictor,
     length_class,
 )
-from repro.prediction.perfect import PerfectMarkovPredictor
 from repro.prediction.protocol import PhaseObservation, PhasePredictor
 from repro.prediction.rle import RLEChangePredictor
-from repro.prediction.tournament import TournamentChangePredictor
+
+# The oracle predictors and the Figure 8 evaluation serve the
+# experiments only; no serving process loads them (DESIGN §14).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.prediction.change_eval": (
+        "ChangePredictionStats", "evaluate_change_predictor",
+    ),
+    "repro.prediction.perfect": ("PerfectMarkovPredictor",),
+})
 
 #: Change-predictor registry keyed by snapshot kind — the vocabulary
 #: snapshot documents use to name the predictor that must be rebuilt.
@@ -113,7 +117,6 @@ __all__ = [
     "PhasePredictor",
     "RLEChangePredictor",
     "SaturatingCounter",
-    "TournamentChangePredictor",
     "change_predictor_from_spec",
     "evaluate_change_predictor",
     "length_class",

@@ -17,110 +17,68 @@ Entry variants (paper §5.2.2, §6.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, PredictionError
-from repro.prediction.assoc_table import AssociativeTable, tuple_key
-from repro.prediction.counters import ConfidenceCounter
+from repro.errors import ConfigurationError, SnapshotError
+from repro.prediction.assoc_table import (
+    AssociativeTable,
+    KeyShape,
+    phase_or_none,
+)
 from repro.prediction.protocol import PhaseObservation
 
 ENTRY_KINDS = ("single", "last4", "top1", "top4")
 
+#: A flat predictor key (see :class:`~repro.prediction.assoc_table.KeyShape`).
+Key = Tuple[int, ...]
 
-class ChangeEntry:
-    """One phase-change table entry: outcome store + confidence bit."""
+#: Unique outcomes an entry remembers, newest last.
+RECENT_OUTCOMES = 4
 
-    __slots__ = ("kind", "_last", "_recent", "_freq", "confidence")
 
-    def __init__(self, kind: str, confidence_bits: int = 1) -> None:
-        if kind not in ENTRY_KINDS:
-            raise ConfigurationError(
-                f"kind must be one of {ENTRY_KINDS}, got {kind!r}"
+def record_outcome(
+    recent: Tuple[int, ...], freq: Tuple[int, ...], outcome: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """An entry's outcome stores after one more observed outcome.
+
+    ``recent`` holds the last :data:`RECENT_OUTCOMES` unique outcomes,
+    newest last (its last element is the entry's latest outcome);
+    ``freq`` the outcome counts as a flat ``(outcome, count, ...)``
+    tuple in first-seen order.
+    """
+    others = tuple(seen for seen in recent if seen != outcome)
+    recent = (others + (outcome,))[-RECENT_OUTCOMES:]
+    for index in range(0, len(freq), 2):
+        if freq[index] == outcome:
+            return recent, (
+                freq[:index + 1] + (freq[index + 1] + 1,) + freq[index + 2:]
             )
-        self.kind = kind
-        self._last: Optional[int] = None
-        # The last 4 unique outcomes, newest last, and the outcome
-        # counts as a flat (outcome, count, ...) tuple in first-seen
-        # order. Every session keeps a table of these entries, and an
-        # entry sees few distinct outcomes: a list and a Counter take
-        # three times the memory of the two tuples.
-        self._recent: Tuple[int, ...] = ()
-        self._freq: Tuple[int, ...] = ()
-        self.confidence = ConfidenceCounter(confidence_bits)
+    return recent, freq + (outcome, 1)
 
-    # -- outcome bookkeeping ------------------------------------------------
 
-    def record_outcome(self, outcome: int) -> None:
-        """Fold one observed change outcome into the entry."""
-        self._last = outcome
-        others = tuple(seen for seen in self._recent if seen != outcome)
-        self._recent = (others + (outcome,))[-4:]
-        freq = self._freq
-        for index in range(0, len(freq), 2):
-            if freq[index] == outcome:
-                self._freq = (
-                    freq[:index + 1] + (freq[index + 1] + 1,)
-                    + freq[index + 2:]
-                )
-                return
-        self._freq = freq + (outcome, 1)
+def predicted_outcomes(
+    kind: str, recent: Tuple[int, ...], freq: Tuple[int, ...]
+) -> Tuple[int, ...]:
+    """The outcome set an entry of ``kind`` currently predicts.
 
-    def _frequencies(self) -> List[Tuple[int, int]]:
-        """(outcome, count) pairs in first-seen order."""
-        return list(zip(self._freq[::2], self._freq[1::2]))
-
-    def predicted_outcomes(self) -> Tuple[int, ...]:
-        """The outcome set this entry currently predicts.
-
-        The first element is the primary prediction (used when a single
-        phase ID must be produced); for ``last4``/``top4`` a match on
-        any element counts as correct.
-        """
-        if self._last is None:
-            return ()
-        if self.kind == "single":
-            return (self._last,)
-        if self.kind == "last4":
-            return tuple(reversed(self._recent))
-        count = 1 if self.kind == "top1" else 4
-        # The sort is stable: frequency ties keep first-seen order.
-        ranked = sorted(self._frequencies(), key=itemgetter(1), reverse=True)
-        return tuple(outcome for outcome, _ in ranked[:count])
-
-    # -- snapshot hooks -------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """JSON-safe entry state (outcome stores + confidence value)."""
-        return {
-            "last": self._last,
-            "recent": list(self._recent),
-            "freq": self._frequencies(),
-            "confidence": self.confidence.value,
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: dict, kind: str, confidence_bits: int
-    ) -> "ChangeEntry":
-        """Rebuild an entry from :meth:`export_state` output.
-
-        ``freq`` pairs are kept in first-seen order, which is what
-        breaks top-N frequency ties — restoring in the same order keeps
-        top-N predictions byte-identical.
-        """
-        entry = cls(kind, confidence_bits)
-        entry._last = state["last"]
-        entry._recent = tuple(int(v) for v in state["recent"])
-        counts = {
-            int(outcome): int(count) for outcome, count in state["freq"]
-        }
-        entry._freq = tuple(
-            value for pair in counts.items() for value in pair
-        )
-        entry.confidence.reset(int(state["confidence"]))
-        return entry
+    The first element is the primary prediction (used when a single
+    phase ID must be produced); for ``last4``/``top4`` a match on any
+    element counts as correct.
+    """
+    if not recent:
+        return ()
+    if kind == "single":
+        return recent[-1:]
+    if kind == "last4":
+        return recent[::-1]
+    count = 1 if kind == "top1" else 4
+    # The sort is stable: frequency ties keep first-seen order.
+    ranked = sorted(
+        zip(freq[::2], freq[1::2]), key=itemgetter(1), reverse=True
+    )
+    return tuple(outcome for outcome, _ in ranked[:count])
 
 
 @dataclass(frozen=True)
@@ -151,23 +109,34 @@ class ChangePredictorBase:
 
     Subclasses define the table key via :meth:`change_key` (used when a
     run has just completed) and :meth:`running_key` (used mid-run for
-    next-interval prediction). The stream of classified phase IDs is
-    fed through :meth:`observe`.
+    next-interval prediction), both flat int tuples of ``key_shape``.
+    The stream of classified phase IDs is fed through :meth:`advance`.
+
+    A table way holds its key, three payload fields and its LRU stamp:
+    the entry's recent outcomes and outcome counts (see
+    :func:`record_outcome`) and its confidence, an int saturating at
+    ``2**confidence_bits - 1`` and trusted from one below that (from 1
+    for a 1-bit counter).
 
     Parameters
     ----------
+    key_shape:
+        The shape of the subclass's keys.
     entries / assoc:
         Prediction table geometry (32 entries, 4-way in the paper).
     entry_kind:
         Outcome-store variant; see module docstring.
     use_confidence:
-        Gate predictions on the per-entry 1-bit confidence counter.
+        Gate predictions on the per-entry confidence counter.
+    confidence_bits:
+        Width of the per-entry confidence counter (1 in the paper).
     history_depth:
         Bound on retained run history (must cover the key depth).
     """
 
     def __init__(
         self,
+        key_shape: KeyShape,
         entries: int = 32,
         assoc: int = 4,
         entry_kind: str = "single",
@@ -179,25 +148,34 @@ class ChangePredictorBase:
             raise ConfigurationError(
                 f"history_depth must be >= 1, got {history_depth}"
             )
-        self.table: AssociativeTable[ChangeEntry] = AssociativeTable(
-            entries=entries, assoc=assoc
-        )
-        self.entry_kind = entry_kind
         if entry_kind not in ENTRY_KINDS:
             raise ConfigurationError(
                 f"entry_kind must be one of {ENTRY_KINDS}, got {entry_kind!r}"
             )
+        if not 1 <= confidence_bits <= 30:
+            raise ConfigurationError(
+                f"confidence_bits must be in [1, 30], got {confidence_bits}"
+            )
+        self.key_shape = key_shape
+        self.table = AssociativeTable(
+            entries=entries, assoc=assoc, fields=3,
+            describe=key_shape.describe,
+        )
+        self._recent, self._freq, self._confidence = self.table.columns
+        self.entry_kind = entry_kind
         self.use_confidence = use_confidence
         self.confidence_bits = confidence_bits
+        self._confidence_max = (1 << confidence_bits) - 1
+        self._confidence_threshold = max(self._confidence_max - 1, 1)
         self.history_depth = history_depth
-        # Completed runs, oldest first: (phase_id, run_length).
-        self._runs: List[Tuple[int, int]] = []
+        # Completed runs, oldest first, flat: phase, length, phase, ...
+        self._runs: List[int] = []
         self._current_phase: Optional[int] = None
         self._current_run = 0
 
     # -- key construction (subclass responsibility) -------------------------
 
-    def change_key(self) -> Optional[Hashable]:
+    def change_key(self) -> Optional[Key]:
         """Key for the change that ends the just-completed run.
 
         Called immediately after the completed run has been pushed to
@@ -205,7 +183,7 @@ class ChangePredictorBase:
         """
         raise NotImplementedError
 
-    def running_key(self) -> Optional[Hashable]:
+    def running_key(self) -> Optional[Key]:
         """Key for next-interval prediction mid-run (ongoing run
         included with its length so far)."""
         raise NotImplementedError
@@ -223,7 +201,7 @@ class ChangePredictorBase:
     @property
     def completed_runs(self) -> List[Tuple[int, int]]:
         """Retained completed (phase, length) runs, oldest first."""
-        return list(self._runs)
+        return list(zip(self._runs[0::2], self._runs[1::2]))
 
     def advance(self, phase_id: int) -> PhaseObservation:
         """Advance history with one classified interval.
@@ -242,8 +220,10 @@ class ChangePredictorBase:
             self._current_run += 1
             return PhaseObservation(phase_id=phase_id, phase_changed=False)
         completed = (self._current_phase, self._current_run)
-        self._runs.append(completed)
-        self._runs = self._runs[-self.history_depth:]
+        runs = self._runs
+        runs += completed
+        if len(runs) > 2 * self.history_depth:
+            del runs[:len(runs) - 2 * self.history_depth]
         self._current_phase = phase_id
         self._current_run = 1
         return PhaseObservation(
@@ -252,34 +232,48 @@ class ChangePredictorBase:
 
     # -- prediction -----------------------------------------------------------
 
-    def _lookup(self, key: Optional[Hashable]) -> ChangePrediction:
-        if key is None:
+    def confident(self, slot: int) -> bool:
+        """Whether the way in ``slot`` passes the confidence gate
+        (always, without table confidence)."""
+        return (
+            not self.use_confidence
+            or self._confidence[slot] >= self._confidence_threshold
+        )
+
+    def lookup(self, key: Optional[Key]) -> ChangePrediction:
+        slot = self.table.lookup(key) if key is not None else None
+        if slot is None:
             return ChangePrediction(outcomes=(), confident=False, hit=False)
-        entry = self.table.lookup(key)
-        if entry is None:
-            return ChangePrediction(outcomes=(), confident=False, hit=False)
-        confident = entry.confidence.confident if self.use_confidence else True
         return ChangePrediction(
-            outcomes=entry.predicted_outcomes(),
-            confident=confident,
+            outcomes=predicted_outcomes(
+                self.entry_kind, self._recent[slot], self._freq[slot]
+            ),
+            confident=self.confident(slot),
             hit=True,
         )
 
     def predict_change(self) -> ChangePrediction:
         """Predict the outcome of the change ending the completed run.
 
-        Valid immediately after :meth:`observe` returned a completed
+        Valid immediately after :meth:`advance` reported a completed
         run — i.e. at a phase-change point, keyed by the completed run.
         """
-        return self._lookup(self.change_key())
+        return self.lookup(self.change_key())
 
     def predict_next(self) -> ChangePrediction:
         """Predict mid-run whether/where the next interval changes phase."""
-        return self._lookup(self.running_key())
+        return self.lookup(self.running_key())
 
     # -- training ---------------------------------------------------------------
 
-    def train_change(self, key: Optional[Hashable], actual: int) -> None:
+    def _record_confidence(self, slot: int, correct: bool) -> None:
+        value = self._confidence[slot]
+        self._confidence[slot] = (
+            min(value + 1, self._confidence_max) if correct
+            else max(value - 1, 0)
+        )
+
+    def train_change(self, key: Optional[Key], actual: int) -> None:
         """Train the table with an observed change outcome.
 
         Follows §5.2.3: entries are only inserted on a phase change; an
@@ -288,23 +282,32 @@ class ChangePredictorBase:
         """
         if key is None:
             return
-        entry = self.table.lookup(key)
-        if entry is None:
-            entry = ChangeEntry(self.entry_kind, self.confidence_bits)
-            entry.record_outcome(actual)
-            self.table.insert(key, entry)
+        slot = self.table.lookup(key)
+        if slot is None:
+            self.table.insert(key, (actual,), (actual, 1), 0)
             return
-        was_correct = actual in entry.predicted_outcomes()
-        entry.confidence.record(was_correct)
-        entry.record_outcome(actual)
+        recent, freq = self._recent[slot], self._freq[slot]
+        self._record_confidence(
+            slot, actual in predicted_outcomes(self.entry_kind, recent, freq)
+        )
+        self._recent[slot], self._freq[slot] = record_outcome(
+            recent, freq, actual
+        )
 
-    def note_same_phase(self, key: Optional[Hashable]) -> None:
+    def note_same_phase(self, key: Optional[Key]) -> None:
         """§5.2.3 removal rule: a tag hit predicted a change, but the
         phase did not change — drop the entry, since last-value would
         have been correct."""
         if key is None:
             return
         self.table.remove(key)
+
+    def demote(self, key: Optional[Key]) -> None:
+        """Count one wrong prediction against ``key``'s entry, if it is
+        present, without touching LRU state."""
+        slot = self.table.peek(key) if key is not None else None
+        if slot is not None:
+            self._record_confidence(slot, False)
 
     # -- lifecycle / snapshot hooks -------------------------------------------
 
@@ -329,29 +332,85 @@ class ChangePredictorBase:
             "use_confidence": self.use_confidence,
         }
 
+    @staticmethod
+    def _encode_entry(
+        recent: Tuple[int, ...], freq: Tuple[int, ...], confidence: int
+    ) -> dict:
+        return {
+            "last": recent[-1] if recent else None,
+            "recent": list(recent),
+            "freq": list(zip(freq[::2], freq[1::2])),
+            "confidence": confidence,
+        }
+
+    def _decode_entry(
+        self, state: dict
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+        """An entry's fields from :meth:`_encode_entry` output.
+
+        ``freq`` pairs are kept in first-seen order, which is what
+        breaks top-N frequency ties — restoring in the same order keeps
+        top-N predictions byte-identical. An entry's last outcome is
+        its newest recent one, so a snapshot whose ``last`` disagrees
+        is refused, as is one with more than four recent outcomes.
+        """
+        recent = tuple(int(value) for value in state["recent"])
+        if len(recent) > RECENT_OUTCOMES:
+            raise SnapshotError(
+                f"change entry has {len(recent)} recent outcomes, at most "
+                f"{RECENT_OUTCOMES} are kept"
+            )
+        if state["last"] != (recent[-1] if recent else None):
+            raise SnapshotError(
+                f"change entry's last outcome {state['last']!r} is not its "
+                "newest recent outcome"
+            )
+        counts = {
+            int(outcome): int(count) for outcome, count in state["freq"]
+        }
+        confidence = int(state["confidence"])
+        if not 0 <= confidence <= self._confidence_max:
+            raise ConfigurationError(
+                f"confidence {confidence} out of range for "
+                f"{self.confidence_bits} bits"
+            )
+        return (
+            recent,
+            tuple(value for pair in counts.items() for value in pair),
+            confidence,
+        )
+
     def export_state(self) -> dict:
         """JSON-safe predictor state (history + prediction table)."""
+        runs = self._runs
         return {
-            "runs": [[phase, length] for phase, length in self._runs],
+            "runs": [
+                [runs[index], runs[index + 1]]
+                for index in range(0, len(runs), 2)
+            ],
             "current_phase": self._current_phase,
             "current_run": self._current_run,
             "table": self.table.export_state(
-                lambda entry: entry.export_state()
+                self.key_shape.nest, self._encode_entry
             ),
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore state captured by :meth:`export_state` onto a
-        predictor constructed with the same configuration."""
-        self._runs = [
-            (int(phase), int(length)) for phase, length in state["runs"]
+        predictor constructed with the same configuration.
+
+        Raises :class:`~repro.errors.SnapshotError` for a table the
+        predictor could not have built: see
+        :meth:`AssociativeTable.restore_state`, :meth:`KeyShape.flatten`
+        and :meth:`_decode_entry`.
+        """
+        runs = [
+            int(value) for phase, length in state["runs"]
+            for value in (phase, length)
         ]
-        self._current_phase = state["current_phase"]
+        self._runs[:] = runs[max(0, len(runs) - 2 * self.history_depth):]
+        self._current_phase = phase_or_none(state["current_phase"])
         self._current_run = int(state["current_run"])
         self.table.restore_state(
-            state["table"],
-            lambda raw: ChangeEntry.from_state(
-                raw, self.entry_kind, self.confidence_bits
-            ),
-            tuple_key,
+            state["table"], self.key_shape.flatten, self._decode_entry
         )

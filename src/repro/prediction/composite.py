@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.errors import PredictionError
-from repro.prediction.assoc_table import tuple_key
-from repro.prediction.change_base import ChangePrediction, ChangePredictorBase
+from repro.errors import PredictionError, SnapshotError
+from repro.prediction.change_base import ChangePredictorBase, Key
 from repro.prediction.last_value import LastValuePredictor
 
 #: Figure 7 stacked-bar categories, in display order.
@@ -136,10 +135,17 @@ class CompositePhasePredictor:
 
     def predict(self) -> NextPhasePrediction:
         """Predict the phase of the next interval."""
+        predictor = self.change_predictor
+        return self._predict(
+            predictor.running_key() if predictor is not None else None
+        )
+
+    def _predict(self, key: Optional[Key]) -> NextPhasePrediction:
+        """The prediction for the change predictor's running ``key``."""
         lv = self.last_value.predict()
         table_hit = False
-        if self.change_predictor is not None:
-            change: ChangePrediction = self.change_predictor.predict_next()
+        if key is not None:
+            change = self.change_predictor.lookup(key)
             table_hit = change.hit
             if change.hit and change.confident and change.primary is not None:
                 return NextPhasePrediction(
@@ -219,7 +225,11 @@ class CompositePhasePredictor:
             "pending": (
                 asdict(self._pending) if self._pending is not None else None
             ),
-            "pending_key": self._pending_key,
+            "pending_key": (
+                self.change_predictor.key_shape.nest(self._pending_key)
+                if self._pending_key is not None
+                else None
+            ),
             "seeded": self._seeded,
         }
 
@@ -246,18 +256,27 @@ class CompositePhasePredictor:
         self._pending = (
             NextPhasePrediction(**pending) if pending is not None else None
         )
-        self._pending_key = tuple_key(state["pending_key"])
+        pending_key = state["pending_key"]
+        if pending_key is not None and self.change_predictor is None:
+            raise SnapshotError(
+                "snapshot has a pending table key but no change predictor"
+            )
+        self._pending_key = (
+            self.change_predictor.key_shape.flatten(pending_key)
+            if pending_key is not None
+            else None
+        )
         self._seeded = bool(state["seeded"])
 
     # -- internals ----------------------------------------------------------
 
     def _prepare_prediction(self) -> None:
-        self._pending = self.predict()
-        self._pending_key = (
-            self.change_predictor.running_key()
-            if self.change_predictor is not None
-            else None
-        )
+        # One running key per boundary: it is looked up now, and kept
+        # for the early-fire rule at the next boundary.
+        predictor = self.change_predictor
+        key = predictor.running_key() if predictor is not None else None
+        self._pending = self._predict(key)
+        self._pending_key = key
 
     def _evaluate(
         self, prediction: NextPhasePrediction, actual: int
@@ -289,17 +308,12 @@ class CompositePhasePredictor:
     def _punish_early_fire(self) -> None:
         predictor = self.change_predictor
         assert predictor is not None
-        key = self._pending_key
-        if key is None:
-            return
         if not predictor.use_confidence:
-            predictor.note_same_phase(key)
+            predictor.note_same_phase(self._pending_key)
             return
         # With table confidence, an early fire demotes the entry rather
         # than removing it: the entry may still be right about *what*
         # the next phase is, just not about when. Removal is reserved
         # for the no-confidence configuration, where a surviving early
         # firer would mispredict on every interval of a stable run.
-        entry = predictor.table.peek(key)
-        if entry is not None:
-            entry.confidence.record(False)
+        predictor.demote(self._pending_key)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import PredictionError
-from repro.prediction.counters import ConfidenceCounter
+from repro.errors import ConfigurationError, PredictionError
 from repro.prediction.protocol import PhaseObservation
 
 
@@ -43,24 +42,27 @@ class LastValuePredictor:
         confidence_bits: int = 3,
         confidence_threshold: int = 6,
     ) -> None:
+        if not 1 <= confidence_bits <= 30:
+            raise ConfigurationError(
+                f"confidence_bits must be in [1, 30], got {confidence_bits}"
+            )
+        if not 0 <= confidence_threshold <= (1 << confidence_bits) - 1:
+            raise ConfigurationError(
+                f"threshold {confidence_threshold} out of range for "
+                f"{confidence_bits} bits"
+            )
         self.use_confidence = use_confidence
         self.confidence_bits = confidence_bits
         self.confidence_threshold = confidence_threshold
-        self._counters: Dict[int, ConfidenceCounter] = {}
+        self._confidence_max = (1 << confidence_bits) - 1
+        # Phase ID -> saturating counter value, in first-use order.
+        # "Whenever a new entry is added to the phase ID signature
+        # table, we reset the associated confidence counter": a phase
+        # first used starts at 0.
+        self._counters: Dict[int, int] = {}
         self._current: Optional[int] = None
         self.predictions = 0
         self.correct = 0
-
-    def _counter_for(self, phase_id: int) -> ConfidenceCounter:
-        counter = self._counters.get(phase_id)
-        if counter is None:
-            # "Whenever a new entry is added to the phase ID signature
-            # table, we reset the associated confidence counter."
-            counter = ConfidenceCounter(
-                self.confidence_bits, threshold=self.confidence_threshold
-            )
-            self._counters[phase_id] = counter
-        return counter
 
     def predict(self) -> LastValuePrediction:
         """Predict the next interval's phase.
@@ -73,7 +75,8 @@ class LastValuePredictor:
                 "last-value predictor has not observed any interval yet"
             )
         confident = (
-            self._counter_for(self._current).confident
+            self._counters.setdefault(self._current, 0)
+            >= self.confidence_threshold
             if self.use_confidence
             else True
         )
@@ -87,13 +90,17 @@ class LastValuePredictor:
         only seeds the last value.
         """
         changed = False
-        if self._current is not None:
-            correct = phase_id == self._current
+        current = self._current
+        if current is not None:
+            correct = phase_id == current
             changed = not correct
             self.predictions += 1
+            value = self._counters.get(current, 0)
             if correct:
                 self.correct += 1
-            self._counter_for(self._current).record(correct)
+                self._counters[current] = min(value + 1, self._confidence_max)
+            else:
+                self._counters[current] = max(value - 1, 0)
         self._current = phase_id
         return PhaseObservation(phase_id=phase_id, phase_changed=changed)
 
@@ -115,8 +122,7 @@ class LastValuePredictor:
         """JSON-safe predictor state."""
         return {
             "counters": [
-                [phase, counter.value]
-                for phase, counter in self._counters.items()
+                [phase, value] for phase, value in self._counters.items()
             ],
             "current": self._current,
             "predictions": self.predictions,
@@ -128,7 +134,13 @@ class LastValuePredictor:
         predictor constructed with the same configuration."""
         self.reset()
         for phase, value in state["counters"]:
-            self._counter_for(int(phase)).reset(int(value))
+            value = int(value)
+            if not 0 <= value <= self._confidence_max:
+                raise ConfigurationError(
+                    f"confidence {value} out of range for "
+                    f"{self.confidence_bits} bits"
+                )
+            self._counters[int(phase)] = value
         self._current = state["current"]
         self.predictions = int(state["predictions"])
         self.correct = int(state["correct"])

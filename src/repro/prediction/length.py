@@ -17,10 +17,14 @@ a row, filtering noise in the phase lengths of complex programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.prediction.assoc_table import AssociativeTable, tuple_key
+from repro.prediction.assoc_table import (
+    AssociativeTable,
+    KeyShape,
+    phase_or_none,
+)
 from repro.prediction.protocol import PhaseObservation
 
 #: Inclusive lower bounds of the four run-length classes (in intervals).
@@ -42,32 +46,17 @@ def length_class(run_length: int) -> int:
     raise AssertionError("unreachable: bounds start at 1")
 
 
-@dataclass(init=False)
-class _LengthEntry:
-    """Predicted class + two-in-a-row hysteresis latch (slotted; the
-    default lives in ``__init__``, as for ``TableEntry``)."""
-
-    __slots__ = ("predicted_class", "pending_class")
-
-    predicted_class: int
-    pending_class: Optional[int]
-
-    def __init__(
-        self, predicted_class: int, pending_class: Optional[int] = None
-    ) -> None:
-        self.predicted_class = predicted_class
-        self.pending_class = pending_class
-
-    def train(self, observed_class: int) -> None:
-        """Update with hysteresis: a differing class must repeat twice."""
-        if observed_class == self.predicted_class:
-            self.pending_class = None
-            return
-        if self.pending_class == observed_class:
-            self.predicted_class = observed_class
-            self.pending_class = None
-        else:
-            self.pending_class = observed_class
+def train_length(
+    predicted_class: int, pending_class: Optional[int], observed_class: int
+) -> Tuple[int, Optional[int]]:
+    """An entry's (predicted class, hysteresis latch) after observing
+    ``observed_class``: a differing class must repeat twice in a row
+    to replace the prediction."""
+    if observed_class == predicted_class:
+        return predicted_class, None
+    if pending_class == observed_class:
+        return observed_class, None
+    return predicted_class, observed_class
 
 
 @dataclass
@@ -129,10 +118,11 @@ class LengthPredictionStats:
 class PhaseLengthPredictor:
     """RLE-2-indexed run-length-class predictor with hysteresis.
 
-    Drive with :meth:`observe` per classified interval; statistics
+    Drive with :meth:`advance` per classified interval; statistics
     accumulate in :attr:`stats`. The predictor predicts, at each phase
     change, the length class of the phase being *entered*; the
-    prediction is scored once that phase's run completes.
+    prediction is scored once that phase's run completes. A table way
+    holds its RLE key, the predicted class and the hysteresis latch.
     """
 
     def __init__(
@@ -141,23 +131,30 @@ class PhaseLengthPredictor:
         if depth < 1:
             raise ConfigurationError(f"depth must be >= 1, got {depth}")
         self.depth = depth
-        self.table: AssociativeTable[_LengthEntry] = AssociativeTable(
-            entries=entries, assoc=assoc
+        self.key_shape = KeyShape("rle-len", depth, 2)
+        self.table = AssociativeTable(
+            entries=entries, assoc=assoc, fields=2,
+            describe=self.key_shape.describe,
         )
+        self._predicted, self._pending = self.table.columns
         self.stats = LengthPredictionStats()
         self._class_histogram = [0] * len(LENGTH_CLASS_BOUNDS)
-        self._runs: List[Tuple[int, int]] = []
+        # Completed runs, oldest first, flat: phase, length, phase, ...
+        self._runs: List[int] = []
         self._current_phase: Optional[int] = None
         self._current_run = 0
         # Prediction outstanding for the currently running phase:
         # (key, predicted_class or None on tag miss).
-        self._outstanding: Optional[Tuple[Hashable, Optional[int]]] = None
+        self._outstanding: Optional[
+            Tuple[Tuple[int, ...], Optional[int]]
+        ] = None
 
-    def _key(self) -> Optional[Hashable]:
+    def _key(self) -> Optional[Tuple[int, ...]]:
         """RLE-depth key over the completed runs (newest last)."""
-        if len(self._runs) < self.depth:
+        size = 2 * self.depth
+        if len(self._runs) < size:
             return None
-        return ("rle-len", self.depth, tuple(self._runs[-self.depth:]))
+        return tuple(self._runs[len(self._runs) - size:])
 
     @property
     def outstanding_prediction(self) -> Optional[int]:
@@ -193,22 +190,27 @@ class PhaseLengthPredictor:
             )
             self.stats.record(predicted, actual_class,
                               fallback_class=fallback)
-            entry = self.table.lookup(key)
-            if entry is None:
-                self.table.insert(key, _LengthEntry(actual_class))
+            slot = self.table.lookup(key)
+            if slot is None:
+                self.table.insert(key, actual_class, None)
             else:
-                entry.train(actual_class)
+                self._predicted[slot], self._pending[slot] = train_length(
+                    self._predicted[slot], self._pending[slot], actual_class
+                )
         self._class_histogram[actual_class] += 1
-        self._runs.append(completed)
-        self._runs = self._runs[-(self.depth + 2):]
+        runs = self._runs
+        runs += completed
+        if len(runs) > 2 * (self.depth + 2):
+            del runs[:len(runs) - 2 * (self.depth + 2)]
 
         # Predict the length class of the phase we are entering, keyed
         # by the RLE history that ends with the completed run.
         key = self._key()
         if key is not None:
-            entry = self.table.peek(key)
-            predicted = entry.predicted_class if entry is not None else None
-            self._outstanding = (key, predicted)
+            slot = self.table.peek(key)
+            self._outstanding = (
+                key, self._predicted[slot] if slot is not None else None
+            )
         else:
             self._outstanding = None
 
@@ -233,9 +235,11 @@ class PhaseLengthPredictor:
 
     def export_state(self) -> dict:
         """JSON-safe full predictor state."""
+        runs = self._runs
         return {
             "table": self.table.export_state(
-                lambda entry: [entry.predicted_class, entry.pending_class]
+                self.key_shape.nest,
+                lambda predicted, pending: [predicted, pending],
             ),
             "stats": {
                 "predictions": self.stats.predictions,
@@ -248,11 +252,15 @@ class PhaseLengthPredictor:
                 ],
             },
             "class_histogram": list(self._class_histogram),
-            "runs": [[phase, length] for phase, length in self._runs],
+            "runs": [
+                [runs[index], runs[index + 1]]
+                for index in range(0, len(runs), 2)
+            ],
             "current_phase": self._current_phase,
             "current_run": self._current_run,
             "outstanding": (
-                [self._outstanding[0], self._outstanding[1]]
+                [self.key_shape.nest(self._outstanding[0]),
+                 self._outstanding[1]]
                 if self._outstanding is not None
                 else None
             ),
@@ -260,14 +268,15 @@ class PhaseLengthPredictor:
 
     def restore_state(self, state: dict) -> None:
         """Restore state captured by :meth:`export_state` onto a
-        predictor constructed with the same configuration."""
+        predictor constructed with the same configuration. A key not
+        of this predictor's shape, and a table it could not have
+        built, raise :class:`~repro.errors.SnapshotError`."""
         self.table.restore_state(
             state["table"],
-            lambda raw: _LengthEntry(
-                predicted_class=int(raw[0]),
-                pending_class=raw[1] if raw[1] is None else int(raw[1]),
+            self.key_shape.flatten,
+            lambda raw: (
+                int(raw[0]), raw[1] if raw[1] is None else int(raw[1])
             ),
-            tuple_key,
         )
         stats = state["stats"]
         self.stats = LengthPredictionStats(
@@ -280,14 +289,17 @@ class PhaseLengthPredictor:
             },
         )
         self._class_histogram = [int(v) for v in state["class_histogram"]]
-        self._runs = [
-            (int(phase), int(length)) for phase, length in state["runs"]
+        runs = [
+            int(value) for phase, length in state["runs"]
+            for value in (phase, length)
         ]
-        self._current_phase = state["current_phase"]
+        keep = 2 * (self.depth + 2)
+        self._runs[:] = runs[max(0, len(runs) - keep):]
+        self._current_phase = phase_or_none(state["current_phase"])
         self._current_run = int(state["current_run"])
         outstanding = state["outstanding"]
         self._outstanding = (
-            (tuple_key(outstanding[0]),
+            (self.key_shape.flatten(outstanding[0]),
              None if outstanding[1] is None else int(outstanding[1]))
             if outstanding is not None
             else None

@@ -8,14 +8,17 @@ Markov-2" bar of Figure 8.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.prediction.change_base import ChangePredictorBase
+from repro.prediction.assoc_table import KeyShape
+from repro.prediction.change_base import ChangePredictorBase, Key
 
 
 class MarkovChangePredictor(ChangePredictorBase):
     """Phase-change predictor indexed by the last N unique phase IDs.
+
+    Its key is the tuple of those N IDs, oldest first.
 
     Parameters
     ----------
@@ -37,6 +40,7 @@ class MarkovChangePredictor(ChangePredictorBase):
         if order < 1:
             raise ConfigurationError(f"order must be >= 1, got {order}")
         super().__init__(
+            KeyShape("markov", order, 1),
             entries=entries,
             assoc=assoc,
             entry_kind=entry_kind,
@@ -53,32 +57,24 @@ class MarkovChangePredictor(ChangePredictorBase):
         kwargs["order"] = self.order
         return kwargs
 
-    def _unique_history(
-        self, include_current: bool
-    ) -> Optional[Tuple[int, ...]]:
+    def _unique_history(self, include_current: bool) -> Optional[Key]:
         """The last N unique phase IDs, oldest first.
 
         ``include_current`` appends the ongoing run's phase (mid-run
         keys); otherwise the newest ID is the most recently *completed*
         run's phase (change-time keys).
         """
-        ids = [phase for phase, _ in self._runs]
+        ids = self._runs[0::2]
         if include_current and self._current_phase is not None:
             ids.append(self._current_phase)
         if len(ids) < self.order:
             return None
-        return tuple(ids[-self.order:])
+        return tuple(ids[len(ids) - self.order:])
 
-    def change_key(self) -> Optional[Hashable]:
-        # After observe() pushed the completed run, the completed run's
+    def change_key(self) -> Optional[Key]:
+        # After advance() pushed the completed run, the completed run's
         # phase is the newest element of the unique-ID history.
-        history = self._unique_history(include_current=False)
-        if history is None:
-            return None
-        return ("markov", self.order, history)
+        return self._unique_history(include_current=False)
 
-    def running_key(self) -> Optional[Hashable]:
-        history = self._unique_history(include_current=True)
-        if history is None:
-            return None
-        return ("markov", self.order, history)
+    def running_key(self) -> Optional[Key]:
+        return self._unique_history(include_current=True)

@@ -10,14 +10,18 @@ change was previously observed.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.prediction.change_base import ChangePredictorBase
+from repro.prediction.assoc_table import KeyShape
+from repro.prediction.change_base import ChangePredictorBase, Key
 
 
 class RLEChangePredictor(ChangePredictorBase):
     """Phase-change predictor indexed by run-length-encoded history.
+
+    Its key is the flat tuple ``(phase, length) * depth`` of the newest
+    ``depth`` runs, oldest first.
 
     Parameters
     ----------
@@ -39,6 +43,7 @@ class RLEChangePredictor(ChangePredictorBase):
         if depth < 1:
             raise ConfigurationError(f"depth must be >= 1, got {depth}")
         super().__init__(
+            KeyShape("rle", depth, 2),
             entries=entries,
             assoc=assoc,
             entry_kind=entry_kind,
@@ -55,22 +60,22 @@ class RLEChangePredictor(ChangePredictorBase):
         kwargs["depth"] = self.depth
         return kwargs
 
-    def _key_from_pairs(
-        self, pairs: Tuple[Tuple[int, int], ...]
-    ) -> Optional[Hashable]:
-        if len(pairs) < self.depth:
-            return None
-        return ("rle", self.depth, pairs[-self.depth:])
-
-    def change_key(self) -> Optional[Hashable]:
-        # After observe() pushed the completed run, the RLE history's
+    def change_key(self) -> Optional[Key]:
+        # After advance() pushed the completed run, the RLE history's
         # newest pair is the run the change just ended.
-        return self._key_from_pairs(tuple(self._runs))
+        size = 2 * self.depth
+        runs = self._runs
+        if len(runs) < size:
+            return None
+        return tuple(runs[len(runs) - size:])
 
-    def running_key(self) -> Optional[Hashable]:
+    def running_key(self) -> Optional[Key]:
         if self._current_phase is None:
             return None
-        pairs = tuple(self._runs) + (
-            (self._current_phase, self._current_run),
+        size = 2 * (self.depth - 1)
+        runs = self._runs
+        if len(runs) < size:
+            return None
+        return tuple(runs[len(runs) - size:]) + (
+            self._current_phase, self._current_run,
         )
-        return self._key_from_pairs(pairs)

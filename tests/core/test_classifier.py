@@ -211,9 +211,9 @@ class TestAdaptiveThresholds:
             interval_a(cpi=2.0, seed=3, jitter=0.02)
         )
         assert result.threshold_tightened
-        entry = classifier.table.entries[0]
-        assert entry.similarity_threshold == pytest.approx(0.125)
-        assert entry.cpi_count == 0  # stats cleared
+        table = classifier.table
+        assert table.thresholds[0] == pytest.approx(0.125)
+        assert table.cpi_counts[0] == 0  # stats cleared
 
     def test_small_deviation_updates_average(self):
         classifier = PhaseClassifier(
@@ -225,8 +225,7 @@ class TestAdaptiveThresholds:
             interval_a(cpi=1.1, seed=2, jitter=0.02)
         )
         assert not result.threshold_tightened
-        entry = classifier.table.entries[0]
-        assert entry.cpi_count == 2
+        assert classifier.table.cpi_counts[0] == 2
 
     def test_transition_intervals_skip_feedback(self):
         classifier = PhaseClassifier(
@@ -251,9 +250,7 @@ class TestAdaptiveThresholds:
         classifier = PhaseClassifier(config(perf_dev_threshold=0.25))
         classifier.classify_interval(interval_a(cpi=1.0))
         classifier.notify_reconfiguration()
-        assert all(
-            entry.cpi_count == 0 for entry in classifier.table.entries
-        )
+        assert classifier.table.cpi_counts == [0] * len(classifier.table)
 
     def test_tightened_threshold_splits_phase(self):
         # After tightening, a moderately different signature no longer

@@ -45,8 +45,8 @@ class TestAdaptiveTransitionInteraction:
             classifier.classify_interval(
                 interval_for(PCS_A, cpi=cpi, seed=seed, jitter=0.02)
             )
-        entry = classifier.table.entries[0]
-        assert entry.cpi_count == 0  # still in transition
+        table = classifier.table
+        assert table.cpi_counts[0] == 0  # still in transition
 
         # First stable interval seeds the average cleanly.
         result = classifier.classify_interval(
@@ -54,7 +54,7 @@ class TestAdaptiveTransitionInteraction:
         )
         assert not result.is_transition
         assert not result.threshold_tightened
-        assert entry.cpi_mean == pytest.approx(2.0)
+        assert table.cpi_means[0] == pytest.approx(2.0)
 
     def test_repeated_tightening_halves_each_time(self):
         classifier = PhaseClassifier(
@@ -65,9 +65,8 @@ class TestAdaptiveTransitionInteraction:
             classifier.classify_interval(
                 interval_for(PCS_A, cpi=cpi, seed=seed, jitter=0.01)
             )
-        entry = classifier.table.entries[0]
         # Two tightenings: 0.25 -> 0.125 -> 0.0625.
-        assert entry.similarity_threshold == pytest.approx(0.0625)
+        assert classifier.table.thresholds[0] == pytest.approx(0.0625)
 
     def test_notify_reconfiguration_prevents_false_tightening(self):
         classifier = PhaseClassifier(config(perf_dev_threshold=0.25))

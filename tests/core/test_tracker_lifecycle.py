@@ -143,13 +143,14 @@ class TestCpiRefusal:
         stable = ([4096, 4100], [500, 500])
         for _ in range(12):
             tracker.observe_batch(*stable, cpi=1.0)
-        (entry,) = tracker.classifier.table.entries
-        assert entry.phase_id is not None
+        table = tracker.classifier.table
+        assert len(table) == 1
+        assert table.phase_ids[0] is not None
         with pytest.raises(ValueError):
             tracker.observe_batch(*stable, cpi=float("nan"))
         for _ in range(5):
             tracker.observe_batch(*stable, cpi=50.0)
-        assert entry.similarity_threshold == 0.125
+        assert table.thresholds[0] == 0.125
 
 
 class TestReportWireForm:

@@ -3,11 +3,21 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.prediction.assoc_table import KeyShape
 from repro.prediction.change_base import (
-    ChangeEntry,
     ChangePrediction,
     ChangePredictorBase,
+    predicted_outcomes,
+    record_outcome,
 )
+
+
+def outcomes(kind, *seen):
+    """What an entry of ``kind`` predicts after ``seen`` outcomes."""
+    recent, freq = (), ()
+    for outcome in seen:
+        recent, freq = record_outcome(recent, freq, outcome)
+    return predicted_outcomes(kind, recent, freq)
 
 
 class TestChangePrediction:
@@ -28,33 +38,27 @@ class TestChangePrediction:
 
 class TestChangeEntryFrequencies:
     def test_top1_tie_broken_by_counter_order(self):
-        entry = ChangeEntry("top1")
-        entry.record_outcome(1)
-        entry.record_outcome(2)
         # Tie: broken by first-seen order.
-        assert entry.predicted_outcomes() == (1,)
-        entry.record_outcome(2)
-        assert entry.predicted_outcomes() == (2,)
+        assert outcomes("top1", 1, 2) == (1,)
+        assert outcomes("top1", 1, 2, 2) == (2,)
 
     def test_top4_fewer_than_four_outcomes(self):
-        entry = ChangeEntry("top4")
-        entry.record_outcome(7)
-        assert entry.predicted_outcomes() == (7,)
+        assert outcomes("top4", 7) == (7,)
 
     def test_last4_reorders_on_repeat(self):
-        entry = ChangeEntry("last4")
-        for outcome in (1, 2, 3, 1):
-            entry.record_outcome(outcome)
-        assert entry.predicted_outcomes()[0] == 1
+        assert outcomes("last4", 1, 2, 3, 1)[0] == 1
 
 
 class TestBaseHistoryBounds:
     class _Stub(ChangePredictorBase):
+        def __init__(self, **kwargs):
+            super().__init__(KeyShape("stub", 1, 2), **kwargs)
+
         def change_key(self):
-            return ("stub", tuple(self._runs))
+            return tuple(self._runs[-2:]) or None
 
         def running_key(self):
-            return ("stub-run", tuple(self._runs))
+            return (self._current_phase, self._current_run)
 
     def test_history_depth_enforced(self):
         predictor = self._Stub(history_depth=3)
@@ -76,7 +80,7 @@ class TestBaseHistoryBounds:
         predictor.advance(2)           # change 1 -> 2
         key = predictor.change_key()
         predictor.train_change(key, 2)
-        prediction = predictor._lookup(key)
+        prediction = predictor.lookup(key)
         assert prediction.hit
         assert prediction.matches(2)
 
@@ -86,8 +90,8 @@ class TestBaseHistoryBounds:
         predictor.advance(2)
         key = predictor.change_key()
         predictor.train_change(key, 2)       # insert
-        assert not predictor._lookup(key).confident
+        assert not predictor.lookup(key).confident
         predictor.train_change(key, 2)       # verified once
-        assert predictor._lookup(key).confident
+        assert predictor.lookup(key).confident
         predictor.train_change(key, 9)       # wrong: demoted
-        assert not predictor._lookup(key).confident
+        assert not predictor.lookup(key).confident

@@ -112,16 +112,16 @@ class TestWithChangePredictor:
         composite = CompositePhasePredictor(predictor)
         composite.run([1, 1, 2, 1, 1, 1, 1])
         # After the early fire, the (1,) entry must be gone.
-        assert predictor.table.peek(("markov", 1, (1,))) is None
+        assert predictor.table.peek((1,)) is None
 
     def test_early_fire_demotes_with_confidence(self):
         predictor = MarkovChangePredictor(1, use_confidence=True)
         composite = CompositePhasePredictor(predictor)
         composite.run([1, 1, 2, 1, 1, 1, 1])
-        entry = predictor.table.peek(("markov", 1, (1,)))
+        slot = predictor.table.peek((1,))
         # Entry survives but is not confident.
-        assert entry is not None
-        assert not entry.confidence.confident
+        assert slot is not None
+        assert not predictor.confident(slot)
 
     def test_step_returns_evaluated_prediction(self):
         composite = CompositePhasePredictor(None)

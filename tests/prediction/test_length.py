@@ -7,9 +7,19 @@ from repro.prediction.length import (
     LENGTH_CLASS_BOUNDS,
     LENGTH_CLASS_LABELS,
     PhaseLengthPredictor,
-    _LengthEntry,
     length_class,
+    train_length,
 )
+
+
+def trained(predicted_class, *observed):
+    """An entry's (predicted class, latch) after ``observed`` classes."""
+    pending_class = None
+    for observed_class in observed:
+        predicted_class, pending_class = train_length(
+            predicted_class, pending_class, observed_class
+        )
+    return predicted_class, pending_class
 
 
 class TestLengthClass:
@@ -32,30 +42,17 @@ class TestLengthClass:
 
 class TestHysteresis:
     def test_single_deviation_does_not_flip(self):
-        entry = _LengthEntry(predicted_class=0)
-        entry.train(1)
-        assert entry.predicted_class == 0
-        assert entry.pending_class == 1
+        assert trained(0, 1) == (0, 1)
 
     def test_two_in_a_row_flips(self):
-        entry = _LengthEntry(predicted_class=0)
-        entry.train(1)
-        entry.train(1)
-        assert entry.predicted_class == 1
-        assert entry.pending_class is None
+        assert trained(0, 1, 1) == (1, None)
 
     def test_interrupted_pending_resets(self):
-        entry = _LengthEntry(predicted_class=0)
-        entry.train(1)
-        entry.train(0)   # back to agreeing: pending cleared
-        entry.train(1)
-        assert entry.predicted_class == 0
+        # Back to agreeing in between: the pending class is cleared.
+        assert trained(0, 1, 0, 1)[0] == 0
 
     def test_alternating_noise_filtered(self):
-        entry = _LengthEntry(predicted_class=0)
-        for observed in (1, 0, 1, 0, 1, 0):
-            entry.train(observed)
-        assert entry.predicted_class == 0
+        assert trained(0, 1, 0, 1, 0, 1, 0)[0] == 0
 
 
 class TestPhaseLengthPredictor:

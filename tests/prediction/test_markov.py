@@ -3,8 +3,18 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.prediction.change_base import ChangeEntry
+from repro.prediction.change_base import predicted_outcomes, record_outcome
 from repro.prediction.markov import MarkovChangePredictor
+
+
+def change_key(predictor):
+    """The predictor's change key in its snapshot form."""
+    return predictor.key_shape.nest(predictor.change_key())
+
+
+def running_key(predictor):
+    """The predictor's running key in its snapshot form."""
+    return predictor.key_shape.nest(predictor.running_key())
 
 
 def feed(predictor, phase_ids, train=True):
@@ -38,18 +48,18 @@ class TestKeys:
     def test_change_key_uses_completed_run_phase(self):
         predictor = MarkovChangePredictor(1)
         feed(predictor, [1, 1, 2], train=False)
-        assert predictor.change_key() == ("markov", 1, (1,))
+        assert change_key(predictor) == ("markov", 1, (1,))
 
     def test_running_key_includes_current_phase(self):
         predictor = MarkovChangePredictor(1)
         feed(predictor, [1, 1, 2], train=False)
-        assert predictor.running_key() == ("markov", 1, (2,))
+        assert running_key(predictor) == ("markov", 1, (2,))
 
     def test_order2_key_has_two_unique_ids(self):
         predictor = MarkovChangePredictor(2)
         feed(predictor, [1, 1, 2, 2, 3], train=False)
-        assert predictor.change_key() == ("markov", 2, (1, 2))
-        assert predictor.running_key() == ("markov", 2, (2, 3))
+        assert change_key(predictor) == ("markov", 2, (1, 2))
+        assert running_key(predictor) == ("markov", 2, (2, 3))
 
     def test_key_none_with_shallow_history(self):
         predictor = MarkovChangePredictor(2)
@@ -89,12 +99,12 @@ class TestPrediction:
         predictor.advance(1)
         predictor.advance(1)
         key = predictor.running_key()
-        entry = predictor.table.peek(key)
-        assert entry is not None
-        assert not entry.confidence.confident
+        slot = predictor.table.peek(key)
+        assert slot is not None
+        assert not predictor.confident(slot)
         # A second correct observation of the change confirms it.
         predictor.train_change(key, 2)
-        assert entry.confidence.confident
+        assert predictor.confident(slot)
 
     def test_miss_returns_empty_prediction(self):
         predictor = MarkovChangePredictor(1)
@@ -105,41 +115,37 @@ class TestPrediction:
         assert prediction.primary is None
 
 
+def outcomes(kind, *seen):
+    """What an entry of ``kind`` predicts after ``seen`` outcomes."""
+    recent, freq = (), ()
+    for outcome in seen:
+        recent, freq = record_outcome(recent, freq, outcome)
+    return predicted_outcomes(kind, recent, freq)
+
+
 class TestEntryKinds:
     def test_single_keeps_latest(self):
-        entry = ChangeEntry("single")
-        entry.record_outcome(2)
-        entry.record_outcome(3)
-        assert entry.predicted_outcomes() == (3,)
+        assert outcomes("single", 2, 3) == (3,)
 
     def test_last4_keeps_unique_recent(self):
-        entry = ChangeEntry("last4")
-        for outcome in (1, 2, 3, 4, 5, 2):
-            entry.record_outcome(outcome)
-        outcomes = entry.predicted_outcomes()
-        assert outcomes[0] == 2           # most recent first
-        assert set(outcomes) == {2, 5, 4, 3}
+        predicted = outcomes("last4", 1, 2, 3, 4, 5, 2)
+        assert predicted[0] == 2          # most recent first
+        assert set(predicted) == {2, 5, 4, 3}
 
     def test_top1_most_frequent(self):
-        entry = ChangeEntry("top1")
-        for outcome in (1, 2, 2, 2, 3):
-            entry.record_outcome(outcome)
-        assert entry.predicted_outcomes() == (2,)
+        assert outcomes("top1", 1, 2, 2, 2, 3) == (2,)
 
     def test_top4_frequency_order(self):
-        entry = ChangeEntry("top4")
-        for outcome in (1, 1, 1, 2, 2, 3, 4, 4):
-            entry.record_outcome(outcome)
-        outcomes = entry.predicted_outcomes()
-        assert outcomes[0] == 1
-        assert len(outcomes) == 4
+        predicted = outcomes("top4", 1, 1, 1, 2, 2, 3, 4, 4)
+        assert predicted[0] == 1
+        assert len(predicted) == 4
 
     def test_empty_entry_predicts_nothing(self):
-        assert ChangeEntry("last4").predicted_outcomes() == ()
+        assert outcomes("last4") == ()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
-            ChangeEntry("top9")
+            MarkovChangePredictor(1, entry_kind="top9")
 
     def test_predictor_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError):

@@ -12,7 +12,6 @@ from repro.prediction import (
     PhaseObservation,
     PhasePredictor,
     RLEChangePredictor,
-    TournamentChangePredictor,
     change_predictor_from_spec,
 )
 from repro.errors import SnapshotError
@@ -23,9 +22,6 @@ ALL_PREDICTORS = [
     lambda: MarkovChangePredictor(1, entry_kind="top4"),
     lambda: PerfectMarkovPredictor(1),
     lambda: PhaseLengthPredictor(),
-    lambda: TournamentChangePredictor(
-        RLEChangePredictor(2), MarkovChangePredictor(1, entry_kind="top4")
-    ),
 ]
 
 

@@ -198,20 +198,19 @@ def test_best_match_is_the_list_reference(table_spec, normalizer, policy):
         capacity=None, default_threshold=1.0, normalizer=normalizer
     )
     for values, threshold in zip(rows, thresholds):
-        table.insert(Signature(values, bits=6)).similarity_threshold = (
-            threshold
-        )
+        row = table.insert(Signature(values, bits=6))
+        table.thresholds[row] = threshold
     probe = Signature(probe_values, bits=6)
 
     matches = table.find_matches(probe)
     expected = []
-    for entry in table.entries:
-        distance = relative_distance(entry.signature, probe, normalizer)
-        if distance <= entry.similarity_threshold:
-            expected.append((entry, distance))
-    assert [(id(e), d) for e, d in matches] == [
-        (id(e), d) for e, d in expected
-    ]
+    for row, (values, threshold) in enumerate(zip(rows, thresholds)):
+        distance = relative_distance(
+            Signature(values, bits=6), probe, normalizer
+        )
+        if distance <= threshold:
+            expected.append((row, distance))
+    assert matches == expected
 
     best = table.best_match(probe, policy)
     if not matches:
@@ -223,5 +222,4 @@ def test_best_match_is_the_list_reference(table_spec, normalizer, policy):
         matches[0] if policy == "first"
         else min(matches, key=lambda pair: pair[1])
     )
-    assert best[0] is reference[0]
-    assert best[1] == reference[1]
+    assert best == reference

@@ -152,10 +152,10 @@ class TestSignatureTableProperties:
         probe = Signature(signature_values[-1], bits=6)
         match = table.best_match(probe)
         if match is not None:
-            entry, distance = match
-            assert distance <= entry.similarity_threshold + 1e-12
+            row, distance = match
+            assert distance <= table.thresholds[row] + 1e-12
             assert distance == pytest.approx(
-                relative_distance(entry.signature, probe)
+                relative_distance(table.rows[row], probe)
             )
 
 

@@ -54,7 +54,7 @@ class TestAssociativeTableProperties:
         table = AssociativeTable(entries=8, assoc=2)
         for key in keys:
             table.insert(key, key * 2)
-            assert table.lookup(key) == key * 2
+            assert table.columns[0][table.lookup(key)] == key * 2
 
 
 class TestPredictorStreamProperties:

@@ -1,5 +1,8 @@
 """Tracker snapshot/restore: exactness, the envelope, failure modes."""
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -283,3 +286,161 @@ class TestUnrunnableSnapshotsRefused:
                 client.open_session(session="pending", snapshot=document)
             with pytest.raises(SessionNotFoundError):
                 client.observe("pending", [4096], [10])
+
+
+def _keys_in_set_zero(count, tag="rle", num_sets=8):
+    """``count`` depth-2 RLE keys, in snapshot form, that the set index
+    (crc32 of the nested key's repr, salted) puts in set 0."""
+    keys = []
+    phase = 1
+    while len(keys) < count:
+        for length in range(1, 64):
+            key = (tag, 2, ((phase, length), (phase + 1, 3)))
+            crc = zlib.crc32(repr(key).encode("utf-8"))
+            if (crc ^ 0x9E3779B9) % num_sets == 0:
+                keys.append(json.loads(json.dumps(key)))
+        phase += 1
+    return keys[:count]
+
+
+def _way(key, outcomes=(2,)):
+    """A change-table way in snapshot form."""
+    return [key, {
+        "last": outcomes[-1],
+        "recent": list(outcomes),
+        "freq": [[outcome, 1] for outcome in outcomes],
+        "confidence": 0,
+    }, 1]
+
+
+def _change_ways(state):
+    return state["next_phase"]["change_predictor"]["table"]["ways"]
+
+
+def _five_hundred_ways_in_one_set(state):
+    _change_ways(state)[:] = [_way(key) for key in _keys_in_set_zero(500)]
+
+
+def _five_ways_in_one_set(state):
+    _change_ways(state)[:] = [_way(key) for key in _keys_in_set_zero(5)]
+
+
+def _more_ways_than_the_table_holds(state):
+    _change_ways(state)[:] = [
+        _way(["rle", 2, [[phase, 1], [phase + 1, 1]]])
+        for phase in range(1, 34)
+    ]
+
+
+def _a_repeated_key(state):
+    key = ["rle", 2, [[1, 4], [2, 3]]]
+    _change_ways(state)[:] = [_way(key), _way(key)]
+
+
+def _a_markov_key_in_an_rle_table(state):
+    _change_ways(state)[:] = [_way(["markov", 1, [3]])]
+
+
+def _an_rle_key_of_another_depth(state):
+    _change_ways(state)[:] = [_way(["rle", 1, [[1, 4]]])]
+
+
+def _six_recent_outcomes(state):
+    _change_ways(state)[:] = [
+        _way(["rle", 2, [[1, 4], [2, 3]]], outcomes=(2, 3, 4, 5, 6, 7))
+    ]
+
+
+def _five_hundred_length_ways_in_one_set(state):
+    state["length_predictor"]["table"]["ways"] = [
+        [key, [0, None], 1] for key in _keys_in_set_zero(500, tag="rle-len")
+    ]
+
+
+def _a_pending_key_of_another_shape(state):
+    state["next_phase"]["pending_key"] = ["markov", 1, [3]]
+
+
+def _a_phase_id_that_is_not_an_int(state):
+    state["classifier"]["table"]["entries"][0]["phase_id"] = "a"
+
+
+def _a_current_phase_that_is_not_an_int(state):
+    state["next_phase"]["change_predictor"]["current_phase"] = 2.0
+
+
+def _a_length_current_phase_that_is_not_an_int(state):
+    state["length_predictor"]["current_phase"] = "2"
+
+
+UNBOUNDED_TABLES = [
+    _five_hundred_ways_in_one_set,
+    _five_ways_in_one_set,
+    _more_ways_than_the_table_holds,
+    _a_repeated_key,
+    _a_markov_key_in_an_rle_table,
+    _an_rle_key_of_another_depth,
+    _six_recent_outcomes,
+    _five_hundred_length_ways_in_one_set,
+    _a_pending_key_of_another_shape,
+    _a_phase_id_that_is_not_an_int,
+    _a_current_phase_that_is_not_an_int,
+    _a_length_current_phase_that_is_not_an_int,
+]
+
+
+class TestPredictorTablesBounded:
+    """A restored predictor table holds what the predictor could have
+    built: at most ``assoc`` ways per set, each key once and of the
+    predictor's shape, at most four recent outcomes per entry. A table
+    restored with 500 ways in one set used to keep them, since an
+    insert evicts one way and only from a full set, and every lookup
+    in that set scanned all 500. A phase that is not an int, which no
+    key can be made of, is refused too."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        from repro.service import start_in_thread
+
+        handle = start_in_thread()
+        yield handle
+        handle.stop()
+
+    @staticmethod
+    def last4_snapshot():
+        document = driven_snapshot()
+        spec = document["tracker"]["change_predictor"]
+        spec["kwargs"]["entry_kind"] = "last4"
+        return document
+
+    @pytest.mark.parametrize("corrupt", UNBOUNDED_TABLES)
+    def test_restore_tracker_refuses(self, corrupt):
+        document = self.last4_snapshot()
+        corrupt(document["tracker"])
+        with pytest.raises(SnapshotError):
+            restore_tracker(document)
+
+    @pytest.mark.parametrize("corrupt", UNBOUNDED_TABLES)
+    def test_open_session_fails_with_the_snapshot_code(self, service,
+                                                       corrupt):
+        from repro.service import PhaseServiceClient
+
+        document = self.last4_snapshot()
+        corrupt(document["tracker"])
+        with PhaseServiceClient(port=service.port) as client:
+            with pytest.raises(SnapshotError):
+                client.open_session(session="bounded", snapshot=document)
+            with pytest.raises(SessionNotFoundError):
+                client.observe("bounded", [4096], [10])
+
+    def test_a_full_set_restores_and_stays_full(self):
+        document = self.last4_snapshot()
+        _change_ways(document["tracker"])[:] = [
+            _way(key) for key in _keys_in_set_zero(4)
+        ]
+        tracker = restore_tracker(document)
+        table = tracker.next_phase.change_predictor.table
+        assert len(table) == 4
+        pcs, counts = two_region_stream(seed=1)
+        drive(tracker, pcs, counts)
+        assert len(table) <= table.entries

@@ -21,12 +21,14 @@ SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 #: Modules no serving process may load: the simulator, the analysis,
 #: offline and baseline stacks, every workload module but the trace
-#: records, every harness module but the CLI, and the batch pool.
+#: records, every harness module but the CLI, the batch pool, and the
+#: oracle predictors with the Figure 8 evaluation.
 EXPERIMENT_ONLY = re.compile(
     r"repro\.(simulator|analysis|offline|baselines)(\.|$)"
     r"|repro\.workloads\.(?!trace$)"
     r"|repro\.harness\.(?!cli$)"
     r"|repro\.core\.pool$"
+    r"|repro\.prediction\.(change_eval|perfect)$"
 )
 
 #: A cluster worker is a service, not a cluster front end.
