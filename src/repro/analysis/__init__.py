@@ -36,7 +36,7 @@ from repro.analysis.profile import (
     top_phases,
 )
 from repro.analysis.runs import PhaseRun, extract_runs, run_length_histogram
-from repro.analysis.timeline import render_timeline, run_summary_line
+from repro.analysis.timeline import render_timeline
 
 __all__ = [
     "ClassificationComparison",
@@ -54,7 +54,6 @@ __all__ = [
     "purity",
     "region_agreement",
     "render_timeline",
-    "run_summary_line",
     "extract_runs",
     "per_phase_cov",
     "phase_length_summary",

@@ -10,13 +10,10 @@ compute these ad hoc; this module is the reusable form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro.analysis.agreement import adjusted_rand_index
 from repro.analysis.cov import weighted_cov
-from repro.core.config import TRANSITION_PHASE_ID
 from repro.core.events import ClassificationRun
 from repro.errors import TraceError
 from repro.workloads.trace import IntervalTrace
@@ -98,14 +95,4 @@ def compare_runs(
         agreement_ari=adjusted_rand_index(
             run_a.phase_ids, run_b.phase_ids
         ),
-    )
-
-
-def compare_labelings(
-    labels_a: Sequence[int],
-    labels_b: Sequence[int],
-) -> float:
-    """Shorthand: adjusted Rand index between two raw label streams."""
-    return adjusted_rand_index(
-        np.asarray(labels_a), np.asarray(labels_b)
     )

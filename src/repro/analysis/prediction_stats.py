@@ -8,8 +8,7 @@ aggregated per-benchmark summaries the harness prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import PredictionError
 from repro.prediction.change_eval import (
@@ -43,29 +42,3 @@ def aggregate_change(
         for category in CHANGE_CATEGORIES:
             total.counts[category] += stats.counts[category]
     return total
-
-
-@dataclass(frozen=True)
-class AccuracyCoverage:
-    """An (accuracy, coverage) operating point for confidence studies."""
-
-    accuracy: float
-    coverage: float
-
-    def dominates(self, other: "AccuracyCoverage") -> bool:
-        """Pareto dominance: at least as good on both axes, better on one."""
-        at_least = (
-            self.accuracy >= other.accuracy
-            and self.coverage >= other.coverage
-        )
-        strictly = (
-            self.accuracy > other.accuracy or self.coverage > other.coverage
-        )
-        return at_least and strictly
-
-
-def operating_point(stats: NextPhaseStats) -> AccuracyCoverage:
-    """The confidence-gated operating point of a next-phase predictor."""
-    return AccuracyCoverage(
-        accuracy=stats.confident_accuracy, coverage=stats.coverage
-    )

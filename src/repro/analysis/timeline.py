@@ -94,18 +94,3 @@ def render_timeline(
             shown += 1
         lines.append("legend: " + "  ".join(entries))
     return "\n".join(lines)
-
-
-def run_summary_line(phase_ids: Sequence[int], max_runs: int = 20) -> str:
-    """One-line run-length view: ``A x12 -> . x2 -> B x30 -> ...``."""
-    from repro.analysis.runs import extract_runs
-
-    ids = np.asarray(phase_ids, dtype=np.int64)
-    mapping = phase_glyphs(ids)
-    runs = extract_runs(ids)
-    parts = [
-        f"{mapping[run.phase_id]}x{run.length}" for run in runs[:max_runs]
-    ]
-    if len(runs) > max_runs:
-        parts.append(f"...(+{len(runs) - max_runs} runs)")
-    return " -> ".join(parts)

@@ -314,12 +314,6 @@ class ClusterSupervisor:
                 crashed.append(handle)
         return crashed
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            worker_id: handle.to_dict()
-            for worker_id, handle in sorted(self.workers.items())
-        }
-
     # -- helpers ---------------------------------------------------------------
 
     def _get(self, worker_id: str) -> WorkerHandle:

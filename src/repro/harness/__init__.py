@@ -42,9 +42,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "run_experiment",
     ),
     "repro.harness.store": ("ResultStore", "StoreStats", "default_store_root"),
-    "repro.harness.sweep": (
-        "SweepResult", "sweep_classifier", "sweep_work_units",
-    ),
 })
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "ExperimentResult",
     "ResultStore",
     "StoreStats",
-    "SweepResult",
     "WorkUnit",
     "cached_classified",
     "cached_trace",
@@ -66,7 +62,5 @@ __all__ = [
     "run_experiment",
     "set_cache_telemetry",
     "set_result_store",
-    "sweep_classifier",
-    "sweep_work_units",
     "validate_unit_result",
 ]

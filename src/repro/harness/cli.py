@@ -22,9 +22,36 @@ streaming classification service::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional, Sequence
+
+
+def _scale(text: str) -> float:
+    """``--scale``: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}"
+        )
+    return value
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=1.0,
         help="benchmark run-length multiplier (default 1.0)",
     )
@@ -93,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=None,
         metavar="N",
         help="worker processes for the experiment work grid (default: "

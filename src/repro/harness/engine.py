@@ -143,15 +143,6 @@ class EngineReport:
             return 0.0
         return min(1.0, self.busy_seconds / (self.seconds * self.jobs))
 
-    def merge(self, other: "EngineReport") -> None:
-        self.units += other.units
-        self.from_memory += other.from_memory
-        self.from_store += other.from_store
-        self.computed += other.computed
-        self.seconds += other.seconds
-        self.busy_seconds += other.busy_seconds
-        self.unit_seconds.update(other.unit_seconds)
-
     def summary(self) -> str:
         parts = [
             f"{self.units} work units",

@@ -5,7 +5,6 @@ execution; phase-change prediction predicts the outcome of the next
 phase change, whenever it may occur; phase-length prediction predicts
 the run-length *class* of the next phase.
 
-- :mod:`repro.prediction.counters` — saturating / confidence counters.
 - :mod:`repro.prediction.assoc_table` — the 32-entry 4-way set
   associative prediction table with per-set LRU.
 - :mod:`repro.prediction.last_value` — last-value prediction with
@@ -40,7 +39,6 @@ from repro._lazy import lazy_exports
 from repro.errors import SnapshotError
 from repro.prediction.assoc_table import AssociativeTable
 from repro.prediction.composite import CompositePhasePredictor, NextPhaseStats
-from repro.prediction.counters import ConfidenceCounter, SaturatingCounter
 from repro.prediction.last_value import LastValuePredictor
 from repro.prediction.markov import MarkovChangePredictor
 from repro.prediction.length import (
@@ -106,7 +104,6 @@ __all__ = [
     "CHANGE_PREDICTOR_KINDS",
     "ChangePredictionStats",
     "CompositePhasePredictor",
-    "ConfidenceCounter",
     "LENGTH_CLASS_BOUNDS",
     "LastValuePredictor",
     "MarkovChangePredictor",
@@ -116,7 +113,6 @@ __all__ = [
     "PhaseObservation",
     "PhasePredictor",
     "RLEChangePredictor",
-    "SaturatingCounter",
     "change_predictor_from_spec",
     "evaluate_change_predictor",
     "length_class",

@@ -96,24 +96,6 @@ class LengthPredictionStats:
             return 0.0
         return 1.0 - self.correct / self.predictions
 
-    def confusion_table(self) -> str:
-        """Render the predicted-vs-actual class confusion matrix."""
-        size = len(LENGTH_CLASS_LABELS)
-        width = max(len(label) for label in LENGTH_CLASS_LABELS) + 2
-        header = "pred \\ actual".ljust(width) + "".join(
-            label.rjust(width) for label in LENGTH_CLASS_LABELS
-        )
-        lines = [header]
-        for predicted in range(size):
-            cells = [
-                str(self.confusion.get((predicted, actual), 0)).rjust(width)
-                for actual in range(size)
-            ]
-            lines.append(
-                LENGTH_CLASS_LABELS[predicted].ljust(width) + "".join(cells)
-            )
-        return "\n".join(lines)
-
 
 class PhaseLengthPredictor:
     """RLE-2-indexed run-length-class predictor with hysteresis.

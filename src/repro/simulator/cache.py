@@ -15,8 +15,8 @@ The geometry defaults correspond to the paper's Table 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -254,20 +254,3 @@ class CacheHierarchy:
         if self.dcache.access(address):
             return True, None
         return False, self.l2.access(address)
-
-    def flush(self) -> None:
-        self.icache.flush()
-        self.dcache.flush()
-        self.l2.flush()
-
-    def reset_stats(self) -> None:
-        self.icache.reset_stats()
-        self.dcache.reset_stats()
-        self.l2.reset_stats()
-
-    def stats_summary(self) -> "dict[str, CacheStats]":
-        return {
-            "il1": self.icache.stats,
-            "dl1": self.dcache.stats,
-            "ul2": self.l2.stats,
-        }

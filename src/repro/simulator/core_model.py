@@ -18,7 +18,7 @@ Latencies default to the paper's Table 1 machine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -133,28 +133,6 @@ class EventRates:
             tlb_miss_rate=self.tlb_miss_rate * factor,
         )
 
-    @staticmethod
-    def blend(a: "EventRates", b: "EventRates", weight_b: float) -> "EventRates":
-        """Linearly interpolate two rate records (used for transitions)."""
-        if not 0.0 <= weight_b <= 1.0:
-            raise ValueError(f"weight_b must be in [0, 1], got {weight_b}")
-        wa = 1.0 - weight_b
-
-        def mix(field_name: str) -> float:
-            return wa * getattr(a, field_name) + weight_b * getattr(
-                b, field_name
-            )
-
-        return EventRates(
-            base_ipc=mix("base_ipc"),
-            branch_rate=mix("branch_rate"),
-            branch_mispredict_rate=mix("branch_mispredict_rate"),
-            il1_miss_rate=mix("il1_miss_rate"),
-            dl1_miss_rate=mix("dl1_miss_rate"),
-            l2_miss_rate=mix("l2_miss_rate"),
-            tlb_miss_rate=mix("tlb_miss_rate"),
-        )
-
 
 class CoreModel:
     """First-order interval timing model for an out-of-order core.
@@ -196,15 +174,3 @@ class CoreModel:
             * (1.0 - t.branch_overlap)
         )
         return base + il1 + dl1 + l2 + tlb + branch
-
-    def ipc(self, rates: EventRates) -> float:
-        """Instructions per cycle (reciprocal of :meth:`cpi`)."""
-        return 1.0 / self.cpi(rates)
-
-    def cycles(self, rates: EventRates, instructions: int) -> float:
-        """Total cycles to execute ``instructions`` at these rates."""
-        if instructions < 0:
-            raise ValueError(
-                f"instructions must be non-negative, got {instructions}"
-            )
-        return self.cpi(rates) * instructions

@@ -85,10 +85,6 @@ class TLB:
     def resident_pages(self) -> int:
         return len(self._pages)
 
-    def flush(self) -> None:
-        """Drop all translations; statistics are preserved."""
-        self._pages.clear()
-
     def reset_stats(self) -> None:
         self.accesses = 0
         self.misses = 0

@@ -20,7 +20,7 @@ exhibit (§3, §4.5):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -79,41 +79,6 @@ class PhaseScript:
             else:
                 merged.append(segment)
         return PhaseScript(merged)
-
-
-def parse_script(spec: str) -> PhaseScript:
-    """Parse a compact script notation: ``"A:20 B:35 A:20 C:8"``.
-
-    Region names are single tokens; the first distinct name becomes
-    region 0, the second region 1, and so on (order of first
-    appearance). Repeats are allowed and adjacent same-region segments
-    are coalesced. Useful in tests, examples and REPL exploration.
-
-    >>> script = parse_script("produce:20 consume:35 produce:20")
-    >>> [(s.region, s.length) for s in script.segments]
-    [(0, 20), (1, 35), (0, 20)]
-    """
-    tokens = spec.split()
-    if not tokens:
-        raise ConfigurationError("script specification is empty")
-    names: List[str] = []
-    segments: List[Segment] = []
-    for token in tokens:
-        name, _, length_text = token.partition(":")
-        if not name or not length_text:
-            raise ConfigurationError(
-                f"malformed segment {token!r}; expected 'name:length'"
-            )
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"segment {token!r} has a non-integer length"
-            ) from None
-        if name not in names:
-            names.append(name)
-        segments.append(Segment(names.index(name), length))
-    return PhaseScript(segments).coalesced()
 
 
 def _draw_length(

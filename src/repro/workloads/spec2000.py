@@ -26,6 +26,7 @@ the run length proportionally (tests use small scales for speed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -487,8 +488,10 @@ def build_benchmark(
     seed:
         Override the benchmark's fixed seed (for robustness studies).
     """
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigurationError(
+            f"scale must be a finite positive number, got {scale}"
+        )
     descriptor = spec(name)
     effective_seed = descriptor.seed if seed is None else seed
     structure_rng = np.random.default_rng(
@@ -517,18 +520,3 @@ def benchmark(
     return build_benchmark(
         name, machine=machine, scale=scale, seed=seed
     ).generate()
-
-
-def all_benchmarks(
-    machine: Optional[Machine] = None, scale: float = 1.0
-) -> Dict[str, IntervalTrace]:
-    """Generate every benchmark's trace (the full evaluation input).
-
-    Returns a name-keyed dictionary in the paper's figure order. At
-    full scale this takes a couple of minutes; experiments should
-    prefer :func:`repro.harness.cache.cached_trace`, which memoizes.
-    """
-    return {
-        name: benchmark(name, machine=machine, scale=scale)
-        for name in BENCHMARK_NAMES
-    }

@@ -15,7 +15,7 @@ as the paper's hardware never sees region labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -127,10 +127,6 @@ class IntervalTrace:
             [iv.is_transition for iv in self.intervals], dtype=bool
         )
 
-    @property
-    def total_instructions(self) -> int:
-        return sum(iv.instructions for iv in self.intervals)
-
     def whole_program_cov(self) -> float:
         """CoV of CPI over *all* intervals (paper Fig. 3, "Whole Program").
 
@@ -141,36 +137,3 @@ class IntervalTrace:
         if mean == 0.0:
             raise TraceError("mean CPI is zero; trace is degenerate")
         return float(cpis.std()) / mean
-
-    def slice(self, start: int, stop: Optional[int] = None) -> "IntervalTrace":
-        """Return a sub-trace covering ``intervals[start:stop]``."""
-        sub = self.intervals[start:stop]
-        if not sub:
-            raise TraceError(
-                f"slice [{start}:{stop}] of trace '{self.name}' is empty"
-            )
-        return IntervalTrace(
-            name=f"{self.name}[{start}:{stop if stop is not None else ''}]",
-            intervals=sub,
-            interval_instructions=self.interval_instructions,
-            metadata=dict(self.metadata),
-        )
-
-
-def concatenate_traces(name: str, traces: Sequence[IntervalTrace]) -> IntervalTrace:
-    """Concatenate several traces into one run (utility for tests/examples)."""
-    if not traces:
-        raise TraceError("cannot concatenate zero traces")
-    granularities = {t.interval_instructions for t in traces}
-    if len(granularities) != 1:
-        raise TraceError(
-            f"traces have mixed interval sizes: {sorted(granularities)}"
-        )
-    intervals: List[Interval] = []
-    for trace in traces:
-        intervals.extend(trace.intervals)
-    return IntervalTrace(
-        name=name,
-        intervals=intervals,
-        interval_instructions=traces[0].interval_instructions,
-    )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.compare import compare_labelings, compare_runs
+from repro.analysis.compare import compare_runs
 from repro.core import ClassifierConfig, PhaseClassifier
 from repro.core.events import ClassificationResult, ClassificationRun
 from repro.errors import TraceError
@@ -81,8 +81,3 @@ class TestCompareRuns:
         )
         # Both classify the same program: labels must correlate.
         assert comparison.agreement_ari > 0.2
-
-
-class TestCompareLabelings:
-    def test_shorthand(self):
-        assert compare_labelings([1, 1, 2], [5, 5, 9]) == pytest.approx(1.0)

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.analysis.prediction_stats import (
-    AccuracyCoverage,
     aggregate_change,
     aggregate_next_phase,
-    operating_point,
 )
 from repro.errors import PredictionError
 from repro.prediction.change_eval import ChangePredictionStats
@@ -42,19 +40,3 @@ class TestAggregation:
             aggregate_next_phase([])
         with pytest.raises(PredictionError):
             aggregate_change([])
-
-
-class TestOperatingPoint:
-    def test_from_stats(self):
-        stats = next_stats(correct_lv_conf=8, incorrect_lv_conf=2,
-                           correct_lv_unconf=5)
-        point = operating_point(stats)
-        assert point.accuracy == pytest.approx(0.8)
-        assert point.coverage == pytest.approx(10 / 15)
-
-    def test_dominance(self):
-        better = AccuracyCoverage(accuracy=0.9, coverage=0.8)
-        worse = AccuracyCoverage(accuracy=0.8, coverage=0.8)
-        assert better.dominates(worse)
-        assert not worse.dominates(better)
-        assert not better.dominates(better)  # equal: no strict gain

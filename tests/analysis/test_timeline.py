@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.timeline import (
-    phase_glyphs,
-    render_timeline,
-    run_summary_line,
-)
+from repro.analysis.timeline import phase_glyphs, render_timeline
 from repro.errors import TraceError
 
 
@@ -66,16 +62,3 @@ class TestRenderTimeline:
     def test_real_classification_renders(self, classified_small):
         out = render_timeline(classified_small.phase_ids)
         assert out.count("\n") >= 1
-
-
-class TestRunSummary:
-    def test_basic(self):
-        line = run_summary_line([1, 1, 1, 0, 0, 2])
-        assert line == "Ax3 -> .x2 -> Bx1"
-
-    def test_truncation(self):
-        stream = []
-        for phase in range(1, 40):
-            stream.extend([phase] * 2)
-        line = run_summary_line(stream, max_runs=5)
-        assert "(+34 runs)" in line

@@ -185,6 +185,69 @@ class TestClusterByteIdentity:
                 assert client.stats()["live"] == 0
 
 
+class TestGrowAndRebalance:
+    def test_grow_then_rebalance_keeps_every_report_identical(
+        self, tmp_path
+    ):
+        """Eight sessions on one worker, half-fed; a ``grow`` past the
+        shard count is refused before any worker starts, ``grow
+        count=2`` adds two workers, and ``rebalance`` moves every
+        session whose shard they took. The sessions' reports and
+        ``close`` results equal a single service's on the same
+        streams."""
+        names = [f"s{index}" for index in range(8)]
+        sessions = {
+            name: branch_stream(40 + index, 3000)
+            for index, name in enumerate(names)
+        }
+        expected, expected_closed, _ = single_service_reports(sessions)
+
+        with start_cluster_in_thread(
+            port=0, workers=1, runtime_dir=str(tmp_path / "rt"),
+        ) as cluster:
+            dispatcher = cluster.service
+            with PhaseServiceClient(
+                port=cluster.port, timeout=60.0
+            ) as client:
+                got = {}
+                for name, (pcs, counts) in sessions.items():
+                    client.open_session(
+                        session=name,
+                        interval_instructions=INTERVAL_INSTRUCTIONS,
+                    )
+                    got[name] = drive(
+                        client, name, pcs[:1500], counts[:1500]
+                    )
+
+                with pytest.raises(ClusterError, match="shards exist"):
+                    client.cluster("grow", count=64)
+                assert list(dispatcher.supervisor.workers) == ["w0"]
+
+                grown = client.cluster("grow", count=2)
+                assert grown["added"] == ["w1", "w2"]
+                rebalanced = client.cluster("rebalance")
+                moved = rebalanced["migrated"]
+                assert rebalanced["count"] == len(moved)
+                assert {move["from"] for move in moved.values()} == {"w0"}
+                assert {move["to"] for move in moved.values()} == {
+                    "w1", "w2",
+                }
+                for name in names:
+                    assert dispatcher._sessions[name] == (
+                        dispatcher.shard_map.owner_of(name)
+                    )
+
+                closed = {}
+                for name, (pcs, counts) in sessions.items():
+                    got[name] += drive(
+                        client, name, pcs[1500:], counts[1500:]
+                    )
+                    closed[name] = client.close_session(name)
+
+        assert got == expected
+        assert closed == expected_closed
+
+
 class TestClusterAggregates:
     def test_durable_stats_are_the_workers_documents_summed(
         self, tmp_path

@@ -242,50 +242,6 @@ class TestStoreIntegration:
         assert report.computed == report.units  # miss, never an exception
 
 
-class TestSweepEngine:
-    def test_sweep_with_engine_matches_without(self, tmp_path):
-        from repro.harness.sweep import sweep_classifier
-
-        kwargs = dict(
-            field_name="min_count_threshold",
-            values=[0, 8],
-            benchmarks=list(NAMES),
-            scale=SCALE,
-        )
-        plain = sweep_classifier(**kwargs)
-        clear_cache()
-        engine = ExperimentEngine(
-            jobs=2, store=ResultStore(root=tmp_path / "store")
-        )
-        engined = sweep_classifier(engine=engine, **kwargs)
-        assert plain.data == engined.data
-
-    def test_metric_extraction_reused_per_run_object(self, monkeypatch):
-        # Sweeping a value equal to the base revisits the same cached
-        # run; the expensive predictor walk must happen once per run
-        # object, not once per (value, benchmark) pair.
-        from repro.harness import sweep as sweep_module
-
-        calls = []
-        original = sweep_module.CompositePhasePredictor
-
-        class CountingPredictor(original):
-            def run(self, phase_ids):
-                calls.append(1)
-                return super().run(phase_ids)
-
-        monkeypatch.setattr(
-            sweep_module, "CompositePhasePredictor", CountingPredictor
-        )
-        result = sweep_module.sweep_classifier(
-            "similarity_threshold", [0.25, 0.25],
-            benchmarks=[NAMES[0]], scale=SCALE,
-        )
-        assert len(calls) == 1  # two values, one distinct run object
-        series = result.data["lv_mispredict"]
-        assert series[0.25] == pytest.approx(series[0.25])
-
-
 class TestEngineCLI:
     def test_jobs_flag_round_trips(self, tmp_path, capsys):
         assert main([

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import ClassifierConfig
 from repro.errors import ConfigurationError
+from repro.harness import cli
 from repro.harness.cache import (
     cached_classified,
     cached_trace,
@@ -132,6 +133,32 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Baseline Simulation Model" in out
         assert "completed in" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "0", "fig2"],
+        ["--jobs", "-1", "fig2"],
+        ["--scale", "0", "fig2"],
+        ["--scale", "-1", "fig2"],
+        ["--scale", "nan", "fig2"],
+        ["--scale", "inf", "fig2"],
+        ["--classify", "mcf", "--scale", "nan"],
+        ["--classify", "mcf", "--scale", "0"],
+    ])
+    def test_bad_scale_or_jobs_is_a_usage_error(
+        self, argv, capsys, monkeypatch
+    ):
+        """A ``--scale`` that is not a finite positive number, or a
+        ``--jobs`` below 1, is argparse's usage error (exit 2), raised
+        before the result store opens or any experiment runs."""
+        opened = []
+        monkeypatch.setattr(cli, "_build_store", opened.append)
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro-phases")
+        assert err.count("error: argument --") == 1
+        assert opened == []
 
 
 class TestExtensions:

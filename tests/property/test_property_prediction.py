@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.prediction.assoc_table import AssociativeTable
 from repro.prediction.change_eval import evaluate_change_predictor
 from repro.prediction.composite import CompositePhasePredictor
-from repro.prediction.counters import ConfidenceCounter, SaturatingCounter
 from repro.prediction.last_value import LastValuePredictor
 from repro.prediction.length import PhaseLengthPredictor, length_class
 from repro.prediction.markov import MarkovChangePredictor
@@ -15,26 +14,6 @@ from repro.prediction.perfect import PerfectMarkovPredictor
 from repro.prediction.rle import RLEChangePredictor
 
 phase_streams = st.lists(st.integers(0, 6), min_size=2, max_size=300)
-
-
-class TestCounterProperties:
-    @given(st.integers(1, 8), st.lists(st.booleans(), max_size=200))
-    def test_counter_always_in_range(self, bits, updates):
-        counter = SaturatingCounter(bits=bits)
-        for up in updates:
-            counter.up() if up else counter.down()
-            assert 0 <= counter.value <= counter.max_value
-
-    @given(st.lists(st.booleans(), min_size=1, max_size=100))
-    def test_confidence_monotone_in_correctness(self, outcomes):
-        """All-correct training is never less confident than the mixed
-        stream of the same length."""
-        mixed = ConfidenceCounter(bits=3)
-        perfect = ConfidenceCounter(bits=3)
-        for outcome in outcomes:
-            mixed.record(outcome)
-            perfect.record(True)
-        assert perfect.value >= mixed.value
 
 
 class TestAssociativeTableProperties:

@@ -1,7 +1,6 @@
 """Property-based tests for the simulator substrate (hypothesis)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,23 +109,3 @@ class TestCoreModelProperties:
         base = model.cpi(rates.scaled(1.0))
         scaled = model.cpi(rates.scaled(1.0 + factor))
         assert scaled >= base - 1e-9
-
-    @given(rates_strategy, rates_strategy)
-    def test_blend_endpoints_exact(self, a, b):
-        model = CoreModel()
-        assert model.cpi(EventRates.blend(a, b, 0.0)) == pytest.approx(
-            model.cpi(a)
-        )
-        assert model.cpi(EventRates.blend(a, b, 1.0)) == pytest.approx(
-            model.cpi(b)
-        )
-
-    @given(rates_strategy, rates_strategy, st.floats(0.0, 1.0))
-    def test_blend_bounded_by_sum(self, a, b, weight):
-        """Every CPI term of a blend lies between the endpoints' terms,
-        so the blended total cannot exceed their sum (the totals
-        themselves do not bound it: the per-term maxima may come from
-        different endpoints)."""
-        model = CoreModel()
-        blended = model.cpi(EventRates.blend(a, b, weight))
-        assert 0.0 < blended <= model.cpi(a) + model.cpi(b) + 1e-9

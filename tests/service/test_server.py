@@ -11,6 +11,7 @@ import socket
 import sys
 import threading
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -359,6 +360,47 @@ class TestGracefulDrain:
                 for r in local.observe_batch(pcs, counts, cpi=1.0)
             ]
         assert pushes == expected
+
+    def test_work_read_after_the_drain_began_is_refused(self, start):
+        """Once ``POST /v1/drain`` has begun a drain, an observe read
+        from a connection that was already open is refused with
+        ``shutting_down`` and its own id, and a ping on that connection
+        is still answered, reporting the drain."""
+        handle = start(http_port=0)
+        try:
+            raw = RawConnection(handle.port)
+            raw.send({"op": "open", "id": 1, "session": "late",
+                      "interval_instructions": 3000})
+            assert raw.read_message()["ok"] is True
+            pcs, counts = branch_batches(seed=5, batches=1)[0]
+
+            def observe(request_id):
+                raw.send({"op": "observe", "id": request_id,
+                          "session": "late", "pcs": pcs,
+                          "counts": counts, "cpi": 1.0})
+                message = raw.read_message()
+                while "push" in message:
+                    message = raw.read_message()
+                return message
+
+            assert observe(2) == {"id": 2, "ok": True, "result": {
+                "branches": 300, "intervals": 3}}
+            service = handle.service
+            request = urllib.request.Request(
+                f"http://{service.http_host}:{service.http_port}"
+                "/v1/drain", data=b'{"grace": 5.0}', method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert json.load(response)["draining"] is True
+            refusal = observe(3)
+            assert refusal["id"] == 3 and refusal["ok"] is False
+            assert refusal["error"]["code"] == "shutting_down"
+            raw.send({"op": "ping", "id": 4})
+            pong = raw.read_message()
+            assert pong["id"] == 4 and pong["result"]["draining"] is True
+            raw.close()
+        finally:
+            handle.stop()
 
     def test_new_connections_refused_while_stopped(self, start):
         handle = start()

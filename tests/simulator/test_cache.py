@@ -159,18 +159,6 @@ class TestCacheHierarchy:
         l1_hit, l2_hit = hierarchy.access_data(0x3000)
         assert l1_hit is False and l2_hit is True
 
-    def test_stats_summary_keys(self):
-        hierarchy = CacheHierarchy()
-        assert set(hierarchy.stats_summary()) == {"il1", "dl1", "ul2"}
-
-    def test_flush_and_reset_cascade(self):
-        hierarchy = CacheHierarchy()
-        hierarchy.access_data(0x40)
-        hierarchy.flush()
-        hierarchy.reset_stats()
-        assert hierarchy.dcache.resident_blocks == 0
-        assert hierarchy.l2.stats.accesses == 0
-
 
 class TestWritePolicy:
     def test_clean_evictions_no_writeback(self):

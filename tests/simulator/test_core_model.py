@@ -41,21 +41,6 @@ class TestEventRates:
         with pytest.raises(ValueError):
             rates().scaled(-1.0)
 
-    def test_blend_endpoints(self):
-        a = rates(dl1_miss_rate=0.0)
-        b = rates(dl1_miss_rate=0.1)
-        assert EventRates.blend(a, b, 0.0).dl1_miss_rate == 0.0
-        assert EventRates.blend(a, b, 1.0).dl1_miss_rate == pytest.approx(0.1)
-
-    def test_blend_midpoint(self):
-        a = rates(base_ipc=1.0)
-        b = rates(base_ipc=3.0)
-        assert EventRates.blend(a, b, 0.5).base_ipc == pytest.approx(2.0)
-
-    def test_blend_rejects_out_of_range_weight(self):
-        with pytest.raises(ValueError):
-            EventRates.blend(rates(), rates(), 1.5)
-
 
 class TestCoreTimings:
     def test_table1_defaults(self):
@@ -127,22 +112,6 @@ class TestCoreModel:
             dl1_miss_rate=0.005, l2_miss_rate=0.0005,
         ))
         assert 0.3 < gzip < 1.0
-
-    def test_ipc_is_reciprocal(self):
-        model = CoreModel()
-        r = rates(dl1_miss_rate=0.01)
-        assert model.ipc(r) == pytest.approx(1.0 / model.cpi(r))
-
-    def test_cycles_scales_linearly(self):
-        model = CoreModel()
-        r = rates()
-        assert model.cycles(r, 2_000_000) == pytest.approx(
-            2 * model.cycles(r, 1_000_000)
-        )
-
-    def test_cycles_rejects_negative_instructions(self):
-        with pytest.raises(ValueError):
-            CoreModel().cycles(rates(), -1)
 
     def test_full_overlap_hides_penalty(self):
         timings = CoreTimings(memory_overlap=1.0)

@@ -61,13 +61,6 @@ class TestTLB:
         with pytest.raises(ValueError):
             TLB().access(-5)
 
-    def test_flush_keeps_stats(self):
-        tlb = TLB()
-        tlb.access(0)
-        tlb.flush()
-        assert tlb.resident_pages == 0
-        assert tlb.accesses == 1
-
     def test_reset_stats_keeps_translations(self):
         tlb = TLB()
         tlb.access(0)

@@ -121,44 +121,3 @@ class TestPatternBuilders:
         assert [(s.region, s.length) for s in a.segments] == [
             (s.region, s.length) for s in b.segments
         ]
-
-
-class TestParseScript:
-    def test_basic(self):
-        from repro.workloads.phase_script import parse_script
-
-        script = parse_script("a:20 b:35 a:20 c:8")
-        assert [(s.region, s.length) for s in script.segments] == [
-            (0, 20), (1, 35), (0, 20), (2, 8),
-        ]
-
-    def test_adjacent_same_region_coalesced(self):
-        from repro.workloads.phase_script import parse_script
-
-        script = parse_script("x:5 x:5 y:3")
-        assert [(s.region, s.length) for s in script.segments] == [
-            (0, 10), (1, 3),
-        ]
-
-    @pytest.mark.parametrize("bad", ["", "a", "a:", ":5", "a:x", "a:0"])
-    def test_malformed_rejected(self, bad):
-        from repro.workloads.phase_script import parse_script
-
-        with pytest.raises(ConfigurationError):
-            parse_script(bad)
-
-    def test_round_trips_through_generator(self, rng):
-        from repro.workloads.basic_block import CodeRegion
-        from repro.workloads.generator import WorkloadGenerator
-        from repro.workloads.phase_script import parse_script
-
-        script = parse_script("hot:10 cold:10")
-        regions = [
-            CodeRegion("hot", rng, num_blocks=8, code_base=0x100000),
-            CodeRegion("cold", rng, num_blocks=8, code_base=0x200000),
-        ]
-        trace = WorkloadGenerator(
-            "parsed", regions, script, seed=1, calibration_events=512
-        ).generate()
-        stable = sum(1 for iv in trace if not iv.is_transition)
-        assert stable == 20

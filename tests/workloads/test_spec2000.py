@@ -37,6 +37,11 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             build_benchmark("mcf", scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ConfigurationError, match="finite positive"):
+            build_benchmark("mcf", scale=scale)
+
 
 class TestBuilders:
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -107,8 +112,6 @@ class TestGeneratedTraces:
 
 class TestAllBenchmarks:
     def test_generates_all_eleven(self):
-        from repro.workloads.spec2000 import all_benchmarks
-
-        traces = all_benchmarks(scale=0.05)
-        assert set(traces) == set(BENCHMARK_NAMES)
-        assert all(len(trace) >= 20 for trace in traces.values())
+        traces = [benchmark(name, scale=0.05) for name in BENCHMARK_NAMES]
+        assert [trace.name for trace in traces] == list(BENCHMARK_NAMES)
+        assert all(len(trace) >= 20 for trace in traces)

@@ -8,7 +8,6 @@ from repro.workloads.trace import (
     DEFAULT_INTERVAL_INSTRUCTIONS,
     Interval,
     IntervalTrace,
-    concatenate_traces,
 )
 
 
@@ -108,35 +107,3 @@ class TestIntervalTrace:
         assert trace.whole_program_cov() == 0.0
         varied = self.make_trace(cpis=(1.0, 3.0))
         assert varied.whole_program_cov() == pytest.approx(0.5)
-
-    def test_slice(self):
-        trace = self.make_trace()
-        sub = trace.slice(1)
-        assert len(sub) == 2
-        assert sub[0].cpi == 2.0
-
-    def test_empty_slice_rejected(self):
-        with pytest.raises(TraceError):
-            self.make_trace().slice(3)
-
-    def test_total_instructions(self):
-        assert self.make_trace().total_instructions == 3 * 400
-
-
-class TestConcatenate:
-    def test_concatenates(self):
-        a = IntervalTrace("a", [make_interval(cpi=1.0)])
-        b = IntervalTrace("b", [make_interval(cpi=2.0)])
-        merged = concatenate_traces("ab", [a, b])
-        assert len(merged) == 2
-        assert merged.name == "ab"
-
-    def test_rejects_empty(self):
-        with pytest.raises(TraceError):
-            concatenate_traces("x", [])
-
-    def test_rejects_mixed_granularity(self):
-        a = IntervalTrace("a", [make_interval()], interval_instructions=100)
-        b = IntervalTrace("b", [make_interval()], interval_instructions=200)
-        with pytest.raises(TraceError):
-            concatenate_traces("x", [a, b])
