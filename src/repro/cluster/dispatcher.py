@@ -279,7 +279,7 @@ class ClusterDispatcher(NdjsonServer):
                 f"workers ({workers}) cannot exceed the {DEFAULT_SHARDS} "
                 f"shards; extra workers would own no shards"
             )
-        telemetry = self._telemetry
+        telemetry = self.telemetry
         self.initial_workers = workers
         self.supervisor = ClusterSupervisor(
             runtime_dir,
@@ -308,21 +308,20 @@ class ClusterDispatcher(NdjsonServer):
         self._names = itertools.count(1)
         self.migrations_completed = 0
         self.migrations_failed = 0
-        if telemetry is not None:
-            telemetry.gauge(
-                "repro_cluster_workers", "Live workers in the shard map",
-                read=lambda: len(self.shard_map),
-            )
-            telemetry.counter(
-                "repro_cluster_migrations_total",
-                "Completed live session migrations",
-                read=lambda: self.migrations_completed,
-            )
-            telemetry.counter(
-                "repro_cluster_migrations_failed_total",
-                "Session migrations that failed and rolled back",
-                read=lambda: self.migrations_failed,
-            )
+        telemetry.gauge(
+            "repro_cluster_workers", "Live workers in the shard map",
+            read=lambda: len(self.shard_map),
+        )
+        telemetry.counter(
+            "repro_cluster_migrations_total",
+            "Completed live session migrations",
+            read=lambda: self.migrations_completed,
+        )
+        telemetry.counter(
+            "repro_cluster_migrations_failed_total",
+            "Session migrations that failed and rolled back",
+            read=lambda: self.migrations_failed,
+        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -339,7 +338,7 @@ class ClusterDispatcher(NdjsonServer):
             self._admit_worker(handle)
         await super().start()
         self._tasks.append(asyncio.ensure_future(self._health_loop()))
-        self._emit(
+        self.telemetry.emit(
             "cluster_start", host=self.host, port=self.port,
             workers=list(self.shard_map.workers),
             num_shards=self.shard_map.num_shards,
@@ -355,8 +354,6 @@ class ClusterDispatcher(NdjsonServer):
         worker_id = handle.worker_id
         self.shard_map.add_worker(worker_id)
         self._control[worker_id] = _WorkerChannel(worker_id, handle.uds_path)
-        if self._telemetry is None:
-            return
         # The handle survives restarts, and a stopped worker keeps its
         # series (up 0), as it keeps its entry in ``cluster status``.
         for name, help, read in (
@@ -371,7 +368,7 @@ class ClusterDispatcher(NdjsonServer):
              "Times the supervisor restarted the worker",
              lambda: handle.restarts),
         ):
-            self._telemetry.gauge(
+            self.telemetry.gauge(
                 name, help, labels={"worker": worker_id}, read=read
             )
 
@@ -381,7 +378,7 @@ class ClusterDispatcher(NdjsonServer):
         for channel in self._control.values():
             await channel.close()
         self._control.clear()
-        self._emit(
+        self.telemetry.emit(
             "cluster_stop", requests=self.requests_served,
             migrations=self.migrations_completed,
         )
@@ -407,7 +404,7 @@ class ClusterDispatcher(NdjsonServer):
             # table entries fail loudly per-request.
             if worker_id in self.shard_map and len(self.shard_map) > 1:
                 self.shard_map.remove_worker(worker_id)
-            self._emit(
+            self.telemetry.emit(
                 "cluster_worker_abandoned", worker=worker_id,
                 error=str(error),
             )
@@ -672,8 +669,8 @@ class ClusterDispatcher(NdjsonServer):
             handle = await self.supervisor.start_worker()
             self._admit_worker(handle)
             added.append(handle.worker_id)
-        self._emit("cluster_grown", added=added,
-                   workers=list(self.shard_map.workers))
+        self.telemetry.emit("cluster_grown", added=added,
+                            workers=list(self.shard_map.workers))
         return {
             "added": added,
             "workers": list(self.shard_map.workers),

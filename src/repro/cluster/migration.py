@@ -88,8 +88,8 @@ class SessionMigrator:
             }
         gate = asyncio.Event()
         d._gates[session] = gate
-        d._emit("cluster_migration_started", session=session,
-                source=source, target=target)
+        d.telemetry.emit("cluster_migration_started", session=session,
+                         source=source, target=target)
         try:
             await self._quiesce(session)
             source_channel = d.control_channel(source)
@@ -130,16 +130,18 @@ class SessionMigrator:
                     )
                 )
                 d.migrations_failed += 1
-                d._emit("cluster_migration_failed", session=session,
-                        source=source, target=target, error=str(error))
+                d.telemetry.emit(
+                    "cluster_migration_failed", session=session,
+                    source=source, target=target, error=str(error),
+                )
                 raise ClusterError(
                     f"migration of {session!r} to {target} failed and "
                     f"was rolled back to {source}: {error}"
                 ) from None
             d._sessions[session] = target
             d.migrations_completed += 1
-            d._emit("cluster_migration_completed", session=session,
-                    source=source, target=target)
+            d.telemetry.emit("cluster_migration_completed", session=session,
+                             source=source, target=target)
             return {
                 "session": session, "from": source, "to": target,
                 "migrated": True,
@@ -188,15 +190,15 @@ class SessionMigrator:
         except ClusterError:
             # Leave the worker out of the map (it is being retired),
             # but surface which sessions made it across.
-            d._emit("cluster_drain_failed", worker=worker_id,
-                    migrated=migrated)
+            d.telemetry.emit("cluster_drain_failed", worker=worker_id,
+                             migrated=migrated)
             raise
         await d.supervisor.stop_worker(worker_id)
         channel = d._control.pop(worker_id, None)
         if channel is not None:
             await channel.close()
-        d._emit("cluster_worker_drained", worker=worker_id,
-                migrated=len(migrated))
+        d.telemetry.emit("cluster_worker_drained", worker=worker_id,
+                         migrated=len(migrated))
         return {
             "worker": worker_id,
             "migrated": migrated,

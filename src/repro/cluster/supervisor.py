@@ -37,6 +37,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.errors import ClusterError
 from repro.service import protocol
 from repro.service.server import DRAIN_TIMEOUT
+from repro.telemetry import Telemetry
 
 #: Worker process states.
 STARTING = "starting"
@@ -113,6 +114,9 @@ class ClusterSupervisor:
         :class:`~repro.service.server.PhaseService` keyword arguments
         every worker gets; the supervisor adds each worker's own
         ``uds_path`` and ``data_dir``.
+    telemetry:
+        The dispatcher's hub, which gets the worker lifecycle events (a
+        private in-memory one when not given).
     """
 
     def __init__(
@@ -127,6 +131,8 @@ class ClusterSupervisor:
         self.runtime_dir.mkdir(parents=True, exist_ok=True)
         self.data_root = data_root
         self.service = dict(service or {})
+        if telemetry is None:
+            telemetry = Telemetry()
         self._telemetry = telemetry
         self._next_index = 0
         self.workers: Dict[str, WorkerHandle] = {}
@@ -182,8 +188,10 @@ class ClusterSupervisor:
             log.close()
         handle.state = STARTING
         handle.started_at = time.monotonic()
-        self._emit("cluster_worker_started", worker=handle.worker_id,
-                   pid=handle.pid, restarts=handle.restarts)
+        self._telemetry.emit(
+            "cluster_worker_started", worker=handle.worker_id,
+            pid=handle.pid, restarts=handle.restarts,
+        )
 
     async def _wait_ready(self, handle: WorkerHandle) -> None:
         deadline = time.monotonic() + READY_TIMEOUT
@@ -219,8 +227,8 @@ class ClusterSupervisor:
                     pass
             if line:
                 handle.state = UP
-                self._emit("cluster_worker_ready",
-                           worker=handle.worker_id, pid=handle.pid)
+                self._telemetry.emit("cluster_worker_ready",
+                                     worker=handle.worker_id, pid=handle.pid)
                 return
             await asyncio.sleep(0.05)
         raise ClusterError(
@@ -263,8 +271,8 @@ class ClusterSupervisor:
         await asyncio.sleep(min(RESTART_BACKOFF * handle.restarts, 2.0))
         self._launch(handle)
         await self._wait_ready(handle)
-        self._emit("cluster_worker_restarted", worker=worker_id,
-                   pid=handle.pid, restarts=handle.restarts)
+        self._telemetry.emit("cluster_worker_restarted", worker=worker_id,
+                             pid=handle.pid, restarts=handle.restarts)
         return handle
 
     # -- stop ------------------------------------------------------------------
@@ -308,9 +316,9 @@ class ClusterSupervisor:
             code = handle.exited()
             if code is not None:
                 handle.state = DOWN
-                self._emit("cluster_worker_exited",
-                           worker=handle.worker_id, code=code,
-                           restarts=handle.restarts)
+                self._telemetry.emit("cluster_worker_exited",
+                                     worker=handle.worker_id, code=code,
+                                     restarts=handle.restarts)
                 crashed.append(handle)
         return crashed
 
@@ -321,7 +329,3 @@ class ClusterSupervisor:
         if handle is None:
             raise ClusterError(f"no such worker: {worker_id!r}")
         return handle
-
-    def _emit(self, event: str, **fields: object) -> None:
-        if self._telemetry is not None:
-            self._telemetry.emit(event, **fields)

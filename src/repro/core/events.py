@@ -80,10 +80,6 @@ class ClassificationRun:
         return float(self.transition_mask.mean())
 
     @property
-    def num_intervals(self) -> int:
-        return len(self.results)
-
-    @property
     def distinct_phases_observed(self) -> int:
         """Distinct real phase IDs that actually appear in the stream."""
         ids = self.phase_ids

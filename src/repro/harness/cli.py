@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -52,6 +53,24 @@ def _jobs(text: str) -> int:
             f"must be an integer of at least 1, got {text!r}"
         )
     return value
+
+
+def _output_path(text: str) -> str:
+    """``--json``, ``--metrics``, ``--events``: a file that can be
+    opened for writing, checked when the command line is parsed so a
+    bad path is refused before any work runs. The check leaves no file
+    behind."""
+    existed = os.path.lexists(text)
+    try:
+        with open(text, "a", encoding="utf-8"):
+            pass
+    except OSError as error:
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text!r}: {error.strerror}"
+        ) from None
+    if not existed:
+        os.unlink(text)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--json",
+        type=_output_path,
         metavar="PATH",
         default=None,
         help="also write each experiment's raw data as JSON to PATH "
@@ -105,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics",
+        type=_output_path,
         metavar="PATH",
         default=None,
         help="write a telemetry metrics snapshot to PATH after the run "
@@ -113,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--events",
+        type=_output_path,
         metavar="PATH",
         default=None,
         help="stream structured JSONL telemetry events to PATH during "
@@ -378,11 +400,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="bind address for the HTTP gateway (default: --host)",
     )
     parser.add_argument(
-        "--metrics", metavar="PATH", default=None,
+        "--metrics", type=_output_path, metavar="PATH", default=None,
         help="write a telemetry metrics snapshot to PATH at exit",
     )
     parser.add_argument(
-        "--events", metavar="PATH", default=None,
+        "--events", type=_output_path, metavar="PATH", default=None,
         help="stream JSONL telemetry events to PATH while serving",
     )
     parser.add_argument(
@@ -410,13 +432,12 @@ def _serve_main(argv: List[str]) -> int:
         # dir that destroys the session the operator asked to keep.
         parser.error("--no-evict is not supported with --workers")
 
-    telemetry = None
-    if args.metrics is not None or args.events is not None:
-        from repro.telemetry import Telemetry
+    from repro.telemetry import Telemetry
 
-        telemetry = Telemetry.to_files(
-            metrics_path=args.metrics, events_path=args.events
-        )
+    # The server's hub: --metrics and --events only attach its sinks.
+    telemetry = Telemetry.to_files(
+        metrics_path=args.metrics, events_path=args.events
+    )
     if args.workers is not None:
         return _serve_cluster(args, telemetry)
 
@@ -460,7 +481,7 @@ def _serve_main(argv: List[str]) -> int:
             )
         return lines
 
-    _serve_until_drained(service, banners, telemetry)
+    _serve_until_drained(service, banners)
     print(
         f"service drained cleanly: {service.requests_served} requests, "
         f"{service.registry.sessions_opened} sessions",
@@ -469,9 +490,10 @@ def _serve_main(argv: List[str]) -> int:
     return 0
 
 
-def _serve_until_drained(server, banners, telemetry) -> None:
-    """Start ``server``, print ``banners()`` once it is bound, and serve
-    until SIGINT/SIGTERM has drained it."""
+def _serve_until_drained(server, banners) -> None:
+    """Start ``server``, print ``banners()`` once it is bound, serve
+    until SIGINT/SIGTERM has drained it, then close its hub, which
+    writes ``--metrics``."""
     import asyncio
 
     async def _run() -> None:
@@ -486,9 +508,8 @@ def _serve_until_drained(server, banners, telemetry) -> None:
     except KeyboardInterrupt:  # pragma: no cover - signal-handler race
         pass
     finally:
-        if telemetry is not None:
-            telemetry.emit("run_end")
-            telemetry.close()
+        server.telemetry.emit("run_end")
+        server.telemetry.close()
 
 
 def _serve_cluster(args, telemetry) -> int:
@@ -539,7 +560,7 @@ def _serve_cluster(args, telemetry) -> int:
             )
         return lines
 
-    _serve_until_drained(dispatcher, banners, telemetry)
+    _serve_until_drained(dispatcher, banners)
     print(
         f"cluster drained cleanly: {dispatcher.requests_served} "
         f"requests, {dispatcher.migrations_completed} migrations",

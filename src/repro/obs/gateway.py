@@ -29,9 +29,8 @@ HTTP statuses (``session_not_found`` -> 404, ``overloaded`` -> 429,
 The gateway instruments itself on the shared telemetry hub: per-route
 request counters and latency histograms, an in-flight gauge, an SSE
 subscriber gauge, and a dropped-events counter — all visible on its
-own ``/metrics``. The hub is always there: :class:`NdjsonServer
-<repro.service.server.NdjsonServer>` builds one whenever it is asked
-for a gateway.
+own ``/metrics``. The hub is always there: every :class:`NdjsonServer
+<repro.service.server.NdjsonServer>` owns one.
 """
 
 from __future__ import annotations

@@ -40,10 +40,6 @@ class BBVMatrix:
             )
 
     @property
-    def num_intervals(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
     def num_blocks(self) -> int:
         return int(self.matrix.shape[1])
 

@@ -33,12 +33,10 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, Optional, TYPE_CHECKING, Union
+from typing import Dict, Iterator, Optional, Union
 
 from repro.errors import PersistenceError
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry
 
 #: Bump when the checkpoint document layout changes; old files become
 #: counted misses, never misreads.
@@ -69,29 +67,29 @@ class CheckpointStore:
         self.corrupt_dropped = 0
         self.read_errors = 0
         self._tmp_serial = 0
+        if telemetry is None:
+            telemetry = Telemetry()
         self._telemetry = telemetry
-        if telemetry is not None:
-            telemetry.counter(
-                "repro_persistence_checkpoints_written_total",
-                "Checkpoints published",
-                read=lambda: self.written,
-            )
-            telemetry.counter(
-                "repro_persistence_checkpoints_corrupt_total",
-                "Checkpoints dropped as unreadable",
-                read=lambda: self.corrupt_dropped,
-            )
-            telemetry.counter(
-                "repro_persistence_checkpoint_read_errors_total",
-                "Checkpoint reads that failed transiently",
-                read=lambda: self.read_errors,
-            )
+        telemetry.counter(
+            "repro_persistence_checkpoints_written_total",
+            "Checkpoints published",
+            read=lambda: self.written,
+        )
+        telemetry.counter(
+            "repro_persistence_checkpoints_corrupt_total",
+            "Checkpoints dropped as unreadable",
+            read=lambda: self.corrupt_dropped,
+        )
+        telemetry.counter(
+            "repro_persistence_checkpoint_read_errors_total",
+            "Checkpoint reads that failed transiently",
+            read=lambda: self.read_errors,
+        )
 
     def _count(self, name: str, amount: int = 1, help: str = "") -> None:
-        if self._telemetry is not None and amount:
-            self._telemetry.metrics.counter(
-                f"repro_persistence_{name}_total", help
-            ).inc(amount)
+        self._telemetry.metrics.counter(
+            f"repro_persistence_{name}_total", help
+        ).inc(amount)
 
     def path_for(self, name: str) -> Path:
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()
@@ -158,12 +156,11 @@ class CheckpointStore:
             # corruption: count the miss but leave the file in place
             # for a retry or the next recovery.
             self.read_errors += 1
-            if self._telemetry is not None:
-                self._telemetry.emit(
-                    "checkpoint_read_error",
-                    path=path.name,
-                    error=f"{type(error).__name__}: {error}",
-                )
+            self._telemetry.emit(
+                "checkpoint_read_error",
+                path=path.name,
+                error=f"{type(error).__name__}: {error}",
+            )
             return None
         try:
             envelope = json.loads(raw.decode("utf-8"))
@@ -179,10 +176,7 @@ class CheckpointStore:
                 raise ValueError("checkpoint lacks a session name")
         except (UnicodeDecodeError, ValueError, KeyError, TypeError):
             self.corrupt_dropped += 1
-            if self._telemetry is not None:
-                self._telemetry.emit(
-                    "checkpoint_corrupt", path=path.name
-                )
+            self._telemetry.emit("checkpoint_corrupt", path=path.name)
             try:
                 path.unlink()
             except OSError:

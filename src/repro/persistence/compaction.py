@@ -16,12 +16,10 @@ journal that is merely less compacted, never less correct.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, TYPE_CHECKING, Union
+from typing import Optional, Union
 
 from repro.persistence.journal import list_segments
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry
 
 
 def compact_journal(
@@ -32,6 +30,8 @@ def compact_journal(
     """Delete every segment older than the active one (the newest
     when ``active_path`` is not given); returns how many were removed.
     """
+    if telemetry is None:
+        telemetry = Telemetry()
     active = Path(active_path) if active_path is not None else None
     removed = 0
     for segment in list_segments(root)[:-1]:
@@ -42,7 +42,7 @@ def compact_journal(
         except OSError:  # pragma: no cover - raced deletion
             break
         removed += 1
-    if telemetry is not None and removed:
+    if removed:
         telemetry.metrics.counter(
             "repro_persistence_segments_compacted_total",
             "Journal segments deleted by compaction",

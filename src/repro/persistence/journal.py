@@ -71,15 +71,13 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING, Union,
+    Dict, Iterator, List, Optional, Tuple, Union,
 )
 
 import numpy as np
 
 from repro.errors import PersistenceError
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry
 
 #: Valid values for the journal's ``sync`` dial.
 SYNC_MODES = ("none", "batch", "always")
@@ -255,6 +253,8 @@ def replay_journal(
     returned :class:`ReplayStats` and emitted as telemetry events —
     never raised, because this is the expected aftermath of ``kill -9``.
     """
+    if telemetry is None:
+        telemetry = Telemetry()
     replay = JournalReplay()
     stats = replay.stats
     segments = list_segments(root)
@@ -286,13 +286,12 @@ def replay_journal(
                 with open(segment, "rb+") as handle:
                     handle.truncate(torn.offset)
             torn_at = index
-            if telemetry is not None:
-                telemetry.emit(
-                    "journal_torn_tail",
-                    segment=segment.name,
-                    offset=torn.offset,
-                    dropped_bytes=size - torn.offset,
-                )
+            telemetry.emit(
+                "journal_torn_tail",
+                segment=segment.name,
+                offset=torn.offset,
+                dropped_bytes=size - torn.offset,
+            )
 
     if torn_at is not None:
         for segment in segments[torn_at + 1:]:
@@ -302,10 +301,7 @@ def replay_journal(
                     segment.unlink()
                 except OSError:  # pragma: no cover - raced deletion
                     pass
-            if telemetry is not None:
-                telemetry.emit(
-                    "journal_segment_discarded", segment=segment.name
-                )
+            telemetry.emit("journal_segment_discarded", segment=segment.name)
 
     # Compaction can leave one empty segment, whose name still holds
     # the next seq: reusing lower ones would misorder later segments.
@@ -332,9 +328,10 @@ class Journal:
         First sequence number to assign — pass the replay's
         ``stats.next_seq`` when reopening an existing journal.
     telemetry:
-        Optional hub: appended-record/byte counters, an
-        ``fsync``-latency histogram, and the durability-lag gauge
-        (records appended but not yet fsynced).
+        The owner's hub (a private in-memory one when not given):
+        appended-record/byte counters, an ``fsync``-latency histogram,
+        and the durability-lag gauge (records appended but not yet
+        fsynced).
     """
 
     def __init__(
@@ -364,27 +361,28 @@ class Journal:
         self.records_appended = 0
         self.bytes_appended = 0
         self.fsyncs = 0
+        if telemetry is None:
+            telemetry = Telemetry()
         self._telemetry = telemetry
-        if telemetry is not None:
-            telemetry.counter(
-                "repro_persistence_journal_records_total",
-                "Records appended to the session journal",
-                read=lambda: self.records_appended,
-            )
-            telemetry.counter(
-                "repro_persistence_journal_bytes_total",
-                "Framed bytes appended to the session journal",
-                read=lambda: self.bytes_appended,
-            )
-            self._h_fsync = telemetry.histogram(
-                "repro_persistence_fsync_seconds",
-                "Wall time of one journal fsync",
-            )
-            telemetry.gauge(
-                "repro_persistence_unsynced_records",
-                "Durability lag: records appended but not yet fsynced",
-                read=lambda: self._unsynced,
-            )
+        telemetry.counter(
+            "repro_persistence_journal_records_total",
+            "Records appended to the session journal",
+            read=lambda: self.records_appended,
+        )
+        telemetry.counter(
+            "repro_persistence_journal_bytes_total",
+            "Framed bytes appended to the session journal",
+            read=lambda: self.bytes_appended,
+        )
+        self._h_fsync = telemetry.histogram(
+            "repro_persistence_fsync_seconds",
+            "Wall time of one journal fsync",
+        )
+        telemetry.gauge(
+            "repro_persistence_unsynced_records",
+            "Durability lag: records appended but not yet fsynced",
+            read=lambda: self._unsynced,
+        )
 
         # Continue the newest segment when it has headroom; otherwise
         # start a fresh one named after the next sequence number.
@@ -468,12 +466,11 @@ class Journal:
             try:
                 self._rotate()
             except OSError as error:
-                if self._telemetry is not None:
-                    self._telemetry.emit(
-                        "journal_rotate_failed",
-                        segment=self.active_path.name,
-                        error=f"{type(error).__name__}: {error}",
-                    )
+                self._telemetry.emit(
+                    "journal_rotate_failed",
+                    segment=self.active_path.name,
+                    error=f"{type(error).__name__}: {error}",
+                )
         return seq
 
     def sync(self) -> None:
@@ -528,8 +525,7 @@ class Journal:
         os.fsync(self._file.fileno())
         self.fsyncs += 1
         self._unsynced = 0
-        if self._telemetry is not None:
-            self._h_fsync.observe(time.perf_counter() - started)
+        self._h_fsync.observe(time.perf_counter() - started)
 
     def _rotate(self) -> None:
         # The retiring segment is made fully durable so a torn tail can

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import contextlib
 from pathlib import Path
-from typing import Dict, Optional, Set, TYPE_CHECKING, Union
+from typing import Dict, Optional, Set, Union
 
 from repro.errors import PersistenceError
 from repro.persistence.checkpoints import CheckpointStore
@@ -54,9 +54,7 @@ from repro.persistence.recovery import (
 )
 from repro.service.session import Session, SessionRegistry
 from repro.service.snapshot import snapshot_tracker
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry
 
 
 class PersistenceManager:
@@ -81,9 +79,10 @@ class PersistenceManager:
     segment_bytes, batch_records:
         Journal rotation size and ``batch``-mode fsync cadence.
     telemetry:
-        Optional hub: journal/checkpoint/hydrate counters, the
-        durability-lag gauge, the fsync-latency histogram, and
-        lifecycle events.
+        The owner's hub, shared with the journal, the checkpoint store,
+        recovery and compaction (a private in-memory one when not
+        given): journal/checkpoint/hydrate counters, the durability-lag
+        gauge, the fsync-latency histogram, and lifecycle events.
     """
 
     def __init__(
@@ -99,6 +98,8 @@ class PersistenceManager:
         self.root.mkdir(parents=True, exist_ok=True)
         self.journal_root = self.root / "journal"
         self._registry = registry
+        if telemetry is None:
+            telemetry = Telemetry()
         self._telemetry = telemetry
         self.checkpoints = CheckpointStore(
             self.root / "checkpoints",
@@ -137,21 +138,16 @@ class PersistenceManager:
         self.hydrated = 0
         self.hydrate_failures = 0
         self.evict_saves = 0
-        if telemetry is not None:
-            telemetry.counter(
-                "repro_persistence_hydrates_total",
-                "Cold sessions restored on demand",
-                read=lambda: self.hydrated,
-            )
-            self._m_checkpoints = telemetry.counter(
-                "repro_persistence_checkpoint_sessions_total",
-                "Per-session checkpoints written",
-            )
-            telemetry.gauge(
-                "repro_persistence_cold_sessions",
-                "Sessions evicted to disk, hydrate-on-demand",
-                read=lambda: len(self._cold),
-            )
+        telemetry.counter(
+            "repro_persistence_hydrates_total",
+            "Cold sessions restored on demand",
+            read=lambda: self.hydrated,
+        )
+        telemetry.gauge(
+            "repro_persistence_cold_sessions",
+            "Sessions evicted to disk, hydrate-on-demand",
+            read=lambda: len(self._cold),
+        )
 
         registry.on_evict = self.save_session
         registry.resolver = self.resolve
@@ -236,11 +232,10 @@ class PersistenceManager:
         seq = self.checkpoint_session(session)
         self._cold.add(session.name)
         self.evict_saves += 1
-        if self._telemetry is not None:
-            self._telemetry.emit(
-                "session_evicted_to_disk",
-                session=session.name, reason=reason, covered_seq=seq,
-            )
+        self._telemetry.emit(
+            "session_evicted_to_disk",
+            session=session.name, reason=reason, covered_seq=seq,
+        )
 
     def resolve(self, name: str) -> Optional[Session]:
         """The registry's ``resolver``: hydrate a cold session.
@@ -268,8 +263,7 @@ class PersistenceManager:
         except Exception:
             self._cold.discard(name)
             self.hydrate_failures += 1
-            if self._telemetry is not None:
-                self._telemetry.emit("hydrate_failed", session=name)
+            self._telemetry.emit("hydrate_failed", session=name)
             return None
         self._cold.discard(name)
         self.hydrated += 1
@@ -300,8 +294,6 @@ class PersistenceManager:
             "snapshot": snapshot_tracker(session.tracker),
         })
         session.dirty = False
-        if self._telemetry is not None:
-            self._m_checkpoints.inc()
         return seq
 
     def checkpoint_all(self) -> int:

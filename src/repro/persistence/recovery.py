@@ -36,16 +36,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.errors import PersistenceError, ReproError
 from repro.persistence.checkpoints import CheckpointStore
 from repro.persistence.journal import ReplayStats, replay_journal
 from repro.service.session import Session, build_tracker
 from repro.service.snapshot import restore_tracker
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -93,6 +91,8 @@ def recover_state(
     ``checkpoints``. Never raises for on-disk damage — torn tails,
     unreadable checkpoints, and unappliable records are counted (and
     reported via telemetry events) instead."""
+    if telemetry is None:
+        telemetry = Telemetry()
     result = RecoveryResult()
     documents = checkpoints.load_all()
     checkpoint_seq = {
@@ -188,11 +188,10 @@ def recover_state(
                 live.pop(name, None)
                 if name not in checkpoint_seq:
                     dead.add(name)
-                if telemetry is not None:
-                    telemetry.emit(
-                        "recovery_record_unappliable",
-                        session=name, record_seq=seq,
-                    )
+                telemetry.emit(
+                    "recovery_record_unappliable",
+                    session=name, record_seq=seq,
+                )
                 continue
             session.last_seq = seq
             session.dirty = True
@@ -217,24 +216,23 @@ def recover_state(
     # Checkpoint-current sessions that never needed replay stay cold.
     result.cold = set(checkpoint_seq).difference(live, dead)
 
-    if telemetry is not None:
-        telemetry.emit(
-            "recovery_complete",
-            live=len(live),
-            cold=len(result.cold),
-            replayed=result.replayed_records,
-            skipped=result.skipped_records,
-            orphaned=result.orphaned_records,
-            damaged=result.damaged_sessions,
-            torn_tails=result.journal.torn_tails,
-            next_seq=result.next_seq,
-        )
-        telemetry.metrics.counter(
-            "repro_persistence_replayed_records_total",
-            "Journal records applied during crash recovery",
-        ).inc(result.replayed_records)
-        telemetry.metrics.counter(
-            "repro_persistence_recoveries_total",
-            "Recovery passes completed",
-        ).inc()
+    telemetry.emit(
+        "recovery_complete",
+        live=len(live),
+        cold=len(result.cold),
+        replayed=result.replayed_records,
+        skipped=result.skipped_records,
+        orphaned=result.orphaned_records,
+        damaged=result.damaged_sessions,
+        torn_tails=result.journal.torn_tails,
+        next_seq=result.next_seq,
+    )
+    telemetry.metrics.counter(
+        "repro_persistence_replayed_records_total",
+        "Journal records applied during crash recovery",
+    ).inc(result.replayed_records)
+    telemetry.metrics.counter(
+        "repro_persistence_recoveries_total",
+        "Recovery passes completed",
+    ).inc()
     return result

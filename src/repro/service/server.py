@@ -47,7 +47,7 @@ import os
 import signal
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, TYPE_CHECKING
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import (
     ClusterError,
@@ -59,9 +59,7 @@ from repro.errors import (
 from repro.service import protocol
 from repro.service.session import Session, SessionRegistry
 from repro.service.snapshot import snapshot_tracker
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry
 
 #: Requests about the server rather than a session: answered even while
 #: draining, and by the dispatcher itself in a cluster.
@@ -112,8 +110,9 @@ class _Connection:
 class NdjsonServer:
     """The connection lifecycle of an NDJSON front end.
 
-    Owns the constructor checks, connection admission, the read loop,
-    :meth:`shutdown`'s drain order, :meth:`begin_drain`,
+    Owns the :attr:`telemetry` hub (an in-memory one when none is
+    passed), the constructor checks, connection admission, the read
+    loop, :meth:`shutdown`'s drain order, :meth:`begin_drain`,
     :meth:`serve_forever`, signal handling, and the uptime, queue-depth
     and connection-count bookkeeping. A subclass supplies what differs:
 
@@ -151,12 +150,8 @@ class NdjsonServer:
             raise ConfigurationError(
                 f"http_port must be >= 0, got {http_port}"
             )
-        if http_port is not None and telemetry is None:
-            # The gateway exists to expose telemetry; an operator who
-            # asks for the HTTP surface gets an in-memory hub for free.
-            from repro.telemetry import Telemetry as _Telemetry
-
-            telemetry = _Telemetry()
+        if telemetry is None:
+            telemetry = Telemetry()
         self.host = host
         self.port = port
         self.uds_path = uds_path
@@ -169,7 +164,7 @@ class NdjsonServer:
         self.connections_refused = 0
         self.started_at = time.time()
         self._started_mono = time.monotonic()
-        self._telemetry = telemetry
+        self.telemetry = telemetry
         self._gateway = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Dict[int, _Connection] = {}
@@ -177,27 +172,26 @@ class NdjsonServer:
         self._stopped: Optional[asyncio.Event] = None
         self._drain_task: Optional["asyncio.Task"] = None
         self._tasks: List["asyncio.Task"] = []
-        if telemetry is not None:
-            telemetry.gauge(
-                "repro_service_uptime_seconds",
-                "Seconds since service construction",
-                read=lambda: self.uptime_seconds,
-            )
-            telemetry.counter(
-                "repro_service_requests_total",
-                "Requests executed by the service (including refusals)",
-                read=lambda: self.requests_served,
-            )
-            telemetry.counter(
-                "repro_service_errors_total",
-                "Requests answered with an error response",
-                read=lambda: self.errors_returned,
-            )
-            telemetry.gauge(
-                "repro_service_connections",
-                "Open client connections",
-                read=lambda: len(self._connections),
-            )
+        telemetry.gauge(
+            "repro_service_uptime_seconds",
+            "Seconds since service construction",
+            read=lambda: self.uptime_seconds,
+        )
+        telemetry.counter(
+            "repro_service_requests_total",
+            "Requests executed by the service (including refusals)",
+            read=lambda: self.requests_served,
+        )
+        telemetry.counter(
+            "repro_service_errors_total",
+            "Requests answered with an error response",
+            read=lambda: self.errors_returned,
+        )
+        telemetry.gauge(
+            "repro_service_connections",
+            "Open client connections",
+            read=lambda: len(self._connections),
+        )
 
     # -- what a subclass supplies ---------------------------------------------
 
@@ -257,10 +251,6 @@ class NdjsonServer:
             self._gateway = self._make_gateway()
             await self._gateway.start()
             self.http_port = self._gateway.port
-
-    @property
-    def telemetry(self) -> "Optional[Telemetry]":
-        return self._telemetry
 
     @property
     def draining(self) -> bool:
@@ -389,10 +379,6 @@ class NdjsonServer:
             if self._stopped is not None:
                 self._stopped.set()
 
-    def _emit(self, event: str, **fields: object) -> None:
-        if self._telemetry is not None:
-            self._telemetry.emit(event, **fields)
-
     # -- connection handling ---------------------------------------------------
 
     async def _handle_connection(
@@ -496,9 +482,10 @@ class PhaseService(NdjsonServer):
         Per-connection ingest queue bound — the backpressure depth, in
         requests.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` hub; the service
-        records request/error counters, ingest- and request-latency
-        histograms, connection/session gauges, and lifecycle events.
+        The :class:`~repro.telemetry.Telemetry` hub the service records
+        into: request/error counters, ingest- and request-latency
+        histograms, connection/session gauges, and lifecycle events. A
+        service given none builds an in-memory hub of its own.
     data_dir:
         Enable the durable session tier rooted here (journal +
         checkpoints). Construction recovers whatever the directory
@@ -522,9 +509,7 @@ class PhaseService(NdjsonServer):
         :class:`~repro.obs.HttpGateway` alongside the NDJSON listener:
         health/readiness probes, a Prometheus ``/metrics`` scrape
         target, a JSON session API, live SSE events, and the built-in
-        dashboard at ``/``. ``http_host`` defaults to ``host``. A
-        service with a gateway but no ``telemetry`` gets an in-memory
-        hub automatically so the scrape surface is never empty.
+        dashboard at ``/``. ``http_host`` defaults to ``host``.
     """
 
     def __init__(
@@ -559,7 +544,7 @@ class PhaseService(NdjsonServer):
                 f"checkpoint_interval must be positive, "
                 f"got {checkpoint_interval}"
             )
-        telemetry = self._telemetry
+        telemetry = self.telemetry
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
             idle_ttl=idle_ttl,
@@ -584,55 +569,54 @@ class PhaseService(NdjsonServer):
         #: The next-phase scoreboard's counts, keyed by
         #: :data:`PREDICTION_COUNTS`.
         self.prediction_counts = dict.fromkeys(PREDICTION_COUNTS, 0)
-        if telemetry is not None:
-            from repro import __version__ as _version
+        from repro import __version__ as _version
 
-            telemetry.gauge(
-                "repro_service_info",
-                "Constant 1; process identity in the labels.",
-                labels={
-                    "version": _version,
-                    "pid": os.getpid(),
-                    "started": int(self.started_at),
-                },
-            ).set(1)
-            for key, name, help in (
-                ("scored", "repro_service_predictions_total",
-                 "Next-phase predictions scored against the next interval"),
-                ("correct", "repro_service_predictions_correct_total",
-                 "Scored next-phase predictions that matched"),
-                ("confident_scored",
-                 "repro_service_predictions_confident_total",
-                 "Scored predictions the predictor marked confident"),
-                ("confident_correct",
-                 "repro_service_predictions_confident_correct_total",
-                 "Confident scored predictions that matched"),
-            ):
-                telemetry.counter(
-                    name, help,
-                    read=functools.partial(self.prediction_counts.get, key),
-                )
-            self._m_branches = telemetry.counter(
-                "repro_service_branches_total",
-                "Branch records ingested via observe",
-            )
-            self._m_intervals = telemetry.counter(
-                "repro_service_intervals_total",
-                "Interval reports pushed to clients",
-            )
-            self._h_request = telemetry.histogram(
-                "repro_service_request_seconds",
-                "Wall time to execute one request",
-            )
-            self._h_ingest = telemetry.histogram(
-                "repro_service_ingest_seconds",
-                "Mean per-branch ingest latency, one sample per observe",
-            )
+        telemetry.gauge(
+            "repro_service_info",
+            "Constant 1; process identity in the labels.",
+            labels={
+                "version": _version,
+                "pid": os.getpid(),
+                "started": int(self.started_at),
+            },
+        ).set(1)
+        for key, name, help in (
+            ("scored", "repro_service_predictions_total",
+             "Next-phase predictions scored against the next interval"),
+            ("correct", "repro_service_predictions_correct_total",
+             "Scored next-phase predictions that matched"),
+            ("confident_scored",
+             "repro_service_predictions_confident_total",
+             "Scored predictions the predictor marked confident"),
+            ("confident_correct",
+             "repro_service_predictions_confident_correct_total",
+             "Confident scored predictions that matched"),
+        ):
             telemetry.counter(
-                "repro_service_checkpoint_failures_total",
-                "Checkpoint sweeps that raised",
-                read=lambda: self.checkpoint_failures,
+                name, help,
+                read=functools.partial(self.prediction_counts.get, key),
             )
+        self._m_branches = telemetry.counter(
+            "repro_service_branches_total",
+            "Branch records ingested via observe",
+        )
+        self._m_intervals = telemetry.counter(
+            "repro_service_intervals_total",
+            "Interval reports pushed to clients",
+        )
+        self._h_request = telemetry.histogram(
+            "repro_service_request_seconds",
+            "Wall time to execute one request",
+        )
+        self._h_ingest = telemetry.histogram(
+            "repro_service_ingest_seconds",
+            "Mean per-branch ingest latency, one sample per observe",
+        )
+        telemetry.counter(
+            "repro_service_checkpoint_failures_total",
+            "Checkpoint sweeps that raised",
+            read=lambda: self.checkpoint_failures,
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -646,7 +630,7 @@ class PhaseService(NdjsonServer):
             self._tasks.append(
                 asyncio.ensure_future(self._checkpoint_loop())
             )
-        self._emit(
+        self.telemetry.emit(
             "service_start", host=self.host, port=self.port,
             max_sessions=self.registry.max_sessions,
             recovered=self.sessions_recovered,
@@ -672,7 +656,7 @@ class PhaseService(NdjsonServer):
             self._sweep()
             self._persistence.close()
         closed = self.registry.close_all()
-        self._emit(
+        self.telemetry.emit(
             "service_stop", sessions_closed=closed,
             requests=self.requests_served,
         )
@@ -696,7 +680,7 @@ class PhaseService(NdjsonServer):
             # the loop or the stop: it is counted, and the journal keeps
             # everything the next sweep or a recovery needs.
             self.checkpoint_failures += 1
-            self._emit(
+            self.telemetry.emit(
                 "checkpoint_sweep_failed",
                 error=f"{type(error).__name__}: {error}",
             )
@@ -756,8 +740,7 @@ class PhaseService(NdjsonServer):
                 for payload in payloads:
                     chunks.append(protocol.encode(payload))
                 self.requests_served += 1
-                if self._telemetry is not None:
-                    self._h_request.observe(time.perf_counter() - started)
+                self._h_request.observe(time.perf_counter() - started)
             if chunks:
                 try:
                     connection.writer.write(b"".join(chunks))
@@ -913,11 +896,10 @@ class PhaseService(NdjsonServer):
             request.pcs, request.counts, cpi=request.cpi
         )
         elapsed = time.perf_counter() - started
-        if self._telemetry is not None and len(request.pcs):
+        if len(request.pcs):
             self._h_ingest.observe(elapsed / len(request.pcs))
-        if self._telemetry is not None:
-            self._m_branches.inc(len(request.pcs))
-            self._m_intervals.inc(len(reports))
+        self._m_branches.inc(len(request.pcs))
+        self._m_intervals.inc(len(reports))
         self._score_predictions(pending, reports)
         payloads = []
         for report in reports:
@@ -926,10 +908,7 @@ class PhaseService(NdjsonServer):
             # neither a JSONL sink nor an SSE subscriber it is a
             # one-check no-op inside the hub.
             fields = report.to_dict()
-            if self._telemetry is not None:
-                self._telemetry.emit(
-                    "interval", session=session.name, **fields
-                )
+            self.telemetry.emit("interval", session=session.name, **fields)
             payloads.append(protocol.interval_push(session.name, fields))
         payloads.append(protocol.ok_response(request.id, {
             "intervals": len(reports),

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import ClassifierConfig
 from repro.core.online import PhaseTracker
@@ -50,10 +50,8 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.service.snapshot import restore_tracker
+from repro.telemetry import Telemetry
 from repro.workloads.trace import DEFAULT_INTERVAL_INSTRUCTIONS
-
-if TYPE_CHECKING:  # pragma: no cover - import-time typing only
-    from repro.telemetry import Telemetry
 
 
 class Session:
@@ -139,9 +137,10 @@ class SessionRegistry:
         When full, evict the least-recently-active session instead of
         refusing the open.
     telemetry:
-        Optional hub: a live-sessions gauge plus one event per session
-        lifecycle transition (opened / closed / evicted / expired /
-        hydrated / adopted).
+        The owner's hub (a private in-memory one when not given): a
+        live-sessions gauge plus one event per session lifecycle
+        transition (opened / closed / evicted / expired / hydrated /
+        adopted).
     clock:
         Monotonic time source (overridable in tests).
     on_evict:
@@ -203,13 +202,14 @@ class SessionRegistry:
         self.sessions_evicted_recycled = 0
         self.sessions_hydrated = 0
         self.sessions_adopted = 0
+        if telemetry is None:
+            telemetry = Telemetry()
         self._telemetry = telemetry
-        if telemetry is not None:
-            telemetry.gauge(
-                "repro_service_sessions",
-                "Live tracker sessions in the registry",
-                read=self.__len__,
-            )
+        telemetry.gauge(
+            "repro_service_sessions",
+            "Live tracker sessions in the registry",
+            read=self.__len__,
+        )
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -224,13 +224,12 @@ class SessionRegistry:
         return list(self._sessions)
 
     def _emit(self, event: str, session: Session, **fields: object) -> None:
-        if self._telemetry is not None:
-            self._telemetry.emit(
-                event,
-                session=session.name,
-                intervals=session.tracker.intervals_observed,
-                **fields,
-            )
+        self._telemetry.emit(
+            event,
+            session=session.name,
+            intervals=session.tracker.intervals_observed,
+            **fields,
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -405,12 +404,11 @@ class SessionRegistry:
                 self.on_evict(session, reason)
                 saved = True
             except Exception as error:
-                if self._telemetry is not None:
-                    self._telemetry.emit(
-                        "session_evict_hook_failed",
-                        session=session.name, reason=reason,
-                        error=f"{type(error).__name__}: {error}",
-                    )
+                self._telemetry.emit(
+                    "session_evict_hook_failed",
+                    session=session.name, reason=reason,
+                    error=f"{type(error).__name__}: {error}",
+                )
         if saved:
             self.sessions_evicted_saved += 1
         elif (
@@ -456,12 +454,11 @@ class SessionRegistry:
         try:
             self.on_evict(session, reason)
         except Exception as error:
-            if self._telemetry is not None:
-                self._telemetry.emit(
-                    "session_evict_hook_failed",
-                    session=session.name, reason=reason,
-                    error=f"{type(error).__name__}: {error}",
-                )
+            self._telemetry.emit(
+                "session_evict_hook_failed",
+                session=session.name, reason=reason,
+                error=f"{type(error).__name__}: {error}",
+            )
 
     # -- inspection -----------------------------------------------------------
 

@@ -47,12 +47,6 @@ class HybridPredictor:
     def _meta_index(self, pc: int) -> int:
         return (pc >> 2) & (self.meta_entries - 1)
 
-    def predict(self, pc: int) -> bool:
-        """Return the selected component's prediction for ``pc``."""
-        if self._meta[self._meta_index(pc)] >= _USE_GSHARE_THRESHOLD:
-            return self.gshare.predict(pc)
-        return self.bimodal.predict(pc)
-
     def predict_and_update(self, pc: int, taken: bool) -> bool:
         """Predict ``pc``, train all components, and return correctness."""
         gshare_pred = self.gshare.predict(pc)

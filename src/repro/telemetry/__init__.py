@@ -16,12 +16,15 @@ monitor; this package makes the monitor itself measurable:
   interface with Prometheus text-format and JSON snapshot
   implementations.
 - :mod:`repro.telemetry.hub` — :class:`Telemetry`, the one handle the
-  instrumented layers (`PhaseTracker(telemetry=...)`, the experiment
-  harness, the harness caches) share.
+  instrumented layers (the servers, `PhaseTracker(telemetry=...)`, the
+  experiment harness, the harness caches) share.
 
 The package is dependency-free (stdlib only) and safe to import from
-the hot path; every instrumentation point in the library is optional
-and off by default.
+the hot path. A server always owns a hub: the service, the cluster
+dispatcher and each cluster worker build an in-memory one when none is
+passed, and ``serve --metrics``/``--events`` only attach sinks to it.
+Trackers and experiment runs stay opt-in: without a hub they do no
+telemetry work.
 """
 
 from repro.telemetry.events import EventLog, read_events

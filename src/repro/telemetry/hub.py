@@ -15,7 +15,8 @@ whole run in one place::
 
 A hub constructed with no arguments keeps everything in memory (no
 event sink, no output files) — the cheapest way to instrument a
-library embedding.
+library embedding, and what a server builds for itself when given no
+hub.
 """
 
 from __future__ import annotations

@@ -160,6 +160,71 @@ class TestCLI:
         assert err.count("error: argument --") == 1
         assert opened == []
 
+    @pytest.mark.parametrize("flag", ["--json", "--metrics", "--events"])
+    @pytest.mark.parametrize("argv", [
+        ["--scale", str(SCALE), "--no-store", "hwbudget"],
+        ["--classify", "mcf", "--scale", str(SCALE), "--no-store"],
+    ])
+    def test_an_unwritable_output_path_is_a_usage_error(
+        self, argv, flag, tmp_path, capsys, monkeypatch
+    ):
+        """An output path that cannot be opened is argparse's usage
+        error (exit 2) naming the flag and the path, raised before any
+        experiment or classification runs, not a traceback after."""
+        opened = []
+        monkeypatch.setattr(cli, "_build_store", opened.append)
+        path = str(tmp_path / "missing" / "out")
+        with pytest.raises(SystemExit) as stop:
+            main(argv + [flag, path])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert errors == [
+            f"repro-phases: error: argument {flag}: cannot write "
+            f"{path!r}: No such file or directory"
+        ]
+        assert opened == []
+
+    def test_the_output_path_check_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        assert main(["--list", "--json", str(path)]) == 0
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag", ["--metrics", "--events"])
+    @pytest.mark.parametrize("topology", [[], ["--workers", "1"]])
+    def test_serve_refuses_an_unwritable_output_path_before_binding(
+        self, flag, topology, tmp_path, capsys, monkeypatch
+    ):
+        """``serve`` refuses a bad ``--metrics``/``--events`` path as a
+        usage error before it builds a server, binds a port or starts a
+        worker."""
+        import repro.cluster
+        import repro.service
+
+        built = []
+        monkeypatch.setattr(
+            repro.service, "PhaseService",
+            lambda **kwargs: built.append(kwargs),
+        )
+        monkeypatch.setattr(
+            repro.cluster, "ClusterDispatcher",
+            lambda **kwargs: built.append(kwargs),
+        )
+        path = str(tmp_path / "missing" / "serve.prom")
+        with pytest.raises(SystemExit) as stop:
+            main(["serve", "--port", "0", *topology, flag, path])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"repro-phases serve: error: argument {flag}: cannot write "
+            f"{path!r}: No such file or directory"
+        )
+        assert "listening" not in captured.out
+        assert built == []
+
 
 class TestExtensions:
     def test_hwbudget_runs_without_traces(self):

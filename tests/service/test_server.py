@@ -21,6 +21,7 @@ from repro.core import PhaseTracker
 from repro.errors import ConfigurationError
 from repro.service import PhaseServiceClient, start_in_thread
 from repro.service.server import PhaseService
+from repro.telemetry import parse_prometheus_text
 
 BASE_A, BASE_B = 0x400000, 0x900000
 
@@ -464,6 +465,57 @@ class TestIdleSweep:
                 assert stats["live"] == 0 and stats["expired"] == 1
         finally:
             handle.stop()
+
+
+class TestHubWithoutGateway:
+    """A server with no HTTP port and no sinks still owns a hub, and
+    its series count what the server did."""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_a_service_counts_without_a_gateway(self, durable, tmp_path):
+        data_dir = str(tmp_path / "data") if durable else None
+        handle = start_in_thread(data_dir=data_dir)
+        try:
+            sent = pushed = 0
+            with PhaseServiceClient(port=handle.port) as client:
+                name = client.open_session(interval_instructions=3_000)
+                for pcs, counts in branch_batches(seed=5, batches=3):
+                    pushed += len(client.observe(name, pcs, counts))
+                    sent += len(pcs)
+                client.predict(name)
+                raw = RawConnection(handle.port)
+                raw.send({"op": "warp", "id": 1})
+                assert raw.read_message()["error"]["code"] == "protocol"
+                raw.close()
+                client.close_session(name)
+                stats = client.stats()
+        finally:
+            handle.stop()
+        service = handle.service
+        samples = parse_prometheus_text(service.telemetry.render_metrics())
+        assert pushed > 0
+        assert samples["repro_service_requests_total"] == (
+            service.requests_served
+        )
+        assert samples["repro_service_errors_total"] == 1
+        assert samples["repro_service_branches_total"] == sent
+        assert samples["repro_service_intervals_total"] == pushed
+        assert samples["repro_service_sessions"] == 0
+        if durable:
+            assert samples["repro_persistence_journal_records_total"] == (
+                stats["persistence"]["journal_records"]
+            )
+
+    def test_a_cluster_counts_without_a_gateway(self, tmp_path):
+        handle = start_cluster_in_thread(
+            workers=1, runtime_dir=str(tmp_path / "rt")
+        )
+        try:
+            telemetry = handle.service.telemetry
+            samples = parse_prometheus_text(telemetry.render_metrics())
+        finally:
+            handle.stop()
+        assert samples["repro_cluster_workers"] == 1
 
 
 class TestConstruction:
